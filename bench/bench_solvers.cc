@@ -18,8 +18,8 @@
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "core/experiments.h"
+#include "core/optimizer/branch_and_bound.h"
 #include "core/optimizer/candidate_generation.h"
-#include "core/optimizer/memo_search.h"
 #include "core/optimizer/solver.h"
 #include "engine/sales_generator.h"
 #include "pricing/providers.h"
@@ -369,14 +369,13 @@ void PrintPortfolioThreadSweep() {
 
 // --- Part 4: branch-and-bound past the exhaustive wall ----------------------
 
-// The exact-search headline (DESIGN.md §13): memoized parallel
-// branch-and-bound on SSB rosters of 20, 50 and 100 candidates — sizes
-// where exhaustive's 2^n is 1e6x past hopeless — with the proof status,
-// certified gap, search telemetry and EvaluationCache behavior
-// (hits/misses/evictions, the bounded-cache satellite) in the
-// regression rows. Selections and node counts must be bit-identical at
-// 1 vs 8 threads (the frozen-incumbent determinism rule); divergence
-// exits 1 like the portfolio sweep.
+// The exact-search headline (DESIGN.md §13): branch-and-bound on SSB
+// rosters of 20, 50 and 100 candidates — sizes where exhaustive's 2^n
+// is 1e6x past hopeless — with the proof status, certified gap, search
+// telemetry and EvaluationCache behavior (hits/misses/evictions) in the
+// regression rows; nodes_expanded is gated exactly. Selections and
+// node counts must be bit-identical at 1 vs 8 threads (one sequential
+// walk); divergence exits 1 like the portfolio sweep.
 void PrintBranchAndBoundScaling() {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
@@ -456,7 +455,6 @@ void PrintBranchAndBoundScaling() {
              static_cast<int64_t>(stats[1].nodes_expanded))
         .Int("pruned_by_bound",
              static_cast<int64_t>(stats[1].pruned_by_bound))
-        .Int("jobs", static_cast<int64_t>(stats[1].jobs))
         .Int("proven_optimal", stats[1].proven_optimal ? 1 : 0)
         .Int("cache_evictions", static_cast<int64_t>(cache_evictions))
         .Int("views", static_cast<int64_t>(selections[1].size()))

@@ -20,6 +20,14 @@ row disappears entirely (renaming a solver without regenerating the
 baseline is a silent way to lose coverage). New rows that the baseline
 does not know are reported but never fail the gate.
 
+A second, exact gate covers deterministic work: any row whose
+`nodes_expanded` exceeds the value stored for it under the baseline's
+"work_rows" fails, with no threshold and no derate — node counts are a
+pure function of the instance and the search, not of the machine, so
+they must never grow silently. A row that carries `nodes_expanded` in
+the baseline but vanishes from the output fails like a missing
+throughput row.
+
 Rows are keyed by their string fields (bench/scenario/solver/sweep...),
 which are stable across runs; numeric fields are the measurements.
 `--trend` additionally prints a per-metric table (every numeric metric
@@ -52,6 +60,8 @@ import json
 import sys
 
 PREFIX = "BENCH_JSON "
+# Deterministic work counter gated exactly (see the module docstring).
+WORK_METRIC = "nodes_expanded"
 
 
 def parse_rows(stream):
@@ -88,6 +98,18 @@ def collect(rows, metric, merge):
             key = row_key(row)
             value = float(value)
             into[key] = merge(into[key], value) if key in into else value
+    return into
+
+
+def collect_work(rows):
+    """Row key -> WORK_METRIC for rows that carry it; repeated keys keep
+    the largest observation (equal anyway: the count is deterministic)."""
+    into = {}
+    for row in rows:
+        value = row.get(WORK_METRIC)
+        if isinstance(value, int) and not isinstance(value, bool):
+            key = row_key(row)
+            into[key] = max(into.get(key, value), value)
     return into
 
 
@@ -229,7 +251,9 @@ def main():
                    for key, value in current.items()}
         baseline = {"metric": args.metric,
                     "derate": args.derate,
-                    "rows": dict(sorted(derated.items()))}
+                    "rows": dict(sorted(derated.items())),
+                    "work_rows": dict(sorted(
+                        collect_work(all_rows).items()))}
         with open(args.baseline, "w", encoding="utf-8") as handle:
             json.dump(baseline, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -264,6 +288,15 @@ def main():
                 f"  {key}\n    {args.metric}: {value:,.0f} < "
                 f"{floor:.0%} of baseline {base_value:,.0f} "
                 f"({value / base_value:.0%})")
+    work_rows = baseline.get("work_rows", {})
+    work = collect_work(all_rows)
+    for key, base_value in sorted(work_rows.items()):
+        if key not in work:
+            missing.append(f"{key} ({WORK_METRIC})")
+        elif work[key] > base_value:
+            failures.append(
+                f"  {key}\n    {WORK_METRIC}: {work[key]:,} > baseline "
+                f"{base_value:,} (exact gate, no derate)")
     # New rows are warned about in one consolidated block, not failed:
     # a fresh bench must be able to land before its baseline, but an
     # unlisted row is ungated, and a gate that silently ignores it
@@ -283,13 +316,15 @@ def main():
             print(f"  {key}")
     if failures:
         print(f"FAIL: {len(failures)} row(s) regressed more than "
-              f"{args.threshold:.0%} on {args.metric}:")
+              f"{args.threshold:.0%} on {args.metric} or grew "
+              f"{WORK_METRIC}:")
         for failure in failures:
             print(failure)
     if missing or failures:
         return 1
     print(f"OK: {len(rows)} baseline rows within {args.threshold:.0%} "
-          f"of {args.metric} baseline")
+          f"of {args.metric} baseline; {len(work_rows)} row(s) at or "
+          f"under their {WORK_METRIC} baseline")
     return 0
 
 

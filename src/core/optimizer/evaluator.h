@@ -459,6 +459,9 @@ class SubsetState {
   Duration makespan() const { return processing_ + materialization_; }
   /// \brief Duplicated bytes stored for the subset.
   DataSize view_bytes() const { return view_bytes_; }
+  /// \brief Query `q`'s best time from the subset or the base table,
+  /// in raw milliseconds (unweighted by frequency).
+  int64_t best_time_ms(size_t q) const { return best_time_ms_[q]; }
 
   const SelectionEvaluator& evaluator() const { return *evaluator_; }
 
@@ -509,11 +512,10 @@ class EvaluationCache {
   /// \brief Aggregate telemetry shared across a cache family (a parent
   /// and its NewChild() task caches). Counters used to be per-instance
   /// and vanished with every per-task child, so session-level hit rates
-  /// under-reported everything the portfolio / branch-and-bound /
-  /// pareto fan-outs probed; children now flush their local counters
-  /// here when they die. Atomic because children flush from pool
-  /// threads; the hot path never touches these (local counters flush
-  /// in bulk).
+  /// under-reported everything the portfolio and pareto fan-outs
+  /// probed; children now flush their local counters here when they
+  /// die. Atomic because children flush from pool threads; the hot
+  /// path never touches these (local counters flush in bulk).
   struct SharedStats {
     std::atomic<uint64_t> lookups{0};
     std::atomic<uint64_t> hits{0};

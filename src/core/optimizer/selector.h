@@ -101,7 +101,7 @@ struct ObjectiveSpec {
   /// truncate the search like a node-budget cutoff — the best incumbent
   /// found so far is still finalized and SelectionResult::cancelled is
   /// set. Riding on the spec (not serialized, not compared) means every
-  /// existing fan-out path — portfolio starts, branch-and-bound jobs,
+  /// existing fan-out path — portfolio starts, pareto-sweep tasks,
   /// provider sweeps — forwards it without new plumbing. Borrowed: the
   /// token must outlive the solve.
   const CancelToken* cancel = nullptr;

@@ -2,20 +2,23 @@
 // randomized MV3 specs with random hard constraints, bound + dominance
 // pruning never discards the optimum — the search returns exactly the
 // exhaustive solver's answer (score AND selection, the lex-smallest
-// tie-break), bit-identically at CLOUDVIEW_THREADS=1 vs 8, under both
-// default knobs and adversarial ones (tiny memo, shallow/deep splits).
+// tie-break), bit-identically at CLOUDVIEW_THREADS=1 vs 8 — and the
+// node lower bound never exceeds any completion it stands for.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "catalog/architecture.h"
 #include "common/random.h"
 #include "common/str_format.h"
 #include "common/thread_pool.h"
+#include "core/optimizer/branch_and_bound.h"
 #include "core/optimizer/candidate_generation.h"
-#include "core/optimizer/memo_search.h"
 #include "core/optimizer/solver.h"
 #include "engine/sales_generator.h"
 #include "pricing/providers.h"
@@ -96,18 +99,6 @@ ObjectiveSpec RandomSpec(Rng& rng, const SelectionEvaluator& evaluator) {
   return spec;
 }
 
-/// Random-but-legal knobs: pruning must stay exact whatever the split
-/// depth and however contended (or absent) the shared memo is. The node
-/// budget stays unlimited — a truncated search certifies a gap instead
-/// of optimality, which is the other test below.
-BranchAndBoundOptions RandomOptions(Rng& rng, SearchStats* stats) {
-  BranchAndBoundOptions options;
-  options.split_depth = static_cast<size_t>(rng.UniformInt(0, 10));
-  options.memo_slots = size_t{1} << rng.UniformInt(3, 12);
-  options.stats = stats;
-  return options;
-}
-
 TEST(BranchAndBoundPropertyTest, PruningNeverDiscardsTheOptimum) {
   for (size_t workload_size : {5, 10}) {
     Fixture fixture(workload_size);
@@ -122,9 +113,8 @@ TEST(BranchAndBoundPropertyTest, PruningNeverDiscardsTheOptimum) {
           selector.Solve(spec, "exhaustive").MoveValue();
 
       SearchStats stats;
-      BranchAndBoundOptions options = RandomOptions(rng, &stats);
-      SCOPED_TRACE(StrFormat("split_depth=%zu memo_slots=%zu",
-                             options.split_depth, options.memo_slots));
+      BranchAndBoundOptions options;
+      options.stats = &stats;
       for (size_t threads : {size_t{1}, size_t{8}}) {
         SCOPED_TRACE(StrFormat("threads=%zu", threads));
         ThreadPool::SetGlobalConcurrency(threads);
@@ -147,6 +137,143 @@ TEST(BranchAndBoundPropertyTest, PruningNeverDiscardsTheOptimum) {
   }
 }
 
+/// `base`'s instance re-weighted with random query frequencies, then
+/// varied by `variant`: 0 as built, 1 with random candidates' builds
+/// sunk (the temporal planner's clones), 2 re-billed under a
+/// non-identity architecture (the arch-sweep clones).
+SelectionEvaluator RandomVariant(Rng& rng, const Fixture& base,
+                                 int variant) {
+  std::vector<QuerySpec> queries = base.evaluator->workload().queries();
+  for (QuerySpec& query : queries) {
+    query.frequency = static_cast<uint64_t>(rng.UniformInt(1, 40));
+  }
+  SelectionEvaluator reweighted =
+      SelectionEvaluator::Create(*base.lattice, Workload(std::move(queries)),
+                                 *base.simulator, base.cluster,
+                                 *base.cost_model, base.deployment,
+                                 base.evaluator->candidates())
+          .MoveValue();
+  if (variant == 1) {
+    std::vector<size_t> sunk;
+    for (size_t c = 0; c < reweighted.num_candidates(); ++c) {
+      if (rng.Bernoulli(0.4)) sunk.push_back(c);
+    }
+    return reweighted.CloneWithSunkBuilds(sunk).MoveValue();
+  }
+  if (variant == 2) {
+    ArchitectureModel architecture;
+    architecture.name = "replicated-spot";
+    architecture.compute_num = rng.UniformInt(2, 5);
+    architecture.compute_den = 2;
+    architecture.fanout_num = rng.UniformInt(2, 4);
+    architecture.storage_num = rng.UniformInt(2, 3);
+    architecture.interruption_num = 1;
+    architecture.interruption_den = 10;
+    architecture.cross_az_copies = 1;
+    return reweighted.CloneWithArchitecture(architecture).MoveValue();
+  }
+  return reweighted;
+}
+
+TEST(BranchAndBoundPropertyTest, LowerBoundNeverExceedsAnyCompletion) {
+  Fixture fixture(10);
+  Rng rng(0xB0D5);
+  for (int trial = 0; trial < 12; ++trial) {
+    SelectionEvaluator evaluator = RandomVariant(rng, fixture, trial % 3);
+    ObjectiveSpec spec = RandomSpec(rng, evaluator);
+    const SubsetEvaluation& baseline = evaluator.baseline();
+    switch (rng.Uniform(3)) {
+      case 0:
+        spec.scenario = Scenario::kMV1BudgetLimit;
+        spec.budget_limit = baseline.cost.total().MultipliedBy(
+            0.4 + 0.6 * rng.UniformDouble());
+        break;
+      case 1:
+        spec.scenario = Scenario::kMV2TimeLimit;
+        spec.time_limit = Duration::FromMillis(static_cast<int64_t>(
+            static_cast<double>(baseline.makespan.millis()) *
+            (0.3 + 0.7 * rng.UniformDouble())));
+        break;
+      default:
+        break;
+    }
+    spec.time_includes_materialization = (trial / 3) % 2 == 0;
+    SCOPED_TRACE(StrFormat("trial=%d variant=%d scenario=%s with_mat=%d",
+                           trial, trial % 3, ToString(spec.scenario),
+                           spec.time_includes_materialization ? 1 : 0));
+    SolverContext context(evaluator, spec);
+    const size_t n = evaluator.num_candidates();
+    ASSERT_LE(n, 12u);
+    ASSERT_GT(n, 0u);
+
+    for (int sample = 0; sample < 6; ++sample) {
+      // Reach a random interior node the way the walker does: decide a
+      // prefix of a random order, back out a suffix (Undecide), then
+      // decide a fresh suffix — other candidates, other choices — so the
+      // undecided set differs from the one the back-out left behind.
+      std::vector<size_t> order(n);
+      std::iota(order.begin(), order.end(), size_t{0});
+      auto shuffle_from = [&](size_t first) {
+        for (size_t i = n - 1; i > first; --i) {
+          size_t j = first + static_cast<size_t>(rng.Uniform(i - first + 1));
+          std::swap(order[i], order[j]);
+        }
+      };
+      shuffle_from(0);
+      std::vector<bool> include(n, false);
+      SearchNode node(evaluator);
+      auto decide = [&](size_t d) {
+        include[d] = rng.Bernoulli(0.5);
+        node.Decide(order[d]);
+        if (include[d]) {
+          node.committed().Add(order[d]);
+        } else {
+          node.relaxed().Remove(order[d]);
+        }
+      };
+      auto undo = [&](size_t d) {
+        if (include[d]) {
+          node.committed().Remove(order[d]);
+        } else {
+          node.relaxed().Add(order[d]);
+        }
+        node.Undecide(order[d]);
+      };
+      const size_t first_depth = static_cast<size_t>(rng.Uniform(n));
+      for (size_t d = 0; d < first_depth; ++d) decide(d);
+      const size_t back =
+          static_cast<size_t>(rng.UniformInt(0, first_depth));
+      for (size_t d = first_depth; d > back; --d) undo(d - 1);
+      shuffle_from(back);
+      const size_t depth =
+          static_cast<size_t>(rng.UniformInt(back, n - 1));
+      for (size_t d = back; d < depth; ++d) decide(d);
+      SCOPED_TRACE(StrFormat("sample=%d depth=%zu", sample, depth));
+
+      SolverContext::Probe bound = node.LowerBound(context).MoveValue();
+      // Never looser than the processing-only bound it replaces.
+      EXPECT_GE(bound.makespan, node.relaxed().processing_time() +
+                                    node.committed().materialization_time());
+
+      // Every completion C ⊆ S ⊆ R, by enumeration over R\C.
+      const std::vector<size_t> committed = node.committed().Selected();
+      const size_t free = n - depth;
+      for (uint64_t mask = 0; mask < (uint64_t{1} << free); ++mask) {
+        std::vector<size_t> subset = committed;
+        for (size_t i = 0; i < free; ++i) {
+          if ((mask >> i) & 1) subset.push_back(order[depth + i]);
+        }
+        SubsetEvaluation exact = evaluator.Evaluate(subset).MoveValue();
+        ASSERT_LE(bound.makespan, exact.makespan) << "mask=" << mask;
+        ASSERT_LE(bound.time, context.TimeMetric(exact)) << "mask=" << mask;
+        ASSERT_LE(bound.cost, exact.cost.total()) << "mask=" << mask;
+        ASSERT_LE(context.ScoreOf(bound), context.ScoreOf(exact))
+            << "mask=" << mask;
+      }
+    }
+  }
+}
+
 TEST(BranchAndBoundPropertyTest, TruncatedSearchesStayDeterministic) {
   Fixture fixture(10);
   Rng rng(0xC4F3);
@@ -163,8 +290,7 @@ TEST(BranchAndBoundPropertyTest, TruncatedSearchesStayDeterministic) {
       SolverContext context(*fixture.evaluator, spec, &cache);
       SearchStats run_stats;
       BranchAndBoundOptions options;
-      options.split_depth = 4;
-      options.max_nodes_per_job = budget;
+      options.max_nodes = budget;
       options.stats = &run_stats;
       results.push_back(SolveBranchAndBound(context, options).MoveValue());
       stats.push_back(run_stats);
@@ -179,7 +305,7 @@ TEST(BranchAndBoundPropertyTest, TruncatedSearchesStayDeterministic) {
     EXPECT_GE(stats[0].gap_fraction, 0.0);
     EXPECT_LE(stats[0].gap_fraction, 1.0);
     // An unproven run still returns a legal incumbent at least as good
-    // as greedy's (the warm start is frozen into every job).
+    // as greedy's (the walk starts from the warm start).
     if (!stats[0].proven_optimal) {
       EvaluationCache cache;
       SolverContext context(*fixture.evaluator, spec, &cache);

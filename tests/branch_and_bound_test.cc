@@ -3,7 +3,7 @@
 // (including under budget truncation), honest gap certificates, and
 // the graceful registry degrade for capacity-capped strategies.
 
-#include "core/optimizer/memo_search.h"
+#include "core/optimizer/branch_and_bound.h"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "common/thread_pool.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/optimizer/solver.h"
+#include "core/scenario.h"
 #include "engine/sales_generator.h"
 #include "pricing/providers.h"
 #include "workload/ssb.h"
@@ -110,6 +111,41 @@ Fixture MakeSsbFixture(size_t max_candidates) {
   return f;
 }
 
+// The instance an advisor session serves for perfbench's set-up line:
+// the SSB schema with up to 100 candidate views, defaults elsewhere.
+struct ServedInstance {
+  CloudScenario scenario;
+  std::unique_ptr<SelectionEvaluator> evaluator;
+};
+
+ServedInstance MakeServedInstance() {
+  ScenarioConfig config;
+  config.schema = "ssb";
+  config.candidates.max_candidates = 100;
+  CloudScenario scenario = CloudScenario::Create(config).MoveValue();
+  Workload workload = scenario.DefaultWorkload().MoveValue();
+  DeploymentSpec deployment =
+      scenario.MakeDeployment(workload, scenario.cluster()).MoveValue();
+  auto candidates =
+      GenerateCandidates(scenario.lattice(), workload, scenario.simulator(),
+                         scenario.cluster(), config.candidates)
+          .MoveValue();
+  auto evaluator = std::make_unique<SelectionEvaluator>(
+      SelectionEvaluator::Create(scenario.lattice(), workload,
+                                 scenario.simulator(), scenario.cluster(),
+                                 scenario.cost_model(), deployment,
+                                 std::move(candidates))
+          .MoveValue());
+  return ServedInstance{std::move(scenario), std::move(evaluator)};
+}
+
+ObjectiveSpec ServedBudgetSpec(const SelectionEvaluator& evaluator) {
+  ObjectiveSpec spec;
+  spec.scenario = Scenario::kMV1BudgetLimit;
+  spec.budget_limit = evaluator.baseline().cost.total().ScaleBy(3, 5);
+  return spec;
+}
+
 std::vector<ObjectiveSpec> AllScenarioSpecs() {
   ObjectiveSpec mv1;
   mv1.scenario = Scenario::kMV1BudgetLimit;
@@ -184,7 +220,6 @@ TEST_F(BranchAndBoundTest, ProvesOptimalityAndReportsStats) {
   EXPECT_EQ(stats.gap_fraction, 0.0);
   EXPECT_GT(stats.nodes_expanded, 0u);
   EXPECT_GT(stats.bound_evaluations, 0u);
-  EXPECT_GT(stats.jobs, 0u);
   // The search's probes land in the context counters like every solver
   // (bound evaluations count as incremental probes).
   EXPECT_GT(context.counters().subsets_scored(), 0u);
@@ -233,13 +268,13 @@ TEST_F(BranchAndBoundTest, BudgetTruncationIsDeterministicWithHonestGap) {
     SearchStats run_stats;
     BranchAndBoundOptions options;
     options.stats = &run_stats;
-    options.max_nodes_per_job = 3;  // Force cutoffs in every job.
+    options.max_nodes = 3;  // Force a cutoff.
     results.push_back(SolveBranchAndBound(context, options).MoveValue());
     stats.push_back(run_stats);
   }
   ThreadPool::SetGlobalConcurrency(original);
-  // Truncated searches stay bit-identical across thread counts: jobs
-  // never share incumbents, so the explored set is scheduling-free.
+  // Truncated searches stay bit-identical across thread counts: the
+  // walk is sequential, so the explored set is scheduling-free.
   ExpectIdentical(results[0], results[1]);
   EXPECT_EQ(stats[0].nodes_expanded, stats[1].nodes_expanded);
   EXPECT_EQ(stats[0].proven_optimal, stats[1].proven_optimal);
@@ -248,6 +283,55 @@ TEST_F(BranchAndBoundTest, BudgetTruncationIsDeterministicWithHonestGap) {
   EXPECT_LE(stats[0].gap_fraction, 1.0);
   // The truncated incumbent is still a real (greedy-or-better) answer.
   EXPECT_TRUE(results[0].feasible);
+}
+
+TEST_F(BranchAndBoundTest, ServedInstanceRegressionPin) {
+  // An MV1 budget of 0.6x the baseline on the served 100-candidate
+  // instance: the walk proves the optimum in a pinned number of nodes.
+  // Node counts are machine-independent, so any change to the bound,
+  // the branch order or the pruning rule shows up here exactly.
+  ServedInstance served = MakeServedInstance();
+  ASSERT_EQ(served.evaluator->num_candidates(), 100u);
+  ObjectiveSpec spec = ServedBudgetSpec(*served.evaluator);
+  EvaluationCache cache;
+  SolverContext context(*served.evaluator, spec, &cache);
+  SearchStats stats;
+  BranchAndBoundOptions options;
+  options.stats = &stats;
+  SelectionResult result =
+      SolveBranchAndBound(context, options).MoveValue();
+  EXPECT_TRUE(stats.proven_optimal);
+  EXPECT_EQ(stats.gap_fraction, 0.0);
+  EXPECT_EQ(result.evaluation.selected, (std::vector<size_t>{5, 16, 49}));
+  EXPECT_EQ(result.evaluation.cost.total().micros(), 513'914);
+  EXPECT_EQ(result.time.millis(), 2'504'820);
+  EXPECT_EQ(stats.nodes_expanded, 2'155u);
+}
+
+TEST_F(BranchAndBoundTest, WalkLeavesTheCallersCacheAlone) {
+  // The caller's cache holds what the warm start's hill climb probed,
+  // and nothing from the walk: every committed subset in the tree is
+  // scored once, so memoizing those probes would only push the
+  // session toward evictions of other solvers' warm entries.
+  ServedInstance served = MakeServedInstance();
+  ObjectiveSpec spec = ServedBudgetSpec(*served.evaluator);
+
+  EvaluationCache warm_cache;
+  SolverContext warm_context(*served.evaluator, spec, &warm_cache);
+  SubsetState warm_state(*served.evaluator);
+  ASSERT_TRUE(warm_context.HillClimb(warm_state, /*with_swaps=*/true).ok());
+  ASSERT_TRUE(warm_context.ScoreState(warm_state).ok());
+
+  EvaluationCache cache(warm_cache.size());
+  SolverContext context(*served.evaluator, spec, &cache);
+  SearchStats stats;
+  BranchAndBoundOptions options;
+  options.stats = &stats;
+  ASSERT_TRUE(SolveBranchAndBound(context, options).ok());
+  EXPECT_GT(stats.nodes_expanded, 1'000u);
+  EXPECT_EQ(cache.size(), warm_cache.size());
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_TRUE(context.use_cache());
 }
 
 TEST_F(BranchAndBoundTest, RegisteredAndDiscoverable) {
