@@ -1,10 +1,11 @@
 // Multi-objective strategy benchmark: the two frontier solvers
 // ("pareto-sweep", "pareto-genetic") on the paper's sales instance —
-// wall time per frontier solve, frontier size, probe throughput — plus
-// the determinism pin the sweep's parallel reduction promises: the
-// frontier must be bit-identical at every thread count. Rows are
-// emitted in the bench_util.h BENCH_JSON format for the perf
-// trajectory and the CI regression gate.
+// wall time per frontier solve, frontier size, probe throughput and the
+// deterministic evaluation count (probes a fresh cache did not answer,
+// gated exactly by bench/check_regression.py) — plus the determinism
+// pin: the sweep's frontier must be bit-identical at every thread
+// count. Rows are emitted in the bench_util.h BENCH_JSON format for the
+// perf trajectory and the CI regression gate.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -103,6 +105,9 @@ struct Measured {
   SelectionResult result;
   double wall_ms_per_solve = 0.0;
   double subsets_per_sec = 0.0;
+  /// Exact plus incremental probes of one solve (cache misses) — the
+  /// same in every repetition.
+  uint64_t evaluations = 0;
 };
 
 // Times repeated fresh frontier solves (fresh memo per repetition).
@@ -117,6 +122,8 @@ Measured MeasureFrontier(const Solver& solver, const Instance& inst,
     SolverContext context(*inst.evaluator, spec, &cache);
     out.result = Unwrap(solver.Solve(spec, context), "solve");
     scored += context.counters().subsets_scored();
+    out.evaluations = context.counters().full_evaluations +
+                      context.counters().incremental_probes;
     ++reps;
   } while (MillisSince(start) < bench::MeasureBudgetMs(400.0) &&
            reps < 20);
@@ -150,7 +157,7 @@ void PrintFrontierComparison() {
             << "/month\n\n";
 
   TablePrinter table({"solver", "frontier points", "wall/solve",
-                      "subsets/sec"});
+                      "subsets/sec", "evaluations"});
   table.SetTitle("Multi-objective strategies on the paper workload");
   for (const char* name : {"pareto-sweep", "pareto-genetic"}) {
     const Solver& solver =
@@ -158,63 +165,47 @@ void PrintFrontierComparison() {
     Measured m = MeasureFrontier(solver, inst, spec);
     table.AddRow({name, std::to_string(m.result.frontier.size()),
                   StrFormat("%.2f ms", m.wall_ms_per_solve),
-                  StrFormat("%.0f", m.subsets_per_sec)});
+                  StrFormat("%.0f", m.subsets_per_sec),
+                  std::to_string(m.evaluations)});
     JsonLine("pareto")
         .Str("solver", name)
         .Num("wall_ms_per_solve", m.wall_ms_per_solve)
         .Num("subsets_per_sec", m.subsets_per_sec)
         .Int("frontier_points",
              static_cast<int64_t>(m.result.frontier.size()))
+        .Int("evaluations", static_cast<int64_t>(m.evaluations))
         .Emit();
   }
   table.Print(std::cout);
   std::cout << "\n";
 }
 
-// --- Part 2: sweep thread determinism + scaling -----------------------------
+// --- Part 2: the sweep's frontier does not move with the thread count ------
 
-void PrintSweepThreadSweep() {
+void CheckSweepThreadIdentity() {
   Instance inst = MakeSalesInstance(/*workload_size=*/10,
                                     /*max_candidates=*/12);
   ObjectiveSpec spec = BudgetSpec();
   const Solver& sweep = *Unwrap(
       SolverRegistry::Global().Find("pareto-sweep"), "pareto-sweep");
 
-  TablePrinter table({"threads", "wall/solve", "speedup vs 1",
-                      "subsets/sec", "points"});
-  table.SetTitle("pareto-sweep thread sweep (frontier must not move)");
-
   size_t original = ThreadPool::Global().concurrency();
-  double serial_ms = 0.0;
   std::vector<ParetoPoint> reference;
   bool identical = true;
   for (size_t threads : {1, 2, 4, 8}) {
     ThreadPool::SetGlobalConcurrency(threads);
-    Measured m = MeasureFrontier(sweep, inst, spec);
+    EvaluationCache cache;
+    SolverContext context(*inst.evaluator, spec, &cache);
+    std::vector<ParetoPoint> frontier =
+        Unwrap(sweep.Solve(spec, context), "solve").frontier;
     if (threads == 1) {
-      serial_ms = m.wall_ms_per_solve;
-      reference = m.result.frontier;
-    } else if (!SameFrontier(reference, m.result.frontier)) {
+      reference = std::move(frontier);
+    } else if (!SameFrontier(reference, frontier)) {
       identical = false;
     }
-    double speedup =
-        m.wall_ms_per_solve > 0 ? serial_ms / m.wall_ms_per_solve : 0.0;
-    table.AddRow({std::to_string(threads),
-                  StrFormat("%.2f ms", m.wall_ms_per_solve),
-                  StrFormat("%.2fx", speedup),
-                  StrFormat("%.0f", m.subsets_per_sec),
-                  std::to_string(m.result.frontier.size())});
-    JsonLine("pareto")
-        .Str("sweep", "sweep_threads")
-        .Str("threads", std::to_string(threads))
-        .Num("wall_ms_per_solve", m.wall_ms_per_solve)
-        .Num("speedup_vs_1thread", speedup)
-        .Num("subsets_per_sec", m.subsets_per_sec)
-        .Emit();
   }
   ThreadPool::SetGlobalConcurrency(original);
-  table.Print(std::cout);
-  std::cout << "Identical frontier at every thread count: "
+  std::cout << "pareto-sweep frontier identical at 1/2/4/8 threads: "
             << (identical ? "yes" : "NO") << "\n\n";
   if (!identical) {
     std::fprintf(stderr,
@@ -250,7 +241,7 @@ BENCHMARK(BM_ParetoFrontInsert);
 int main(int argc, char** argv) {
   bench::ParseSmoke(argc, argv);
   PrintFrontierComparison();
-  PrintSweepThreadSweep();
+  CheckSweepThreadIdentity();
   bench::RunMicrobenchmarks(argc, argv);
   return 0;
 }

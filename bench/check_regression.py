@@ -21,12 +21,13 @@ baseline is a silent way to lose coverage). New rows that the baseline
 does not know are reported but never fail the gate.
 
 A second, exact gate covers deterministic work: any row whose
-`nodes_expanded` exceeds the value stored for it under the baseline's
-"work_rows" fails, with no threshold and no derate — node counts are a
-pure function of the instance and the search, not of the machine, so
-they must never grow silently. A row that carries `nodes_expanded` in
-the baseline but vanishes from the output fails like a missing
-throughput row.
+`nodes_expanded` (branch-and-bound search nodes) or `evaluations`
+(probes a fresh cache did not answer) exceeds the value stored for it
+under the baseline's "work_rows" fails, with no threshold and no
+derate — these counts are a pure function of the instance and the
+search, not of the machine, so they must never grow silently. A row
+that carries one of them in the baseline but vanishes from the output
+fails like a missing throughput row.
 
 Rows are keyed by their string fields (bench/scenario/solver/sweep...),
 which are stable across runs; numeric fields are the measurements.
@@ -60,8 +61,8 @@ import json
 import sys
 
 PREFIX = "BENCH_JSON "
-# Deterministic work counter gated exactly (see the module docstring).
-WORK_METRIC = "nodes_expanded"
+# Deterministic work counters gated exactly (see the module docstring).
+WORK_METRICS = ("nodes_expanded", "evaluations")
 
 
 def parse_rows(stream):
@@ -102,14 +103,16 @@ def collect(rows, metric, merge):
 
 
 def collect_work(rows):
-    """Row key -> WORK_METRIC for rows that carry it; repeated keys keep
-    the largest observation (equal anyway: the count is deterministic)."""
+    """Row key -> {work metric: count} for the WORK_METRICS each row
+    carries; repeated keys keep the largest observation (equal anyway:
+    the counts are deterministic)."""
     into = {}
     for row in rows:
-        value = row.get(WORK_METRIC)
-        if isinstance(value, int) and not isinstance(value, bool):
-            key = row_key(row)
-            into[key] = max(into.get(key, value), value)
+        for metric in WORK_METRICS:
+            value = row.get(metric)
+            if isinstance(value, int) and not isinstance(value, bool):
+                counts = into.setdefault(row_key(row), {})
+                counts[metric] = max(counts.get(metric, value), value)
     return into
 
 
@@ -290,13 +293,15 @@ def main():
                 f"({value / base_value:.0%})")
     work_rows = baseline.get("work_rows", {})
     work = collect_work(all_rows)
-    for key, base_value in sorted(work_rows.items()):
-        if key not in work:
-            missing.append(f"{key} ({WORK_METRIC})")
-        elif work[key] > base_value:
-            failures.append(
-                f"  {key}\n    {WORK_METRIC}: {work[key]:,} > baseline "
-                f"{base_value:,} (exact gate, no derate)")
+    for key, base_counts in sorted(work_rows.items()):
+        for metric, base_value in sorted(base_counts.items()):
+            value = work.get(key, {}).get(metric)
+            if value is None:
+                missing.append(f"{key} ({metric})")
+            elif value > base_value:
+                failures.append(
+                    f"  {key}\n    {metric}: {value:,} > baseline "
+                    f"{base_value:,} (exact gate, no derate)")
     # New rows are warned about in one consolidated block, not failed:
     # a fresh bench must be able to land before its baseline, but an
     # unlisted row is ungated, and a gate that silently ignores it
@@ -317,14 +322,14 @@ def main():
     if failures:
         print(f"FAIL: {len(failures)} row(s) regressed more than "
               f"{args.threshold:.0%} on {args.metric} or grew "
-              f"{WORK_METRIC}:")
+              f"{' or '.join(WORK_METRICS)}:")
         for failure in failures:
             print(failure)
     if missing or failures:
         return 1
     print(f"OK: {len(rows)} baseline rows within {args.threshold:.0%} "
           f"of {args.metric} baseline; {len(work_rows)} row(s) at or "
-          f"under their {WORK_METRIC} baseline")
+          f"under their {' / '.join(WORK_METRICS)} baseline")
     return 0
 
 

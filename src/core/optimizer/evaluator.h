@@ -512,7 +512,7 @@ class EvaluationCache {
   /// \brief Aggregate telemetry shared across a cache family (a parent
   /// and its NewChild() task caches). Counters used to be per-instance
   /// and vanished with every per-task child, so session-level hit rates
-  /// under-reported everything the portfolio and pareto fan-outs
+  /// under-reported everything the portfolio and arch-sweep fan-outs
   /// probed; children now flush their local counters here when they
   /// die. Atomic because children flush from pool threads; the hot
   /// path never touches these (local counters flush in bulk).
@@ -550,7 +550,7 @@ class EvaluationCache {
   /// (and fan-out solvers one per start/task), so the initial footprint
   /// is per-solve setup cost on the hot path — a 2^12-slot start cost
   /// ~200KB of zeroing per solve, which dominated the short gate-row
-  /// solves (greedy, knapsack-dp) and every portfolio/pareto task. 2^8
+  /// solves (greedy, knapsack-dp) and every portfolio/arch-sweep task. 2^8
   /// keeps that setup at ~8KB while skipping the first two growth
   /// rehashes of the annealing/local-search runs (a few thousand
   /// distinct subsets each).

@@ -16,9 +16,10 @@
 // (add/remove/swap iterated local search in the spirit of
 // arXiv 2606.03772), "portfolio" (a parallel multi-start race over the
 // others' start procedures; DESIGN.md §9), and the multi-objective
-// strategies "pareto-sweep" / "pareto-genetic", which additionally
-// return the (monthly cost, time, storage) Pareto frontier
-// (DESIGN.md §10). See DESIGN.md §5.11.
+// strategies "pareto-sweep" (one sequential pass of the single-objective
+// solvers over weight vectors, on the caller's evaluator and cache) /
+// "pareto-genetic", which additionally return the (monthly cost, time,
+// storage) Pareto frontier (DESIGN.md §10). See DESIGN.md §5.11.
 
 #pragma once
 
@@ -90,6 +91,8 @@ class SolverContext {
 
   const SelectionEvaluator& evaluator() const { return *evaluator_; }
   const ObjectiveSpec& spec() const { return *spec_; }
+  /// \brief The cross-run evaluation memo, or nullptr when uncached.
+  EvaluationCache* cache() const { return cache_; }
   size_t num_candidates() const { return evaluator_->num_candidates(); }
 
   // --- Cooperative cancellation (DESIGN.md §14) ------------------------
@@ -244,8 +247,9 @@ class SolverContext {
   const Counters& counters() const { return counters_; }
 
   /// \brief Folds another context's counters into this one — how a
-  /// fan-out solver (the "portfolio") reports the probes its per-thread
-  /// child contexts performed.
+  /// solver that runs others on child contexts (the "portfolio"'s
+  /// per-thread starts, the "pareto-sweep"'s tasks) reports the probes
+  /// they performed.
   void MergeCounters(const Counters& other) {
     counters_.full_evaluations += other.full_evaluations;
     counters_.incremental_probes += other.incremental_probes;

@@ -15,8 +15,8 @@
 // archive in evaluation order; the archive is the returned frontier and
 // the best archived subset under the caller's lexicographic score is
 // the returned selection. The walk is sequential by design — its probes
-// all hit the caller's context cache — while the "pareto-sweep" wrapper
-// is the parallel frontier strategy.
+// all hit the caller's context cache — as is the "pareto-sweep"
+// wrapper's pass over the single-objective solvers.
 
 #include <algorithm>
 #include <array>

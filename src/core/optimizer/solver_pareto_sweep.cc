@@ -2,10 +2,13 @@
 // single-objective registry into a frontier builder (DESIGN.md §10, in
 // the spirit of arXiv 2408.00253's budget sweeps).
 //
-// Three task families, all raced on the global ThreadPool:
-//   * anchors — every registered single-objective solver runs once on
-//     the caller's own spec, so the frontier always contains (or
-//     dominates) each strategy's lexicographic optimum;
+// Three task families, run in one sequential pass:
+//   * anchors — every registered single-objective solver except the
+//     portfolio runs once on the caller's own spec, so the frontier
+//     always contains (or dominates) each strategy's lexicographic
+//     optimum. The portfolio only races the other solvers' own start
+//     procedures and never reached a frontier or a best pick the exact
+//     branch-and-bound anchor does not already supply (DESIGN.md §10.3);
 //   * weight sweep — a cheap solver roster re-solves the instance as an
 //     MV3 tradeoff across a fixed grid of alpha weights, tracing the
 //     middle of the time/cost frontier the anchors skip;
@@ -16,41 +19,42 @@
 //     constraints ride along on every swept spec (caps only ever
 //     tighten a caller-provided max_storage).
 //
-// Determinism: the task list is a pure function of the registry contents
-// and the spec; every task runs on a shared-nothing
-// SelectionEvaluator::Clone() with its own cache and context; results
-// are reduced and inserted into the ParetoFront in task-index order —
-// so the frontier is bit-identical at any thread count (same rules as
-// the portfolio solver; pinned by pareto_property_test). The roster
-// solvers' neighborhood scans go through the batched ProbeToggleBatch
-// path (DESIGN.md §11), and batch order is fixed, so batching does not
-// perturb any task's pick.
+// Every task runs on the caller's evaluator and the caller's evaluation
+// cache (one local cache when the caller runs uncached). Cache entries
+// are spec-independent subset totals and the tasks' searches converge
+// heavily, so a probe one task paid for is a hit for every later task —
+// and, on a session cache, for the session's next request. The task
+// list is a pure function of the registry contents and the spec, and
+// each pick is reduced into the ParetoFront as its task finishes, so
+// the frontier is bit-identical at any thread count (pinned by
+// pareto_property_test). The sweep polls the spec's CancelToken between
+// tasks: a fired token stops launching tasks, and what already ran is
+// still reduced and finalized.
 
-#include <algorithm>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/optimizer/pareto.h"
 #include "core/optimizer/solver.h"
 
 namespace cloudview {
 namespace {
 
-/// Solvers that themselves produce frontiers (Solver::multi_objective);
-/// a sweep must not recurse into them.
-bool IsMultiObjective(const std::string& name) {
+/// Solvers the sweep runs at all: not frontier builders themselves
+/// (Solver::multi_objective; a sweep must not recurse into them), and
+/// not the portfolio, whose picks the census never saw on a frontier.
+bool IsSweepAnchor(const std::string& name) {
   Result<const Solver*> solver = SolverRegistry::Global().Find(name);
-  return solver.ok() && solver.value()->multi_objective();
+  return solver.ok() && !solver.value()->multi_objective() &&
+         name != "portfolio";
 }
 
-/// Solvers too expensive to re-run once per weight vector; they still
+/// Anchors too expensive to re-run once per weight vector; they still
 /// anchor the frontier with one solve on the caller's spec.
 bool IsSweepRosterMember(const std::string& name) {
-  return !IsMultiObjective(name) && name != "exhaustive" &&
-         name != "branch-and-bound" && name != "portfolio";
+  return IsSweepAnchor(name) && name != "exhaustive" &&
+         name != "branch-and-bound";
 }
 
 /// The alpha grid the roster re-solves MV3 on (endpoints included:
@@ -64,19 +68,11 @@ struct SweepTask {
   std::string origin;
 };
 
-/// What one shared-nothing task reports back to the index-ordered
-/// reduction.
-struct TaskOutcome {
-  Status status = Status::OK();
-  std::vector<size_t> selected;
-  SolverContext::Counters counters;
-};
-
 class ParetoSweepSolver : public Solver {
  public:
   std::string_view name() const override { return "pareto-sweep"; }
   std::string_view description() const override {
-    return "races registered solvers across weight vectors and reduces "
+    return "sweeps registered solvers across weight vectors and reduces "
            "their picks to a Pareto frontier";
   }
   bool multi_objective() const override { return true; }
@@ -90,18 +86,14 @@ class ParetoSweepSolver : public Solver {
     }
     std::vector<SweepTask> tasks =
         BuildTasks(spec, context.num_candidates(), total_bytes);
-    std::vector<TaskOutcome> outcomes(tasks.size());
-    const SelectionEvaluator& shared = context.evaluator();
+    EvaluationCache local_cache;
+    EvaluationCache* cache =
+        context.cache() != nullptr ? context.cache() : &local_cache;
 
-    ParallelFor(tasks.size(), [&](size_t i) {
-      outcomes[i] = RunTask(shared, context, tasks[i]);
-    });
-
-    // Sequential, index-ordered reduction: exact re-evaluation of every
-    // distinct pick, then frontier insertion in a fixed order. The
-    // tasks' picks converge heavily (many weight vectors share an
-    // optimum), so identical subsets are evaluated once — the first
-    // task's origin label wins, deterministically.
+    // Exact re-evaluation of every distinct pick, then frontier
+    // insertion in task order. The tasks' picks converge heavily (many
+    // weight vectors share an optimum), so identical subsets are
+    // evaluated once — the first task's origin label wins.
     ParetoFront front(spec.frontier_epsilon);
     std::set<std::vector<size_t>> seen;
     std::vector<size_t> best_selected;
@@ -130,10 +122,16 @@ class ParetoSweepSolver : public Solver {
     // The empty set is always a legal frontier candidate (zero storage,
     // the baseline bill) and the deterministic first insertion.
     CV_RETURN_IF_ERROR(consider({}, "baseline"));
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      CV_RETURN_IF_ERROR(outcomes[i].status);
-      context.MergeCounters(outcomes[i].counters);
-      CV_RETURN_IF_ERROR(consider(outcomes[i].selected, tasks[i].origin));
+    for (const SweepTask& task : tasks) {
+      if (context.Cancelled()) break;
+      CV_ASSIGN_OR_RETURN(const Solver* solver,
+                          SolverRegistry::Global().Find(task.solver));
+      SolverContext local(context.evaluator(), task.spec, cache);
+      Result<SelectionResult> result = solver->Solve(task.spec, local);
+      context.MergeCounters(local.counters());
+      CV_RETURN_IF_ERROR(result.status());
+      CV_RETURN_IF_ERROR(
+          consider(result.value().evaluation.selected, task.origin));
     }
 
     CV_ASSIGN_OR_RETURN(SelectionResult result,
@@ -152,7 +150,7 @@ class ParetoSweepSolver : public Solver {
     std::vector<SweepTask> tasks;
     std::vector<std::string> names = SolverRegistry::Global().Names();
     for (const std::string& name : names) {
-      if (IsMultiObjective(name)) continue;
+      if (!IsSweepAnchor(name)) continue;
       // Capacity-capped strategies (Solver::max_candidates) anchor only
       // where they are tractable — the registry-wide contract that
       // replaced the old `name == "exhaustive" && n > 20` hack, so
@@ -203,29 +201,6 @@ class ParetoSweepSolver : public Solver {
       }
     }
     return tasks;
-  }
-
-  /// One shared-nothing task: clone the evaluator, run the named solver
-  /// on a private context, report the pick (scores are recomputed by
-  /// the reduction against the caller's context).
-  static TaskOutcome RunTask(const SelectionEvaluator& shared,
-                             const SolverContext& parent,
-                             const SweepTask& task) {
-    TaskOutcome out;
-    SelectionEvaluator evaluator = shared.Clone();
-    EvaluationCache cache = parent.NewTaskCache();
-    SolverContext local(evaluator, task.spec, &cache);
-    auto run = [&]() -> Status {
-      CV_ASSIGN_OR_RETURN(const Solver* solver,
-                          SolverRegistry::Global().Find(task.solver));
-      CV_ASSIGN_OR_RETURN(SelectionResult result,
-                          solver->Solve(task.spec, local));
-      out.selected = std::move(result.evaluation.selected);
-      return Status::OK();
-    };
-    out.status = run();
-    out.counters = local.counters();
-    return out;
   }
 };
 

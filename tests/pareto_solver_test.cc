@@ -8,8 +8,10 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "core/experiments.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/optimizer/pareto.h"
@@ -218,6 +220,181 @@ TEST_F(ParetoSolverTest, InfeasibleHardConstraintIsReported) {
       EXPECT_TRUE(result.frontier.empty());  // Nothing feasible to keep.
     }
   }
+}
+
+TEST_F(ParetoSolverTest, UncachedSweepMatchesCached) {
+  const Solver& sweep =
+      *SolverRegistry::Global().Find("pareto-sweep").value();
+  ObjectiveSpec mv3;
+  mv3.scenario = Scenario::kMV3Tradeoff;
+  mv3.alpha = 0.5;
+  mv3.max_monthly_cost = Money::FromDollars(500);
+  ObjectiveSpec mv1;
+  mv1.scenario = Scenario::kMV1BudgetLimit;
+  mv1.budget_limit = Money::FromCents(120);
+  for (const ObjectiveSpec& spec : {mv3, mv1}) {
+    SCOPED_TRACE(ToString(spec.scenario));
+    EvaluationCache cache;
+    SolverContext cached(*evaluator_, spec, &cache);
+    SelectionResult with_cache = sweep.Solve(spec, cached).MoveValue();
+    SolverContext uncached(*evaluator_, spec);
+    ASSERT_EQ(uncached.cache(), nullptr);
+    SelectionResult without = sweep.Solve(spec, uncached).MoveValue();
+
+    EXPECT_EQ(without.evaluation.selected, with_cache.evaluation.selected);
+    EXPECT_EQ(without.multi, with_cache.multi);
+    ASSERT_EQ(without.frontier.size(), with_cache.frontier.size());
+    for (size_t i = 0; i < without.frontier.size(); ++i) {
+      EXPECT_EQ(without.frontier[i].score, with_cache.frontier[i].score);
+      EXPECT_EQ(without.frontier[i].selected,
+                with_cache.frontier[i].selected);
+      EXPECT_EQ(without.frontier[i].origin, with_cache.frontier[i].origin);
+    }
+  }
+}
+
+TEST_F(ParetoSolverTest, CancelledSweepStopsLaunchingTasks) {
+  const Solver& sweep =
+      *SolverRegistry::Global().Find("pareto-sweep").value();
+  ObjectiveSpec spec;
+  spec.scenario = Scenario::kMV3Tradeoff;
+  spec.alpha = 0.5;
+  EvaluationCache full_cache;
+  SolverContext full(*evaluator_, spec, &full_cache);
+  SelectionResult complete = sweep.Solve(spec, full).MoveValue();
+  EXPECT_FALSE(complete.cancelled);
+
+  CancelToken token;
+  token.Cancel();
+  ObjectiveSpec cancelled_spec = spec;
+  cancelled_spec.cancel = &token;
+  EvaluationCache cache;
+  SolverContext context(*evaluator_, cancelled_spec, &cache);
+  Result<SelectionResult> result = sweep.Solve(cancelled_spec, context);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result.value().cancelled);
+  // Only the baseline ran; it is still offered to the front.
+  ASSERT_EQ(result.value().frontier.size(), 1u);
+  EXPECT_EQ(result.value().frontier[0].origin, "baseline");
+  EXPECT_TRUE(result.value().frontier[0].selected.empty());
+  EXPECT_LT(context.counters().subsets_scored() * 100,
+            full.counters().subsets_scored());
+}
+
+// --- The served instance ----------------------------------------------------
+
+// perfbench's session config: SSB with at most 100 candidate views.
+struct ServedInstance {
+  CloudScenario scenario;
+  std::unique_ptr<SelectionEvaluator> evaluator;
+};
+
+ServedInstance MakeServedInstance() {
+  ScenarioConfig config;
+  config.schema = "ssb";
+  config.candidates.max_candidates = 100;
+  CloudScenario scenario = CloudScenario::Create(config).MoveValue();
+  Workload workload = scenario.DefaultWorkload().MoveValue();
+  DeploymentSpec deployment =
+      scenario.MakeDeployment(workload, scenario.cluster()).MoveValue();
+  auto candidates =
+      GenerateCandidates(scenario.lattice(), workload, scenario.simulator(),
+                         scenario.cluster(), config.candidates)
+          .MoveValue();
+  auto evaluator = std::make_unique<SelectionEvaluator>(
+      SelectionEvaluator::Create(scenario.lattice(), workload,
+                                 scenario.simulator(), scenario.cluster(),
+                                 scenario.cost_model(), deployment,
+                                 std::move(candidates))
+          .MoveValue());
+  return ServedInstance{std::move(scenario), std::move(evaluator)};
+}
+
+/// "origin{i,j,...} " per frontier point, then "best{...}".
+std::string Describe(const SelectionResult& result) {
+  auto subset = [](const std::vector<size_t>& selected) {
+    std::string out = "{";
+    for (size_t i = 0; i < selected.size(); ++i) {
+      if (i > 0) out += ",";
+      out += std::to_string(selected[i]);
+    }
+    return out + "}";
+  };
+  std::string out;
+  for (const ParetoPoint& point : result.frontier) {
+    out += point.origin + subset(point.selected) + " ";
+  }
+  return out + "best" + subset(result.evaluation.selected);
+}
+
+TEST(ParetoSweepServedInstance, RegressionPin) {
+  ServedInstance served = MakeServedInstance();
+  const SelectionEvaluator& evaluator = *served.evaluator;
+  ASSERT_EQ(evaluator.num_candidates(), 100u);
+  const Solver& sweep =
+      *SolverRegistry::Global().Find("pareto-sweep").value();
+
+  auto mv3 = [](double alpha) {
+    ObjectiveSpec spec;
+    spec.scenario = Scenario::kMV3Tradeoff;
+    spec.alpha = alpha;
+    return spec;
+  };
+  ObjectiveSpec mv1;
+  mv1.scenario = Scenario::kMV1BudgetLimit;
+  mv1.budget_limit = evaluator.baseline().cost.total().ScaleBy(3, 5);
+  ObjectiveSpec mv2;
+  mv2.scenario = Scenario::kMV2TimeLimit;
+  mv2.time_limit =
+      Duration::FromMillis(evaluator.baseline().makespan.millis() * 3 / 5);
+
+  // The frontiers the sweep returned while it still ran a portfolio
+  // anchor on a per-task clone and cache: dropping that anchor and
+  // sharing the caller's cache must move no point, origin or best pick.
+  const std::string with_baseline =
+      "branch-and-bound{5,16,49} knapsack-dp a=0.0 s<=5%{5,38,39} "
+      "baseline{} best{5,16,49}";
+  const std::string without_baseline =
+      "branch-and-bound{5,16,49} knapsack-dp a=0.0 s<=5%{5,38,39} "
+      "best{5,16,49}";
+  const std::vector<std::pair<ObjectiveSpec, std::string>> pins = {
+      {mv3(0.05), with_baseline},
+      {mv3(0.5), with_baseline},
+      {mv3(0.95), with_baseline},
+      {mv1, without_baseline},  // The baseline busts the budget ...
+      {mv2, without_baseline},  // ... and the time limit.
+  };
+  for (const auto& [spec, expected] : pins) {
+    EvaluationCache cache;
+    SolverContext context(evaluator, spec, &cache);
+    SelectionResult result = sweep.Solve(spec, context).MoveValue();
+    EXPECT_EQ(Describe(result), expected);
+  }
+
+  // A second identical frontier on the same cache: every task's probes
+  // are hits except the branch-and-bound walk's, which bypasses the
+  // cache, so the rerun evaluates no more than that anchor alone.
+  auto evaluations = [](const SolverContext& context) {
+    return context.counters().full_evaluations +
+           context.counters().incremental_probes;
+  };
+  const ObjectiveSpec spec = mv3(0.5);
+  EvaluationCache cache;
+  SolverContext first(evaluator, spec, &cache);
+  SelectionResult cold = sweep.Solve(spec, first).MoveValue();
+  SolverContext second(evaluator, spec, &cache);
+  SelectionResult warm = sweep.Solve(spec, second).MoveValue();
+  EXPECT_EQ(Describe(warm), Describe(cold));
+
+  EvaluationCache anchor_cache;
+  SolverContext anchor(evaluator, spec, &anchor_cache);
+  ASSERT_TRUE(SolverRegistry::Global()
+                  .Find("branch-and-bound")
+                  .value()
+                  ->Solve(spec, anchor)
+                  .ok());
+  EXPECT_LE(evaluations(second), evaluations(anchor));
+  EXPECT_LT(evaluations(second), evaluations(first));
 }
 
 // --- Scenario facade --------------------------------------------------------
