@@ -41,7 +41,12 @@ int main(int argc, char** argv) {
       ObjectiveSpec spec;
       spec.scenario = Scenario::kMV3Tradeoff;
       spec.alpha = 0.5;
-      ScenarioRun run = Unwrap(scenario.Run(workload, spec), "run");
+      SolveRun run =
+          Unwrap(scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                                    .objective = spec,
+                                    .inline_workload = &workload}),
+                 "run")
+              .solve;
 
       table.AddRow(
           {StrFormat("%.1f GB", delta_gb), std::to_string(cycles),

@@ -32,7 +32,12 @@ int main(int argc, char** argv) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  ScenarioRun with_views = Unwrap(scenario.Run(workload, spec), "run");
+  SolveRun with_views =
+      Unwrap(scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                                .objective = spec,
+                                .inline_workload = &workload}),
+             "run")
+          .solve;
 
   TablePrinter table({"configuration", "nodes", "views", "time",
                       "session cost"});

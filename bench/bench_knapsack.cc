@@ -102,7 +102,7 @@ void PrintSolverQualityTable() {
     }
     Workload workload = full.Prefix(c.m);
 
-    auto objective = [&](const ScenarioRun& run) -> double {
+    auto objective = [&](const SolveRun& run) -> double {
       switch (c.scenario) {
         case Scenario::kMV1BudgetLimit:
           return run.selection.time.hours();
@@ -114,17 +114,20 @@ void PrintSolverQualityTable() {
       return 0;
     };
 
-    ScenarioRun exact = Unwrap(
-        scenario.Run(workload, spec, "exhaustive"), "exact");
-    ScenarioRun dp = Unwrap(
-        scenario.Run(workload, spec, "knapsack-dp"), "dp");
-    ScenarioRun greedy = Unwrap(
-        scenario.Run(workload, spec, "greedy"), "greedy");
-    ScenarioRun annealed = Unwrap(
-        scenario.Run(workload, spec, "annealing"), "anneal");
+    AdvisorRequest request{.kind = AdvisorRequestKind::kSolve,
+                           .objective = spec,
+                           .inline_workload = &workload};
+    request.solver = "exhaustive";
+    SolveRun exact = Unwrap(scenario.Dispatch(request), "exact").solve;
+    request.solver = "knapsack-dp";
+    SolveRun dp = Unwrap(scenario.Dispatch(request), "dp").solve;
+    request.solver = "greedy";
+    SolveRun greedy = Unwrap(scenario.Dispatch(request), "greedy").solve;
+    request.solver = "annealing";
+    SolveRun annealed = Unwrap(scenario.Dispatch(request), "anneal").solve;
 
     double best = objective(exact);
-    auto gap = [&](const ScenarioRun& run) {
+    auto gap = [&](const SolveRun& run) {
       return best > 0 ? (objective(run) - best) / best : 0.0;
     };
     table.AddRow({ToString(c.scenario), std::to_string(c.m),

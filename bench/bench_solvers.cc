@@ -67,7 +67,8 @@ Instance MakeSalesInstance(size_t workload_size, size_t max_candidates) {
   inst.simulator =
       std::make_unique<MapReduceSimulator>(*inst.lattice, params);
   inst.pricing = std::make_unique<PricingModel>(
-      AwsPricing2012().WithComputeGranularity(BillingGranularity::kSecond));
+      ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
+          BillingGranularity::kSecond));
   inst.cost_model = std::make_unique<CloudCostModel>(*inst.pricing);
   inst.cluster =
       ClusterSpec{Unwrap(inst.pricing->instances().Find("small"), "type"),
@@ -109,7 +110,8 @@ Instance MakeSsbInstance(size_t max_candidates, int workload_repeats) {
   inst.simulator = std::make_unique<MapReduceSimulator>(
       *inst.lattice, MapReduceParams{});
   inst.pricing = std::make_unique<PricingModel>(
-      AwsPricing2012().WithComputeGranularity(BillingGranularity::kSecond));
+      ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
+          BillingGranularity::kSecond));
   inst.cost_model = std::make_unique<CloudCostModel>(*inst.pricing);
   inst.cluster =
       ClusterSpec{Unwrap(inst.pricing->instances().Find("small"), "type"),

@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
   params.job_startup = Duration::FromSeconds(45);
   params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
   MapReduceSimulator simulator(lattice, params);
-  PricingModel pricing = AwsPricing2012().WithComputeGranularity(
-      BillingGranularity::kSecond);
+  PricingModel pricing =
+      ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
+          BillingGranularity::kSecond);
   CloudCostModel cost_model(pricing);
   ClusterSpec cluster{pricing.instances().Find("small").value(), 5};
   Workload workload = Unwrap(MakeSsbWorkload(lattice), "workload");

@@ -1,5 +1,5 @@
 // Choosing a deployment architecture — the joint (architecture, view
-// set) optimization (DESIGN.md §15): one SolveJoint call races a view
+// set) optimization (DESIGN.md §15): one solve-joint request races a view
 // selection per candidate fleet (replicas, availability zones, spot vs
 // on-demand vs reserved) and returns the four-axis frontier of monthly
 // cost, response time, extra storage and expected unavailability.
@@ -61,13 +61,22 @@ int main(int argc, char** argv) {
 
   // The legacy answer: views only, deployment fixed at single-node
   // on-demand.
-  ScenarioRun fixed = Check(scenario.Run(workload, spec), "fixed run");
+  SolveRun fixed =
+      Check(scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                               .objective = spec,
+                               .inline_workload = &workload}),
+            "fixed run")
+          .solve;
 
   // The joint answer: the same solve raced across the architecture
   // roster (single-AZ on-demand, 2-AZ replicated, spot x 1/2 AZ, and —
   // on sheets that price it — a 3-AZ reserved HA tier).
   JointRun joint =
-      Check(scenario.SolveJoint(workload, spec), "joint solve");
+      Check(scenario.Dispatch({.kind = AdvisorRequestKind::kSolveJoint,
+                               .objective = spec,
+                               .inline_workload = &workload}),
+            "joint solve")
+          .joint;
 
   std::cout << "SSB workload: " << workload.size() << " queries\n"
             << "Fixed deployment (single-az-on-demand): "

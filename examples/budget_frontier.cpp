@@ -1,6 +1,6 @@
 // Budget-constrained frontier — the multi-objective answer to "show me
 // every sensible operating point under my monthly budget" (DESIGN.md
-// §10): one SolveFrontier call returns the whole non-dominated
+// §10): one frontier request returns the whole non-dominated
 // (monthly cost, time, storage) surface instead of a single pick.
 //
 //   $ ./build/example_budget_frontier [solver]
@@ -72,7 +72,12 @@ int main(int argc, char** argv) {
             << "/month (hard constraint)\n\n";
 
   FrontierRun run =
-      Check(scenario.SolveFrontier(workload, spec, solver), "frontier");
+      Check(scenario.Dispatch({.kind = AdvisorRequestKind::kFrontier,
+                               .solver = solver,
+                               .objective = spec,
+                               .inline_workload = &workload}),
+            "frontier")
+          .frontier;
 
   TablePrinter table({"monthly cost", "response time", "extra storage",
                       "views", "found by"});
@@ -126,8 +131,13 @@ int main(int argc, char** argv) {
     if (SolverRegistry::Global().Find(name).value()->multi_objective()) {
       continue;
     }
-    ScenarioRun single =
-        Check(scenario.Run(workload, spec, name), "single-objective run");
+    SolveRun single =
+        Check(scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                                 .solver = name,
+                                 .objective = spec,
+                                 .inline_workload = &workload}),
+              "single-objective run")
+            .solve;
     if (!single.selection.feasible) continue;
     if (!cover.Covers(single.selection.multi)) {
       std::cerr << "FAIL: frontier misses the " << name
@@ -149,27 +159,33 @@ int main(int argc, char** argv) {
 
   // --- The same ask across every registered provider -------------------
 
-  std::vector<ProviderFrontierRow> providers = Check(
-      scenario.CompareProviderFrontiers(workload, spec, solver),
-      "provider frontiers");
+  // A provider comparison under a multi-objective solver carries each
+  // sheet's whole frontier in run.selection.frontier.
+  std::vector<ProviderComparisonRow> providers =
+      Check(scenario.Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                               .solver = solver,
+                               .objective = spec,
+                               .inline_workload = &workload}),
+            "provider frontiers")
+          .providers;
   TablePrinter sweep({"provider", "instance", "points", "cheapest/mo",
                       "fastest"});
   sweep.SetTitle("Frontier size per provider (same workload and budget)");
-  for (const ProviderFrontierRow& row : providers) {
+  for (const ProviderComparisonRow& row : providers) {
+    const std::vector<ParetoPoint>& frontier = row.run.selection.frontier;
     std::string cheapest = "-";
     std::string fastest = "-";
-    if (!row.run.frontier.empty()) {
+    if (!frontier.empty()) {
       // ParetoFront order: first point is the cheapest per month.
-      cheapest = row.run.frontier.front().score.monthly_cost.ToString();
-      Duration best_time = row.run.frontier.front().score.time;
-      for (const ParetoPoint& point : row.run.frontier) {
+      cheapest = frontier.front().score.monthly_cost.ToString();
+      Duration best_time = frontier.front().score.time;
+      for (const ParetoPoint& point : frontier) {
         if (point.score.time < best_time) best_time = point.score.time;
       }
       fastest = StrFormat("%.2f h", best_time.hours());
     }
     sweep.AddRow({row.provider, row.instance,
-                  std::to_string(row.run.frontier.size()), cheapest,
-                  fastest});
+                  std::to_string(frontier.size()), cheapest, fastest});
   }
   sweep.Print(std::cout);
 

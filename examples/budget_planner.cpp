@@ -56,8 +56,13 @@ int main(int argc, char** argv) {
     ObjectiveSpec spec;
     spec.scenario = Scenario::kMV1BudgetLimit;
     spec.budget_limit = Money::FromCents(cents);
-    ScenarioRun run =
-        Check(scenario.Run(workload, spec, config.solver), "run");
+    SolveRun run =
+        Check(scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                                 .solver = config.solver,
+                                 .objective = spec,
+                                 .inline_workload = &workload}),
+              "run")
+            .solve;
     budgets.AddRow(
         {spec.budget_limit.ToString(),
          run.selection.feasible ? "yes" : "NO",

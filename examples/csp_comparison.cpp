@@ -1,6 +1,6 @@
 // CSP comparison — the paper's first future-work item ("include pricing
 // models from several CSPs"): the same 10-query workload and view
-// selection, re-costed by CloudScenario::CompareProviders under every
+// selection, re-costed by a compare-providers request under every
 // sheet in the ProviderRegistry — different rate structures, billing
 // granularities, ingress policies, and (nimbus) per-request charges,
 // reserved rates and a free tier.
@@ -43,7 +43,11 @@ int main() {
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
   std::vector<ProviderComparisonRow> rows =
-      Check(scenario.CompareProviders(workload, spec), "compare");
+      Check(scenario.Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                               .objective = spec,
+                               .inline_workload = &workload}),
+            "compare")
+          .providers;
 
   TablePrinter table({"provider", "billing", "instance", "views",
                       "time w/ MV", "cost w/o MV", "cost w/ MV",

@@ -16,7 +16,7 @@
 using namespace cloudview;
 
 int main() {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   CloudCostModel model(aws);
 
   // The deployment of the running example.

@@ -59,8 +59,13 @@ int main(int argc, char** argv) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV1BudgetLimit;
   spec.budget_limit = Money::FromCents(240);
-  ScenarioRun run =
-      Check(scenario.Run(workload, spec, config.solver), "run");
+  SolveRun run =
+      Check(scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                               .solver = config.solver,
+                               .objective = spec,
+                               .inline_workload = &workload}),
+            "run")
+          .solve;
 
   std::cout << "\nMV1 selection under " << spec.budget_limit << " ("
             << config.solver << " solver):\n";

@@ -1,5 +1,5 @@
-// CloudScenario::Dispatch and the impl bodies behind the five legacy
-// facade methods (DESIGN.md §14). Lives in its own TU so the advisor
+// CloudScenario::Dispatch and the impl bodies behind each request kind
+// (DESIGN.md §14). Lives in its own TU so the advisor
 // API surface (advisor.h) and the deployment wiring (scenario.cc)
 // evolve independently.
 
@@ -358,8 +358,16 @@ Result<AdvisorResponse> CloudScenario::Dispatch(
       std::vector<std::string> names = ProviderRegistry::Global().Names();
       response.providers.resize(names.size());
       CV_RETURN_IF_ERROR(ParallelForStatus(names.size(), [&](size_t i) {
-        return CompareOneProvider(names[i], workload, request.objective,
-                                  solver, response.providers[i]);
+        ProviderComparisonRow& row = response.providers[i];
+        row.provider = names[i];
+        CV_ASSIGN_OR_RETURN(
+            CloudScenario scenario,
+            ForProvider(names[i], &row.instance, &row.granularity));
+        CV_ASSIGN_OR_RETURN(row.run,
+                            scenario.SolveImpl(workload, request.objective,
+                                               solver, nullptr, nullptr,
+                                               nullptr));
+        return Status::OK();
       }));
       break;
     }

@@ -1,16 +1,13 @@
 // Advisor API: the one request/response pair every CloudScenario
-// entry point speaks (DESIGN.md §14).
+// question speaks (DESIGN.md §14).
 //
-// Historically the facade grew five parallel method families — solve,
-// frontier, timeline, provider comparison, policy comparison — each
-// with its own result struct and its own plumbing for solver name,
-// deadline, and telemetry. The serving layer (src/serving/) would have
-// multiplied that by transports. Instead, an AdvisorRequest is a tagged
-// variant over the five operations and an AdvisorResponse is a tagged
-// variant over their results plus one shared ResponseMeta (wall time,
-// cache counters, cancellation flag, optimality gap). The legacy
-// facade methods survive as thin shims over CloudScenario::Dispatch,
-// and src/serving/advisor_codec.h gives the pair a JSON form.
+// An AdvisorRequest is a tagged variant over the six operations —
+// solve, frontier, joint solve, timeline, provider comparison, policy
+// comparison — and an AdvisorResponse is a tagged variant over their
+// results plus one shared ResponseMeta (wall time, cache counters,
+// cancellation flag, optimality gap). CloudScenario::Dispatch is the
+// only way in, for in-process callers and the serving layer alike;
+// src/serving/advisor_codec.h gives the pair a JSON form.
 
 #pragma once
 
@@ -31,9 +28,7 @@
 
 namespace cloudview {
 
-/// \brief The five operations CloudScenario::Dispatch serves.
-/// (CompareProviderFrontiers stays a direct method: it is a diagnostic
-/// sweep, not a serving operation.)
+/// \brief The operations CloudScenario::Dispatch serves.
 enum class AdvisorRequestKind {
   kSolve,
   kFrontier,
@@ -88,7 +83,7 @@ struct TimelineSpec {
   std::vector<DriftSpec> drifts;
 };
 
-/// \brief One advisor call: a tagged variant over the five operations.
+/// \brief One advisor call: a tagged variant over the operations.
 /// Only the fields of the selected `kind` are read.
 struct AdvisorRequest {
   AdvisorRequestKind kind = AdvisorRequestKind::kSolve;
@@ -163,7 +158,7 @@ struct ResponseMeta {
 };
 
 /// \brief A selection outcome paired with its no-view baseline
-/// (kSolve; the former ScenarioRun).
+/// (kSolve, and each kCompareProviders row).
 struct SolveRun {
   SelectionResult selection;
   SubsetEvaluation baseline;
@@ -206,9 +201,6 @@ struct JointRun {
   SubsetEvaluation baseline;
 };
 
-/// \brief A timeline walk (kTimeline / one kComparePolicies row).
-using TimelineRun = TemporalRunResult;
-
 /// \brief One provider's row in a kCompareProviders sweep.
 struct ProviderComparisonRow {
   /// Registry name of the provider.
@@ -217,16 +209,10 @@ struct ProviderComparisonRow {
   std::string instance;
   /// The sheet's native compute billing granularity.
   BillingGranularity granularity = BillingGranularity::kHour;
+  /// The sheet's solve. Under a multi-objective solver
+  /// ("pareto-sweep") run.selection.frontier holds the sheet's whole
+  /// frontier, so one request compares trade-off curves across CSPs.
   SolveRun run;
-};
-
-/// \brief One provider's row in a CompareProviderFrontiers sweep
-/// (direct method; not a Dispatch kind).
-struct ProviderFrontierRow {
-  std::string provider;
-  std::string instance;
-  BillingGranularity granularity = BillingGranularity::kHour;
-  FrontierRun run;
 };
 
 /// \brief The result variant: `kind` says which payload member is
@@ -240,11 +226,11 @@ struct AdvisorResponse {
   /// kFrontier.
   FrontierRun frontier;
   /// kTimeline.
-  TimelineRun timeline;
+  TemporalRunResult timeline;
   /// kCompareProviders, in sorted provider-name order.
   std::vector<ProviderComparisonRow> providers;
   /// kComparePolicies, in request-policy order.
-  std::vector<TimelineRun> policies;
+  std::vector<TemporalRunResult> policies;
   /// kSolveJoint.
   JointRun joint;
 };

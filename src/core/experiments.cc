@@ -48,8 +48,7 @@ Result<ExperimentRunner> ExperimentRunner::Create(ExperimentConfig config) {
   auto holder = std::make_unique<CloudScenario>(std::move(scenario));
 
   // MV2 bills by the started hour (paper Example 2); MV1/MV3 run on the
-  // per-second default. Respect the deprecated explicit-model shim.
-  // (The override reaches the deprecated explicit-model shim too.)
+  // per-second default.
   ScenarioConfig hourly_config = config.scenario;
   hourly_config.pricing_overrides.compute_granularity =
       BillingGranularity::kHour;
@@ -72,8 +71,13 @@ Result<std::vector<MV1Row>> ExperimentRunner::RunMV1() const {
     ObjectiveSpec spec;
     spec.scenario = Scenario::kMV1BudgetLimit;
     spec.budget_limit = config_.budget_limits[i];
-    CV_ASSIGN_OR_RETURN(ScenarioRun run,
-                        scenario_->Run(workload, spec, config_.solver));
+    CV_ASSIGN_OR_RETURN(
+        AdvisorResponse response,
+        scenario_->Dispatch({.kind = AdvisorRequestKind::kSolve,
+                             .solver = config_.solver,
+                             .objective = spec,
+                             .inline_workload = &workload}));
+    const SolveRun& run = response.solve;
 
     MV1Row row;
     row.num_queries = m;
@@ -111,8 +115,13 @@ Result<std::vector<MV2Row>> ExperimentRunner::RunMV2() const {
     spec.scenario = Scenario::kMV2TimeLimit;
     spec.time_limit = limit;
     spec.time_includes_materialization = false;
-    CV_ASSIGN_OR_RETURN(ScenarioRun run,
-                        scenario.Run(workload, spec, config_.solver));
+    CV_ASSIGN_OR_RETURN(
+        AdvisorResponse response,
+        scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                           .solver = config_.solver,
+                           .objective = spec,
+                           .inline_workload = &workload}));
+    const SolveRun& run = response.solve;
 
     MV2Row row;
     row.num_queries = m;
@@ -187,8 +196,13 @@ Result<std::vector<MV3Row>> ExperimentRunner::RunMV3(double alpha) const {
       if (type.price_per_hour > base_price) continue;
       ClusterSpec cluster{type, scenario_->cluster().nodes};
       CV_ASSIGN_OR_RETURN(
-          ScenarioRun run,
-          scenario_->Run(workload, spec, config_.solver, &cluster));
+          AdvisorResponse response,
+          scenario_->Dispatch({.kind = AdvisorRequestKind::kSolve,
+                               .solver = config_.solver,
+                               .objective = spec,
+                               .inline_workload = &workload,
+                               .cluster_override = &cluster}));
+      const SolveRun& run = response.solve;
       double objective = run.selection.objective_value;
       if (first || objective < row.objective_with) {
         row.objective_with = objective;

@@ -10,7 +10,7 @@
 //   ParetoFront  — insert-if-non-dominated container with relative
 //                  epsilon dedup and a deterministic total order, the
 //                  structure "pareto-sweep"/"pareto-genetic" return and
-//                  CloudScenario::SolveFrontier exposes.
+//                  a kFrontier CloudScenario::Dispatch request exposes.
 //
 // This header is deliberately free of evaluator/solver dependencies so
 // both the spec layer (selector.h) and the strategies can use it.

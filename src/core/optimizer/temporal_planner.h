@@ -44,8 +44,8 @@
 // price carried views as if they had to be rebuilt and systematically
 // under-select (the static policy would win by construction).
 //
-// See DESIGN.md §8. CloudScenario::RunTimeline is the wired-up entry
-// point.
+// See DESIGN.md §8. A kTimeline / kComparePolicies request to
+// CloudScenario::Dispatch is the wired-up entry point.
 
 #pragma once
 

@@ -3,18 +3,11 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "pricing/provider_registry.h"
 
 namespace cloudview {
 
 Result<CloudScenario> CloudScenario::Create(ScenarioConfig config) {
-  if (config.pricing.has_value()) {
-    return Status::InvalidArgument(
-        "ScenarioConfig::pricing was removed: select the sheet by name "
-        "via ScenarioConfig::provider (registering custom sheets with "
-        "ProviderRegistry) and layer pricing_overrides on top");
-  }
   CloudScenario scenario(std::move(config));
   Result<StarSchema> schema =
       scenario.config_.schema == "sales"
@@ -91,51 +84,6 @@ Result<DeploymentSpec> CloudScenario::MakeDeployment(
   return deployment;
 }
 
-// The five legacy facade methods are thin shims over Dispatch
-// (core/advisor.cc): each packs its arguments into an AdvisorRequest
-// via the in-process borrowed-pointer fast path and unpacks the
-// matching payload. advisor_dispatch_test pins the bit-identity of the
-// two surfaces.
-
-Result<ScenarioRun> CloudScenario::Run(const Workload& workload,
-                                       const ObjectiveSpec& spec,
-                                       std::string_view solver,
-                                       const ClusterSpec* cluster_override)
-    const {
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kSolve;
-  request.solver = std::string(solver);
-  request.objective = spec;
-  request.inline_workload = &workload;
-  request.cluster_override = cluster_override;
-  CV_ASSIGN_OR_RETURN(AdvisorResponse response, Dispatch(request));
-  return std::move(response.solve);
-}
-
-Result<JointRun> CloudScenario::SolveJoint(const Workload& workload,
-                                           const ObjectiveSpec& spec,
-                                           std::string_view solver) const {
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kSolveJoint;
-  request.solver = std::string(solver);
-  request.objective = spec;
-  request.inline_workload = &workload;
-  CV_ASSIGN_OR_RETURN(AdvisorResponse response, Dispatch(request));
-  return std::move(response.joint);
-}
-
-Result<std::vector<ProviderComparisonRow>> CloudScenario::CompareProviders(
-    const Workload& workload, const ObjectiveSpec& spec,
-    std::string_view solver) const {
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kCompareProviders;
-  request.solver = std::string(solver);
-  request.objective = spec;
-  request.inline_workload = &workload;
-  CV_ASSIGN_OR_RETURN(AdvisorResponse response, Dispatch(request));
-  return std::move(response.providers);
-}
-
 Result<CloudScenario> CloudScenario::ForProvider(
     const std::string& name, std::string* instance,
     BillingGranularity* granularity) const {
@@ -162,92 +110,6 @@ Result<CloudScenario> CloudScenario::ForProvider(
   *instance = type->name;
   *granularity = model.compute_granularity();
   return CloudScenario::Create(std::move(config));
-}
-
-Status CloudScenario::CompareOneProvider(const std::string& name,
-                                         const Workload& workload,
-                                         const ObjectiveSpec& spec,
-                                         std::string_view solver,
-                                         ProviderComparisonRow& row) const {
-  row.provider = name;
-  CV_ASSIGN_OR_RETURN(
-      CloudScenario scenario,
-      ForProvider(name, &row.instance, &row.granularity));
-  CV_ASSIGN_OR_RETURN(row.run, scenario.Run(workload, spec, solver));
-  return Status::OK();
-}
-
-Result<FrontierRun> CloudScenario::SolveFrontier(
-    const Workload& workload, const ObjectiveSpec& spec,
-    std::string_view solver) const {
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kFrontier;
-  request.solver = std::string(solver);
-  request.objective = spec;
-  request.inline_workload = &workload;
-  CV_ASSIGN_OR_RETURN(AdvisorResponse response, Dispatch(request));
-  return std::move(response.frontier);
-}
-
-Result<std::vector<ProviderFrontierRow>>
-CloudScenario::CompareProviderFrontiers(const Workload& workload,
-                                        const ObjectiveSpec& spec,
-                                        std::string_view solver) const {
-  // Mirrors CompareProviders: one shared-nothing task per registered
-  // sheet, rows landing by sorted-name index. The frontier solve inside
-  // each task fans out again; nested parallel regions are safe
-  // (thread_pool.h) and drain on the same global pool.
-  std::vector<std::string> names = ProviderRegistry::Global().Names();
-  std::vector<ProviderFrontierRow> rows(names.size());
-  CV_RETURN_IF_ERROR(ParallelForStatus(names.size(), [&](size_t i) {
-    ProviderFrontierRow& row = rows[i];
-    row.provider = names[i];
-    CV_ASSIGN_OR_RETURN(
-        CloudScenario scenario,
-        ForProvider(names[i], &row.instance, &row.granularity));
-    CV_ASSIGN_OR_RETURN(row.run,
-                        scenario.SolveFrontier(workload, spec, solver));
-    return Status::OK();
-  }));
-  return rows;
-}
-
-Result<TemporalRunResult> CloudScenario::RunTimeline(
-    const WorkloadTimeline& timeline, const ObjectiveSpec& spec,
-    const ReselectPolicy& policy, std::string_view solver) const {
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kTimeline;
-  request.solver = std::string(solver);
-  request.objective = spec;
-  request.policy = policy;
-  request.inline_timeline = &timeline;
-  if (timeline.num_periods() == 0) {
-    return Status::InvalidArgument("timeline has no periods");
-  }
-  // Dispatch resolves a workload for every kind; point it at the
-  // timeline's base mix so no spec lookup happens.
-  request.inline_workload = &timeline.period(0).workload;
-  CV_ASSIGN_OR_RETURN(AdvisorResponse response, Dispatch(request));
-  return std::move(response.timeline);
-}
-
-Result<std::vector<TemporalRunResult>>
-CloudScenario::CompareReselectPolicies(
-    const WorkloadTimeline& timeline, const ObjectiveSpec& spec,
-    const std::vector<ReselectPolicy>& policies,
-    std::string_view solver) const {
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kComparePolicies;
-  request.solver = std::string(solver);
-  request.objective = spec;
-  request.policies = policies;
-  request.inline_timeline = &timeline;
-  if (timeline.num_periods() == 0) {
-    return Status::InvalidArgument("timeline has no periods");
-  }
-  request.inline_workload = &timeline.period(0).workload;
-  CV_ASSIGN_OR_RETURN(AdvisorResponse response, Dispatch(request));
-  return std::move(response.policies);
 }
 
 Result<SubsetEvaluation> CloudScenario::EvaluateWithoutViews(

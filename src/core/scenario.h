@@ -1,11 +1,12 @@
 // CloudScenario: one fully-wired deployment — dataset, lattice, simulated
 // cluster, pricing — against which workloads are costed and view sets
-// selected. This is the library's main entry point.
+// selected. This is the library's main entry point; every question goes
+// through CloudScenario::Dispatch (core/advisor.h holds the request and
+// response types).
 
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,12 +49,6 @@ struct ScenarioConfig {
   /// started-hour billing.
   PricingOverrides pricing_overrides =
       PricingOverrides::ComputeGranularityOnly(BillingGranularity::kSecond);
-  /// Removed: the pre-registry explicit-model shim. Setting it now
-  /// makes Create() fail with InvalidArgument. Select the sheet by
-  /// name via `provider` (registering custom sheets with
-  /// ProviderRegistry) and layer `pricing_overrides` on top — the
-  /// combination reproduces every deployment the shim could express.
-  std::optional<PricingModel> pricing;
   /// Rented configuration (paper Section 6: five identical VMs).
   std::string instance_name = "small";
   int64_t nb_instances = 5;
@@ -69,31 +64,32 @@ struct ScenarioConfig {
   /// Bill all compute of a run as one rental session (round the busy
   /// total up once instead of per activity).
   bool single_compute_session = false;
-  /// Multi-objective strategy used by SolveFrontier and
-  /// CompareProviderFrontiers when the call does not name one
-  /// ("pareto-sweep" or "pareto-genetic"; DESIGN.md §10).
+  /// Multi-objective strategy a kFrontier request runs when it does
+  /// not name one ("pareto-sweep" or "pareto-genetic"; DESIGN.md §10).
   std::string frontier_solver = "pareto-sweep";
 };
-
-/// \brief Legacy name for the kSolve payload; the struct itself (and
-/// its sweep-row siblings FrontierRun / ProviderComparisonRow /
-/// ProviderFrontierRow) moved to core/advisor.h with the API redesign.
-/// Alias kept for one release.
-using ScenarioRun = SolveRun;
 
 /// \brief A wired-up deployment; build once, run many workloads.
 class CloudScenario {
  public:
   static Result<CloudScenario> Create(ScenarioConfig config);
 
-  /// \brief The one entry point behind every facade method below: a
-  /// tagged AdvisorRequest in, a tagged AdvisorResponse (payload +
-  /// ResponseMeta telemetry) out. `warm` (optional) is a session's
-  /// warm-start slot — a matching slot skips candidate generation and
-  /// evaluator construction and accumulates cache telemetry across
-  /// requests; the caller serializes access to it. The facades and
-  /// Dispatch produce bit-identical payloads (pinned by
-  /// advisor_dispatch_test).
+  /// \brief The one way to ask this deployment a question: a tagged
+  /// AdvisorRequest in, a tagged AdvisorResponse (payload +
+  /// ResponseMeta telemetry) out (core/advisor.h). kSolve may swap the
+  /// rented cluster via `cluster_override` (instance-tier sweeps).
+  /// kFrontier defaults to config().frontier_solver and kSolveJoint to
+  /// "arch-sweep" (this deployment must bill under the identity
+  /// architecture). kCompareProviders re-solves on every registered
+  /// sheet with its native billing semantics (paper Section 8), one
+  /// pool task per sheet, rows in sorted provider order at any thread
+  /// count; under "pareto-sweep" each row's run.selection.frontier is
+  /// that sheet's whole frontier. kTimeline / kComparePolicies walk a
+  /// TemporalPlanner, billing storage on the timeline's own period
+  /// clock (DESIGN.md §8). `warm` (optional) is a session's warm-start
+  /// slot — a matching slot skips candidate generation and evaluator
+  /// construction and accumulates cache telemetry across requests; the
+  /// caller serializes access to it.
   Result<AdvisorResponse> Dispatch(const AdvisorRequest& request,
                                    AdvisorWarmSlot* warm = nullptr) const;
 
@@ -112,79 +108,6 @@ class CloudScenario {
   /// 10-query mix ("sales") or the SSB 13-query flights ("ssb") — what
   /// a WorkloadSpec of kind "default" resolves to.
   Result<Workload> DefaultWorkload() const;
-
-  /// \brief Selects views for `workload` under `spec` with the named
-  /// registered solver (see SolverRegistry::Names()), returning the
-  /// selection plus the no-view baseline. `cluster_override` (when
-  /// non-null) replaces the configured cluster — used by sweeps over
-  /// instance tiers (the paper's scalability-vs-views tradeoff).
-  Result<ScenarioRun> Run(const Workload& workload,
-                          const ObjectiveSpec& spec,
-                          std::string_view solver = kDefaultSolverName,
-                          const ClusterSpec* cluster_override = nullptr) const;
-
-  /// \brief Re-costs one selection problem under every registered
-  /// provider (the paper's Section 8 multi-CSP extension): for each
-  /// ProviderRegistry name, this scenario's deployment is rebuilt on
-  /// that sheet — with its *native* billing semantics, not this
-  /// scenario's pricing_overrides — and Run() re-solves the selection.
-  /// The configured instance name is kept when the provider's catalog
-  /// has it; otherwise the cheapest type matching the configured
-  /// instance's compute units is rented. Each sheet is evaluated on its
-  /// own ThreadPool task (the rebuilt deployments share nothing but the
-  /// immutable registries); rows come back in sorted provider-name
-  /// order regardless of thread count.
-  Result<std::vector<ProviderComparisonRow>> CompareProviders(
-      const Workload& workload, const ObjectiveSpec& spec,
-      std::string_view solver = kDefaultSolverName) const;
-
-  /// \brief Solves the whole (monthly cost, time, storage) frontier for
-  /// `workload` under `spec` with a multi-objective strategy (empty
-  /// `solver` uses config().frontier_solver). Hard constraints in the
-  /// spec bound the frontier; `best` is the spec's own optimum
-  /// (DESIGN.md §10).
-  Result<FrontierRun> SolveFrontier(const Workload& workload,
-                                    const ObjectiveSpec& spec,
-                                    std::string_view solver = {}) const;
-
-  /// \brief Joint (deployment architecture, view set) optimization:
-  /// races one solve per candidate architecture (empty `architectures`
-  /// on the spec means DefaultArchitectureRoster()) via the
-  /// "arch-sweep" strategy and returns the four-axis frontier (monthly
-  /// cost, time, storage, unavailability) plus the winning pair. The
-  /// scenario's own deployment must bill under the identity
-  /// architecture (the default).
-  Result<JointRun> SolveJoint(const Workload& workload,
-                              const ObjectiveSpec& spec,
-                              std::string_view solver = {}) const;
-
-  /// \brief CompareProviders, frontier-aware: every registered sheet is
-  /// rebuilt with its native billing semantics and SolveFrontier is
-  /// re-run, so tenants can compare whole trade-off curves — not just
-  /// one operating point — across CSPs. One ThreadPool task per sheet;
-  /// rows in sorted provider order at any thread count.
-  Result<std::vector<ProviderFrontierRow>> CompareProviderFrontiers(
-      const Workload& workload, const ObjectiveSpec& spec,
-      std::string_view solver = {}) const;
-
-  /// \brief Walks `timeline` with a TemporalPlanner under `policy`,
-  /// re-running the named registered solver on re-selection periods and
-  /// charging transition costs plus horizon-long storage (DESIGN.md §8).
-  /// `spec` is interpreted per period. Storage is billed on the
-  /// timeline's own period clock (prorate_storage does not apply);
-  /// maintenance_cycles is charged per period.
-  Result<TemporalRunResult> RunTimeline(
-      const WorkloadTimeline& timeline, const ObjectiveSpec& spec,
-      const ReselectPolicy& policy,
-      std::string_view solver = kDefaultSolverName) const;
-
-  /// \brief RunTimeline for each policy on one shared planner — the
-  /// static vs every-k vs on-drift comparison, in policy order (one
-  /// parallel walk per policy; see TemporalPlanner::ComparePolicies).
-  Result<std::vector<TemporalRunResult>> CompareReselectPolicies(
-      const WorkloadTimeline& timeline, const ObjectiveSpec& spec,
-      const std::vector<ReselectPolicy>& policies,
-      std::string_view solver = kDefaultSolverName) const;
 
   /// \brief Deployment parameters for `workload` (storage timeline,
   /// period, cluster) — exposed for custom evaluations.
@@ -206,20 +129,12 @@ class CloudScenario {
       : config_(std::move(config)) {}
 
   /// Rebuilds this deployment on `name`'s sheet (native billing
-  /// semantics, instance matched by name or compute units) — the shared
-  /// core of the provider comparison sweeps. `instance`/`granularity`
+  /// semantics, instance matched by name or compute units) — one
+  /// kCompareProviders row's deployment. `instance`/`granularity`
   /// report what was rented.
   Result<CloudScenario> ForProvider(const std::string& name,
                                     std::string* instance,
                                     BillingGranularity* granularity) const;
-
-  /// One CompareProviders task: rebuild this deployment on `name`'s
-  /// sheet and re-solve into `row`.
-  Status CompareOneProvider(const std::string& name,
-                            const Workload& workload,
-                            const ObjectiveSpec& spec,
-                            std::string_view solver,
-                            ProviderComparisonRow& row) const;
 
   // --- Dispatch impl bodies (core/advisor.cc) --------------------------
 

@@ -9,7 +9,7 @@
 //                       downstream CSPs register the same way.
 //
 // Consumers select providers by name (ScenarioConfig::provider,
-// CloudScenario::CompareProviders, benches, examples) and never link
+// compare-providers requests, benches, examples) and never link
 // against a specific sheet. See DESIGN.md §7.
 
 #pragma once

@@ -3,7 +3,6 @@
 
 #include "pricing/providers.h"
 
-#include "common/logging.h"
 #include "pricing/price_sheet_spec.h"
 #include "pricing/provider_registry.h"
 
@@ -209,21 +208,7 @@ CLOUDVIEW_REGISTER_PROVIDER(gigacloud, GigaCloudSpec())
 CLOUDVIEW_REGISTER_PROVIDER(bluecloud, BlueCloudSpec())
 CLOUDVIEW_REGISTER_PROVIDER(nimbus, NimbusSpec())
 
-PricingModel MustModel(const char* name) {
-  Result<PricingModel> model = ProviderRegistry::Global().Model(name);
-  CV_CHECK(model.ok()) << model.status();
-  return model.MoveValue();
-}
-
 }  // namespace
-
-PricingModel AwsPricing2012() { return MustModel("aws-2012"); }
-
-PricingModel IntroExamplePricing() { return MustModel("intro-example"); }
-
-PricingModel GigaCloudPricing() { return MustModel("gigacloud"); }
-
-PricingModel BlueCloudPricing() { return MustModel("bluecloud"); }
 
 std::vector<PricingModel> AllProviders() {
   return ProviderRegistry::Global().AllModels();

@@ -3,10 +3,26 @@
 // The built-in catalogs are declared as PriceSheetSpecs in providers.cc
 // and self-register under these names:
 //
-//   "aws-2012"      — the paper's Tables 2-4, verbatim.
-//   "intro-example" — the fictitious CSP of the paper's introduction.
-//   "gigacloud"     — fictional per-minute-billing CSP.
-//   "bluecloud"     — fictional CSP with non-free ingress.
+//   "aws-2012"      — the paper's Tables 2-4, verbatim: EC2 micro
+//                     $0.03/h, small $0.12/h, large $0.48/h, xlarge
+//                     $0.96/h; bandwidth out first 1 GB free, then
+//                     $0.12/GB up to 10 TB, $0.09/GB for the next 40 TB,
+//                     $0.07/GB for the next 100 TB (then $0.05/GB, our
+//                     extrapolation of the paper's "..."); storage
+//                     $0.14/GB-month for the first TB, $0.125 for the
+//                     next 49 TB, $0.11 for the next 450 TB (then
+//                     $0.095, extrapolated); free ingress; hour-
+//                     granularity compute; flat-bracket storage (the
+//                     paper's Formula 5 reading — switchable via
+//                     WithStorageBilling).
+//   "intro-example" — the fictitious CSP of the paper's introduction:
+//                     storage $0.10/GB-month, one "standard" instance at
+//                     $0.24/h, free transfer (the intro's $62 vs $64.6).
+//   "gigacloud"     — fictional per-minute-billing CSP: cheaper small
+//                     instances, flat $0.12/GB-month storage, slightly
+//                     cheaper egress.
+//   "bluecloud"     — fictional hour-billed CSP with non-free ingress
+//                     (exercises the Formula-2 ingress terms).
 //   "nimbus"        — fictional metered CSP exercising the extensions
 //                     the old factory API could not express: per-request
 //                     I/O charges, reserved/on-demand rate pairs with an
@@ -17,8 +33,7 @@
 // stress different corners of the model space without claiming to
 // reproduce any real price sheet.
 //
-// The free functions below predate the registry and forward to it;
-// prefer ProviderRegistry::Global().Model(name) in new code.
+// Look a sheet up with ProviderRegistry::Global().Model(name).
 
 #pragma once
 
@@ -28,34 +43,6 @@
 #include "pricing/provider_registry.h"
 
 namespace cloudview {
-
-/// \brief The paper's AWS price sheet (Tables 2, 3, 4):
-///  - EC2: micro $0.03/h, small $0.12/h, large $0.48/h, xlarge $0.96/h;
-///  - bandwidth out: first 1 GB free, then $0.12/GB up to 10 TB,
-///    $0.09/GB for the next 40 TB, $0.07/GB for the next 100 TB
-///    (then $0.05/GB, our extrapolation of the paper's "...");
-///  - storage: $0.14/GB-month for the first TB, $0.125 for the next 49 TB,
-///    $0.11 for the next 450 TB (then $0.095, extrapolated);
-///  - ingress free; hour-granularity compute billing; flat-bracket storage
-///    (the paper's Formula 5 reading — switchable via WithStorageBilling).
-/// Deprecated: forwards to the registry ("aws-2012").
-PricingModel AwsPricing2012();
-
-/// \brief The fictitious CSP of the paper's introduction: storage
-/// $0.10/GB-month, a single "standard" instance at $0.24/h, free transfer.
-/// Reproduces the intro's $62 vs $64.6 example.
-/// Deprecated: forwards to the registry ("intro-example").
-PricingModel IntroExamplePricing();
-
-/// \brief Fictional per-minute-billing CSP ("GigaCloud"): cheaper small
-/// instances, flat $0.12/GB-month storage, slightly cheaper egress.
-/// Deprecated: forwards to the registry ("gigacloud").
-PricingModel GigaCloudPricing();
-
-/// \brief Fictional hour-billed CSP with non-free ingress ("BlueCloud"):
-/// exercises the Formula-2 ingress terms that AWS zeroes out.
-/// Deprecated: forwards to the registry ("bluecloud").
-PricingModel BlueCloudPricing();
 
 /// \brief All registered catalogs, in sorted-name order (sweeps over
 /// CSPs). Includes providers registered by downstream code.

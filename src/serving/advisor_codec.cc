@@ -624,7 +624,7 @@ JsonValue JointRunToJson(const JointRun& run) {
   return json;
 }
 
-JsonValue TimelineRunToJson(const TimelineRun& run) {
+JsonValue TimelineRunToJson(const TemporalRunResult& run) {
   JsonValue json = JsonValue::Object();
   json.Set("policy", PolicyToJson(run.policy));
   json.Set("policy_name", JsonValue::Str(run.policy.Name()));
@@ -886,7 +886,7 @@ JsonValue AdvisorResponseToJson(const AdvisorResponse& response) {
     }
     case AdvisorRequestKind::kComparePolicies: {
       JsonValue policies = JsonValue::Array();
-      for (const TimelineRun& run : response.policies) {
+      for (const TemporalRunResult& run : response.policies) {
         policies.Push(TimelineRunToJson(run));
       }
       json.Set("policies", std::move(policies));

@@ -1,28 +1,31 @@
-// Facade <-> Dispatch parity: the five legacy CloudScenario methods
-// are shims over Dispatch, and this pins that the payloads stay
-// bit-identical — both paths serialized through the canonical codec
-// must produce byte-equal JSON (exact unit types make this an integer
+// The two ways into CloudScenario::Dispatch must agree: a request that
+// names its workload or timeline by spec and the same request carrying
+// the resolved object inline produce bit-identical payloads, and a
+// pareto-sweep provider comparison row equals a frontier request on that
+// row's deployment. Payloads compare serialized through the canonical
+// codec as byte-equal JSON (exact unit types make this an integer
 // comparison; doubles compare through their shortest round-trip form).
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/scenario.h"
+#include "pricing/provider_registry.h"
 #include "serving/advisor_codec.h"
 
 namespace cloudview {
 namespace {
 
-class DispatchParityTest : public ::testing::Test {
+class DispatchEntryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ScenarioConfig config;
-    config.candidates.max_candidates = 8;
-    config.candidates.max_rows_fraction = 0.05;
+    config_.candidates.max_candidates = 8;
+    config_.candidates.max_rows_fraction = 0.05;
     scenario_ = std::make_unique<CloudScenario>(
-        CloudScenario::Create(config).MoveValue());
+        CloudScenario::Create(config_).MoveValue());
     workload_ = std::make_unique<Workload>(
         scenario_->DefaultWorkload().MoveValue());
     spec_.scenario = Scenario::kMV1BudgetLimit;
@@ -36,6 +39,8 @@ class DispatchParityTest : public ::testing::Test {
         json.Find(response.kind == AdvisorRequestKind::kSolve ? "solve"
                   : response.kind == AdvisorRequestKind::kFrontier
                       ? "frontier"
+                  : response.kind == AdvisorRequestKind::kSolveJoint
+                      ? "joint"
                   : response.kind == AdvisorRequestKind::kTimeline
                       ? "timeline"
                   : response.kind == AdvisorRequestKind::kCompareProviders
@@ -45,111 +50,131 @@ class DispatchParityTest : public ::testing::Test {
     return payload != nullptr ? WriteJson(*payload) : std::string();
   }
 
-  WorkloadTimeline MakeTimeline() const {
-    TimelineOptions options;
-    options.num_periods = 2;
-    return WorkloadTimeline::Generate(scenario_->lattice(), *workload_, {},
-                                      options)
-        .MoveValue();
+  // Dispatches `request` as given (workload by WorkloadSpec "default")
+  // and again with the scenario's DefaultWorkload() inline.
+  void ExpectSpecMatchesInlineWorkload(AdvisorRequest request) const {
+    SCOPED_TRACE(AdvisorRequestKindName(request.kind));
+    AdvisorResponse by_spec = scenario_->Dispatch(request).MoveValue();
+    request.inline_workload = workload_.get();
+    AdvisorResponse by_inline = scenario_->Dispatch(request).MoveValue();
+    EXPECT_EQ(PayloadJson(by_spec), PayloadJson(by_inline));
   }
 
+  // Dispatches `request` with a drift-free TimelineSpec and again with
+  // the same timeline generated up front and passed inline.
+  void ExpectSpecMatchesInlineTimeline(AdvisorRequest request) const {
+    SCOPED_TRACE(AdvisorRequestKindName(request.kind));
+    request.timeline.num_periods = 2;
+    AdvisorResponse by_spec = scenario_->Dispatch(request).MoveValue();
+
+    TimelineOptions options;
+    options.num_periods = 2;
+    options.period_length = request.timeline.period_length;
+    options.seed = request.timeline.seed;
+    WorkloadTimeline timeline =
+        WorkloadTimeline::Generate(scenario_->lattice(), *workload_, {},
+                                   options)
+            .MoveValue();
+    request.inline_timeline = &timeline;
+    AdvisorResponse by_inline = scenario_->Dispatch(request).MoveValue();
+    EXPECT_EQ(PayloadJson(by_spec), PayloadJson(by_inline));
+  }
+
+  ScenarioConfig config_;
   std::unique_ptr<CloudScenario> scenario_;
   std::unique_ptr<Workload> workload_;
   ObjectiveSpec spec_;
 };
 
-TEST_F(DispatchParityTest, RunMatchesSolveDispatch) {
-  ScenarioRun facade =
-      scenario_->Run(*workload_, spec_, "greedy").MoveValue();
-
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kSolve;
-  request.solver = "greedy";
-  request.objective = spec_;
-  request.inline_workload = workload_.get();
-  AdvisorResponse dispatched = scenario_->Dispatch(request).MoveValue();
-
-  AdvisorResponse wrapped;
-  wrapped.kind = AdvisorRequestKind::kSolve;
-  wrapped.solve = facade;
-  EXPECT_EQ(PayloadJson(wrapped), PayloadJson(dispatched));
-  EXPECT_EQ(dispatched.meta.solver, "greedy");
+TEST_F(DispatchEntryTest, WorkloadSpecMatchesInlineWorkload) {
+  ExpectSpecMatchesInlineWorkload({.kind = AdvisorRequestKind::kSolve,
+                                   .solver = "greedy",
+                                   .objective = spec_});
+  ExpectSpecMatchesInlineWorkload(
+      {.kind = AdvisorRequestKind::kFrontier, .objective = spec_});
+  ExpectSpecMatchesInlineWorkload(
+      {.kind = AdvisorRequestKind::kSolveJoint, .objective = spec_});
+  ExpectSpecMatchesInlineWorkload(
+      {.kind = AdvisorRequestKind::kCompareProviders, .objective = spec_});
 }
 
-TEST_F(DispatchParityTest, SolveFrontierMatchesFrontierDispatch) {
-  FrontierRun facade =
-      scenario_->SolveFrontier(*workload_, spec_).MoveValue();
-
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kFrontier;
-  request.objective = spec_;
-  request.inline_workload = workload_.get();
-  AdvisorResponse dispatched = scenario_->Dispatch(request).MoveValue();
-
-  AdvisorResponse wrapped;
-  wrapped.kind = AdvisorRequestKind::kFrontier;
-  wrapped.frontier = facade;
-  EXPECT_EQ(PayloadJson(wrapped), PayloadJson(dispatched));
-  // Empty solver name defaulted to the configured frontier strategy.
-  EXPECT_EQ(dispatched.meta.solver, scenario_->config().frontier_solver);
+TEST_F(DispatchEntryTest, TimelineSpecMatchesInlineTimeline) {
+  ExpectSpecMatchesInlineTimeline({.kind = AdvisorRequestKind::kTimeline,
+                                   .objective = spec_,
+                                   .policy = ReselectPolicy::EveryK(1)});
+  AdvisorRequest compare{.kind = AdvisorRequestKind::kComparePolicies,
+                         .objective = spec_};
+  compare.policies = {ReselectPolicy::Static(), ReselectPolicy::EveryK(1)};
+  ExpectSpecMatchesInlineTimeline(compare);
 }
 
-TEST_F(DispatchParityTest, RunTimelineMatchesTimelineDispatch) {
-  WorkloadTimeline timeline = MakeTimeline();
-  TemporalRunResult facade =
-      scenario_->RunTimeline(timeline, spec_, ReselectPolicy::EveryK(1))
+// A pareto-sweep provider comparison is the frontier question asked of
+// each sheet: every row equals a frontier request on a scenario rebuilt
+// with that provider's native billing and the instance the row rented.
+TEST_F(DispatchEntryTest, ProviderFrontierRowsMatchPerSheetFrontiers) {
+  std::vector<ProviderComparisonRow> rows =
+      scenario_
+          ->Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                      .solver = "pareto-sweep",
+                      .objective = spec_,
+                      .inline_workload = workload_.get()})
+          .MoveValue()
+          .providers;
+  ASSERT_EQ(rows.size(), ProviderRegistry::Global().Names().size());
+
+  for (const ProviderComparisonRow& row : rows) {
+    SCOPED_TRACE(row.provider);
+    EXPECT_FALSE(row.run.selection.frontier.empty());
+
+    ScenarioConfig config = config_;
+    config.provider = row.provider;
+    config.pricing_overrides = {};
+    config.instance_name = row.instance;
+    CloudScenario sheet = CloudScenario::Create(config).MoveValue();
+    AdvisorResponse direct =
+        sheet
+            .Dispatch({.kind = AdvisorRequestKind::kFrontier,
+                       .solver = "pareto-sweep",
+                       .objective = spec_,
+                       .inline_workload = workload_.get()})
+            .MoveValue();
+
+    AdvisorResponse from_row;
+    from_row.kind = AdvisorRequestKind::kFrontier;
+    from_row.frontier.frontier = row.run.selection.frontier;
+    from_row.frontier.best = row.run.selection;
+    from_row.frontier.best.frontier.clear();
+    from_row.frontier.baseline = row.run.baseline;
+    EXPECT_EQ(PayloadJson(from_row), PayloadJson(direct));
+  }
+}
+
+TEST_F(DispatchEntryTest, MetaSolverEchoesTheDefaultedName) {
+  AdvisorResponse solve =
+      scenario_
+          ->Dispatch({.kind = AdvisorRequestKind::kSolve,
+                      .solver = "greedy",
+                      .objective = spec_,
+                      .inline_workload = workload_.get()})
           .MoveValue();
+  EXPECT_EQ(solve.meta.solver, "greedy");
 
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kTimeline;
-  request.objective = spec_;
-  request.policy = ReselectPolicy::EveryK(1);
-  request.inline_timeline = &timeline;
-  AdvisorResponse dispatched = scenario_->Dispatch(request).MoveValue();
-
-  AdvisorResponse wrapped;
-  wrapped.kind = AdvisorRequestKind::kTimeline;
-  wrapped.timeline = facade;
-  EXPECT_EQ(PayloadJson(wrapped), PayloadJson(dispatched));
-}
-
-TEST_F(DispatchParityTest, CompareProvidersMatchesDispatch) {
-  std::vector<ProviderComparisonRow> facade =
-      scenario_->CompareProviders(*workload_, spec_).MoveValue();
-
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kCompareProviders;
-  request.objective = spec_;
-  request.inline_workload = workload_.get();
-  AdvisorResponse dispatched = scenario_->Dispatch(request).MoveValue();
-
-  AdvisorResponse wrapped;
-  wrapped.kind = AdvisorRequestKind::kCompareProviders;
-  wrapped.providers = facade;
-  ASSERT_EQ(dispatched.providers.size(), facade.size());
-  EXPECT_EQ(PayloadJson(wrapped), PayloadJson(dispatched));
-}
-
-TEST_F(DispatchParityTest, CompareReselectPoliciesMatchesDispatch) {
-  WorkloadTimeline timeline = MakeTimeline();
-  const std::vector<ReselectPolicy> policies = {ReselectPolicy::Static(),
-                                                ReselectPolicy::EveryK(1)};
-  std::vector<TemporalRunResult> facade =
-      scenario_->CompareReselectPolicies(timeline, spec_, policies)
+  // An empty solver name defaults per kind.
+  AdvisorResponse frontier =
+      scenario_
+          ->Dispatch({.kind = AdvisorRequestKind::kFrontier,
+                      .objective = spec_,
+                      .inline_workload = workload_.get()})
           .MoveValue();
+  EXPECT_EQ(frontier.meta.solver, scenario_->config().frontier_solver);
 
-  AdvisorRequest request;
-  request.kind = AdvisorRequestKind::kComparePolicies;
-  request.objective = spec_;
-  request.policies = policies;
-  request.inline_timeline = &timeline;
-  AdvisorResponse dispatched = scenario_->Dispatch(request).MoveValue();
-
-  AdvisorResponse wrapped;
-  wrapped.kind = AdvisorRequestKind::kComparePolicies;
-  wrapped.policies = facade;
-  ASSERT_EQ(dispatched.policies.size(), facade.size());
-  EXPECT_EQ(PayloadJson(wrapped), PayloadJson(dispatched));
+  AdvisorResponse joint =
+      scenario_
+          ->Dispatch({.kind = AdvisorRequestKind::kSolveJoint,
+                      .objective = spec_,
+                      .inline_workload = workload_.get()})
+          .MoveValue();
+  EXPECT_EQ(joint.meta.solver, "arch-sweep");
 }
 
 }  // namespace

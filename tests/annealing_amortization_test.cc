@@ -25,7 +25,7 @@ class AnnealingTest : public ::testing::Test {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_, params);
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
+        ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
             BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ =
@@ -180,7 +180,11 @@ TEST(Amortization, RealScenarioAmortizes) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  ScenarioRun run = scenario.Run(workload, spec).MoveValue();
+  SolveRun run = scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                                    .objective = spec,
+                                    .inline_workload = &workload})
+                     .MoveValue()
+                     .solve;
 
   AmortizationInputs inputs;
   inputs.run_cost_without_views = run.baseline.cost.processing;

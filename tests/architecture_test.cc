@@ -166,7 +166,7 @@ struct Fixture {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator = std::make_unique<MapReduceSimulator>(*lattice, params);
     pricing = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
+        ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
             BillingGranularity::kSecond));
     cost_model = std::make_unique<CloudCostModel>(*pricing);
     cluster = ClusterSpec{pricing->instances().Find("small").value(), 5};
@@ -335,7 +335,7 @@ TEST(ArchSweep, RejectsBadConfigurations) {
                   .IsInvalidArgument());
 }
 
-TEST(ArchSweep, ScenarioSolveJointFacade) {
+TEST(ArchSweep, ScenarioSolveJointRequest) {
   ScenarioConfig config;
   CloudScenario scenario = CloudScenario::Create(config).MoveValue();
   Workload workload = scenario.PaperWorkload().MoveValue();
@@ -343,7 +343,11 @@ TEST(ArchSweep, ScenarioSolveJointFacade) {
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
 
-  JointRun run = scenario.SolveJoint(workload, spec).MoveValue();
+  JointRun run = scenario.Dispatch({.kind = AdvisorRequestKind::kSolveJoint,
+                                    .objective = spec,
+                                    .inline_workload = &workload})
+                     .MoveValue()
+                     .joint;
   ASSERT_FALSE(run.frontier.empty());
   EXPECT_EQ(run.best_architecture, run.best.architecture);
   EXPECT_FALSE(run.best_architecture.empty());

@@ -38,7 +38,7 @@ struct Fixture {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator = std::make_unique<MapReduceSimulator>(*lattice, params);
     pricing = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
+        ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
             BillingGranularity::kSecond));
     cost_model = std::make_unique<CloudCostModel>(*pricing);
     cluster = ClusterSpec{pricing->instances().Find("small").value(), 5};

@@ -46,7 +46,8 @@ Fixture MakeSalesFixture(size_t workload_size, size_t max_candidates) {
   params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
   f.simulator = std::make_unique<MapReduceSimulator>(*f.lattice, params);
   f.pricing = std::make_unique<PricingModel>(
-      AwsPricing2012().WithComputeGranularity(BillingGranularity::kSecond));
+      ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
+          BillingGranularity::kSecond));
   f.cost_model = std::make_unique<CloudCostModel>(*f.pricing);
   f.cluster = ClusterSpec{f.pricing->instances().Find("small").value(), 5};
   f.deployment.instance = f.cluster.instance;
@@ -79,7 +80,8 @@ Fixture MakeSsbFixture(size_t max_candidates) {
   f.simulator =
       std::make_unique<MapReduceSimulator>(*f.lattice, MapReduceParams{});
   f.pricing = std::make_unique<PricingModel>(
-      AwsPricing2012().WithComputeGranularity(BillingGranularity::kSecond));
+      ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
+          BillingGranularity::kSecond));
   f.cost_model = std::make_unique<CloudCostModel>(*f.pricing);
   f.cluster = ClusterSpec{f.pricing->instances().Find("small").value(), 5};
   Workload ssb = MakeSsbWorkload(*f.lattice).MoveValue();

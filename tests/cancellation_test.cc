@@ -77,12 +77,14 @@ TEST(Cancellation, CancelledBranchAndBoundIsDeterministicAcrossThreads) {
   ObjectiveSpec spec = LooseBudgetSpec();
   spec.cancel = &token;
 
+  const AdvisorRequest request{.kind = AdvisorRequestKind::kSolve,
+                               .solver = "branch-and-bound",
+                               .objective = spec,
+                               .inline_workload = &workload};
   ThreadPool::SetGlobalConcurrency(1);
-  ScenarioRun one =
-      scenario.Run(workload, spec, "branch-and-bound").MoveValue();
+  SolveRun one = scenario.Dispatch(request).MoveValue().solve;
   ThreadPool::SetGlobalConcurrency(8);
-  ScenarioRun eight =
-      scenario.Run(workload, spec, "branch-and-bound").MoveValue();
+  SolveRun eight = scenario.Dispatch(request).MoveValue().solve;
   ThreadPool::SetGlobalConcurrency(1);
 
   EXPECT_TRUE(one.selection.cancelled);

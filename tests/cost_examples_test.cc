@@ -18,7 +18,8 @@ namespace {
 // 50 h -> storage $50, computing $12, total $62. With views: 40 h and
 // +50 GB -> computing $9.6, storage $55, total $64.6.
 TEST(IntroExample, WithoutViews) {
-  PricingModel pricing = IntroExamplePricing();
+  PricingModel pricing =
+      ProviderRegistry::Global().Model("intro-example").value();
   InstanceType standard = pricing.instances().Find("standard").value();
 
   Money storage = pricing.StorageCost(DataSize::FromGB(500),
@@ -33,7 +34,8 @@ TEST(IntroExample, WithoutViews) {
 }
 
 TEST(IntroExample, WithViews) {
-  PricingModel pricing = IntroExamplePricing();
+  PricingModel pricing =
+      ProviderRegistry::Global().Model("intro-example").value();
   InstanceType standard = pricing.instances().Find("standard").value();
 
   Money storage = pricing.StorageCost(DataSize::FromGB(550),
@@ -48,26 +50,26 @@ TEST(IntroExample, WithViews) {
 
 // --- Section 2.2 pricing spot checks --------------------------------------
 TEST(Section2, StoragePriceFor500GBIs70PerMonth) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   EXPECT_EQ(aws.MonthlyStorageCost(DataSize::FromGB(500)),
             Money::FromDollars(70));
 }
 
 TEST(Section2, StoragePriceWithViewsIs77PerMonth) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   EXPECT_EQ(aws.MonthlyStorageCost(DataSize::FromGB(550)),
             Money::FromDollars(77));
 }
 
 TEST(Section2, TwoSmallInstancesFor50HoursCost12) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   InstanceType small = aws.instances().Find("small").value();
   EXPECT_EQ(aws.ComputeCost(small, Duration::FromHours(50), 2),
             Money::FromDollars(12));
 }
 
 TEST(Section2, BandwidthFor10GBResultIs108) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   // (10 - 1 free) x $0.12 = $1.08.
   EXPECT_EQ(aws.TransferOutCost(DataSize::FromGB(10)),
             Money::FromMicros(1'080'000));
@@ -75,7 +77,7 @@ TEST(Section2, BandwidthFor10GBResultIs108) {
 
 // --- Example 1: data transfer cost -----------------------------------------
 TEST(Example1, TransferCostOfWorkloadResults) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   TransferCostModel model(aws);
   WorkloadCostInput workload;
   workload.queries.push_back(
@@ -87,7 +89,7 @@ TEST(Example1, TransferCostOfWorkloadResults) {
 
 // --- Example 2: computing cost, hour round-up ------------------------------
 TEST(Example2, ProcessingCostRoundsStartedHours) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   InstanceType small = aws.instances().Find("small").value();
   ComputeCostModel model(aws);
   WorkloadCostInput workload;
@@ -112,7 +114,8 @@ TEST(Example2, ProcessingCostRoundsStartedHours) {
 //   512 x 0.14 x 7 + (512 + 2048) x 0.125 x 5 = 501.76 + 1600.
 // We assert the method's value and record the erratum in EXPERIMENTS.md.
 TEST(Example3, StorageCostOverTwoIntervals) {
-  PricingModel aws = AwsPricing2012();  // Flat-bracket, as Formula 5 reads.
+  // Flat-bracket, as Formula 5 reads.
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   StorageCostModel model(aws);
   StorageTimeline timeline(DataSize::FromGB(512));
   ASSERT_TRUE(
@@ -140,7 +143,7 @@ TEST(Example3, IntervalsMatchThePaper) {
 
 // --- Examples 4-8: view cost components on two small instances -------------
 TEST(Example4, MaterializationCost) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   InstanceType small = aws.instances().Find("small").value();
   ComputeCostModel model(aws);
   ViewSetCostInput views;
@@ -152,7 +155,7 @@ TEST(Example4, MaterializationCost) {
 }
 
 TEST(Example6, ProcessingCostWithViews) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   InstanceType small = aws.instances().Find("small").value();
   ComputeCostModel model(aws);
   WorkloadCostInput with_views;
@@ -165,7 +168,7 @@ TEST(Example6, ProcessingCostWithViews) {
 }
 
 TEST(Example8, MaintenanceCost) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   InstanceType small = aws.instances().Find("small").value();
   ComputeCostModel model(aws);
   ViewSetCostInput views;
@@ -178,7 +181,7 @@ TEST(Example8, MaintenanceCost) {
 
 // --- Example 9: storage with views for a year ------------------------------
 TEST(Example9, StorageWithViewsForAYear) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   StorageCostModel model(aws);
   // (500 + 50) GB x 12 months x $0.14 = $924.
   EXPECT_EQ(model.ConstantCost(DataSize::FromGB(550),
@@ -188,7 +191,7 @@ TEST(Example9, StorageWithViewsForAYear) {
 
 // --- Formula 6 end to end: the full with-view bill of the running example --
 TEST(Section4, FullRunningExampleBreakdown) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   CloudCostModel model(aws);
 
   DeploymentSpec spec;
@@ -218,7 +221,7 @@ TEST(Section4, FullRunningExampleBreakdown) {
 }
 
 TEST(Section3, WithoutViewsBreakdown) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   CloudCostModel model(aws);
 
   DeploymentSpec spec;

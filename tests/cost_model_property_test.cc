@@ -17,7 +17,7 @@ class CostModelPropertyTest
     : public ::testing::TestWithParam<BillingCombo> {
  protected:
   CostModelPropertyTest()
-      : pricing_(AwsPricing2012()
+      : pricing_(ProviderRegistry::Global().Model("aws-2012").value()
                      .WithComputeGranularity(std::get<0>(GetParam()))
                      .WithStorageBilling(std::get<1>(GetParam()))),
         model_(pricing_) {}

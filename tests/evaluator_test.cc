@@ -22,7 +22,7 @@ class EvaluatorTest : public ::testing::Test {
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_,
                                                       MapReduceParams{});
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
+        ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
             BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ = ClusterSpec{

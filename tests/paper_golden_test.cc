@@ -61,7 +61,12 @@ TEST(PaperGolden, CspComparisonRows) {
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
   std::vector<ProviderComparisonRow> rows =
-      scenario.CompareProviders(workload, spec).MoveValue();
+      scenario
+          .Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                     .objective = spec,
+                     .inline_workload = &workload})
+          .MoveValue()
+          .providers;
 
   for (const GoldenProviderRow& golden : kProviderRows) {
     SCOPED_TRACE(golden.provider);

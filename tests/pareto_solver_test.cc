@@ -1,8 +1,9 @@
 // Multi-objective strategies ("pareto-sweep", "pareto-genetic") and the
 // hard-constraint contract: frontiers are feasible, mutually
 // non-dominated and cover the single-objective optima; every registered
-// solver honors max_monthly_cost / max_storage / max_makespan; the
-// scenario facade (SolveFrontier, CompareProviderFrontiers) round-trips.
+// solver honors max_monthly_cost / max_storage / max_makespan; frontier
+// and pareto-sweep provider-comparison requests round-trip through
+// CloudScenario::Dispatch.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +43,7 @@ class ParetoSolverTest : public ::testing::Test {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_, params);
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
+        ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
             BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ = ClusterSpec{pricing_->instances().Find("small").value(), 5};
@@ -397,7 +398,7 @@ TEST(ParetoSweepServedInstance, RegressionPin) {
   EXPECT_LT(evaluations(second), evaluations(first));
 }
 
-// --- Scenario facade --------------------------------------------------------
+// --- Scenario requests ------------------------------------------------------
 
 TEST(ParetoScenario, SolveFrontierAndProviderSweep) {
   ExperimentConfig config;
@@ -412,7 +413,12 @@ TEST(ParetoScenario, SolveFrontierAndProviderSweep) {
   spec.max_monthly_cost = Money::FromDollars(400);
 
   FrontierRun run =
-      scenario.SolveFrontier(workload, spec).MoveValue();
+      scenario
+          .Dispatch({.kind = AdvisorRequestKind::kFrontier,
+                     .objective = spec,
+                     .inline_workload = &workload})
+          .MoveValue()
+          .frontier;
   ASSERT_FALSE(run.frontier.empty());
   EXPECT_TRUE(run.best.feasible);
   // FrontierRun::frontier owns the points; the embedded result's copy
@@ -424,19 +430,32 @@ TEST(ParetoScenario, SolveFrontierAndProviderSweep) {
 
   // A single-objective solver degrades to a one-point frontier.
   FrontierRun single =
-      scenario.SolveFrontier(workload, spec, "greedy").MoveValue();
+      scenario
+          .Dispatch({.kind = AdvisorRequestKind::kFrontier,
+                     .solver = "greedy",
+                     .objective = spec,
+                     .inline_workload = &workload})
+          .MoveValue()
+          .frontier;
   ASSERT_EQ(single.frontier.size(), 1u);
   EXPECT_EQ(single.frontier[0].score, single.best.multi);
 
-  // The provider sweep keeps sorted-name order and rebuilds each sheet.
-  std::vector<ProviderFrontierRow> rows =
-      scenario.CompareProviderFrontiers(workload, spec).MoveValue();
+  // The provider sweep keeps sorted-name order and rebuilds each sheet;
+  // under pareto-sweep each row carries the sheet's whole frontier.
+  std::vector<ProviderComparisonRow> rows =
+      scenario
+          .Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                     .solver = "pareto-sweep",
+                     .objective = spec,
+                     .inline_workload = &workload})
+          .MoveValue()
+          .providers;
   ASSERT_EQ(rows.size(), ProviderRegistry::Global().Names().size());
   for (size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LT(rows[i - 1].provider, rows[i].provider);
   }
-  for (const ProviderFrontierRow& row : rows) {
-    for (const ParetoPoint& point : row.run.frontier) {
+  for (const ProviderComparisonRow& row : rows) {
+    for (const ParetoPoint& point : row.run.selection.frontier) {
       EXPECT_LE(point.score.monthly_cost, spec.max_monthly_cost);
     }
   }

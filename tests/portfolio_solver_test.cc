@@ -46,7 +46,7 @@ class PortfolioFixture {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_, params);
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
+        ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
             BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ = ClusterSpec{pricing_->instances().Find("small").value(), 5};
@@ -183,17 +183,21 @@ TEST(ComparisonSweeps, ProviderRowsIndependentOfThreadCount) {
   CloudScenario scenario = CloudScenario::Create(config).MoveValue();
   Workload workload = scenario.PaperWorkload().value();
   ObjectiveSpec spec = Mv3();
+  const AdvisorRequest request{
+      .kind = AdvisorRequestKind::kCompareProviders,
+      .solver = "greedy",
+      .objective = spec,
+      .inline_workload = &workload};
 
   std::vector<ProviderComparisonRow> serial;
   {
     ScopedConcurrency one(1);
-    serial = scenario.CompareProviders(workload, spec, "greedy").value();
+    serial = scenario.Dispatch(request).value().providers;
   }
   std::vector<ProviderComparisonRow> parallel;
   {
     ScopedConcurrency eight(8);
-    parallel =
-        scenario.CompareProviders(workload, spec, "greedy").value();
+    parallel = scenario.Dispatch(request).value().providers;
   }
   ASSERT_EQ(serial.size(), parallel.size());
   ASSERT_GE(serial.size(), 4u);  // The built-in sheets, at least.

@@ -74,7 +74,7 @@ TEST(PricingModel, CreateRejectsNegativeRequestAndFreeTier) {
 }
 
 TEST(PricingModel, PaperTable2Instances) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   EXPECT_EQ(aws.instances().Find("micro")->price_per_hour,
             Money::FromCents(3));
   EXPECT_EQ(aws.instances().Find("small")->price_per_hour,
@@ -88,13 +88,15 @@ TEST(PricingModel, PaperTable2Instances) {
 
 TEST(PricingModel, PaperSmallInstanceShape) {
   // "1.7 GB RAM, 1 EC2 Compute Unit, 160 GB of local storage".
-  InstanceType small = AwsPricing2012().instances().Find("small").value();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
+  InstanceType small = aws.instances().Find("small").value();
   EXPECT_DOUBLE_EQ(small.compute_units, 1.0);
   EXPECT_EQ(small.local_storage, DataSize::FromGB(160));
 }
 
 TEST(InstanceCatalog, CheapestWithUnits) {
-  InstanceCatalog catalog = AwsPricing2012().instances();
+  InstanceCatalog catalog =
+      ProviderRegistry::Global().Model("aws-2012")->instances();
   EXPECT_EQ(catalog.CheapestWithUnits(0.4)->name, "micro");
   EXPECT_EQ(catalog.CheapestWithUnits(1.0)->name, "small");
   EXPECT_EQ(catalog.CheapestWithUnits(1.5)->name, "large");
@@ -103,7 +105,7 @@ TEST(InstanceCatalog, CheapestWithUnits) {
 }
 
 TEST(PricingModel, ComputeCostGranularities) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   InstanceType small = aws.instances().Find("small").value();
   Duration busy = Duration::FromMinutes(61);
 
@@ -122,7 +124,7 @@ TEST(PricingModel, ComputeCostGranularities) {
 }
 
 TEST(PricingModel, ComputeCostExactSkipsRounding) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   InstanceType small = aws.instances().Find("small").value();
   EXPECT_EQ(aws.ComputeCostExact(small, Duration::FromMinutes(30)),
             Money::FromCents(6));
@@ -131,7 +133,7 @@ TEST(PricingModel, ComputeCostExactSkipsRounding) {
 }
 
 TEST(PricingModel, ComputeCostZeroDurationAndCount) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   InstanceType small = aws.instances().Find("small").value();
   EXPECT_EQ(aws.ComputeCost(small, Duration::Zero()), Money::Zero());
   EXPECT_EQ(aws.ComputeCost(small, Duration::FromHours(5), 0),
@@ -152,7 +154,8 @@ TEST(RoundUpToGranularity, AllUnits) {
 }
 
 TEST(PricingModel, StorageBillingModes) {
-  PricingModel flat_bracket = AwsPricing2012();
+  PricingModel flat_bracket =
+      ProviderRegistry::Global().Model("aws-2012").value();
   PricingModel marginal =
       flat_bracket.WithStorageBilling(StorageBilling::kMarginalTiers);
   DataSize v = DataSize::FromGB(2560);
@@ -161,7 +164,7 @@ TEST(PricingModel, StorageBillingModes) {
 }
 
 TEST(PricingModel, StorageCostProRata) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   DataSize v = DataSize::FromGB(500);
   EXPECT_EQ(aws.StorageCost(v, Months::FromMonths(12)),
             Money::FromDollars(840));
@@ -171,24 +174,25 @@ TEST(PricingModel, StorageCostProRata) {
 }
 
 TEST(PricingModel, TransferInFreeOnAws) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   EXPECT_EQ(aws.TransferInCost(DataSize::FromTB(50)), Money::Zero());
 }
 
 TEST(Providers, IntroExampleCatalog) {
-  PricingModel intro = IntroExamplePricing();
+  PricingModel intro =
+      ProviderRegistry::Global().Model("intro-example").value();
   EXPECT_EQ(intro.MonthlyStorageCost(DataSize::FromGB(500)),
             Money::FromDollars(50));
   EXPECT_EQ(intro.TransferOutCost(DataSize::FromTB(1)), Money::Zero());
 }
 
 TEST(Providers, BlueCloudChargesIngress) {
-  PricingModel blue = BlueCloudPricing();
+  PricingModel blue = ProviderRegistry::Global().Model("bluecloud").value();
   EXPECT_GT(blue.TransferInCost(DataSize::FromGB(100)), Money::Zero());
 }
 
 TEST(Providers, GigaCloudBillsByMinute) {
-  PricingModel giga = GigaCloudPricing();
+  PricingModel giga = ProviderRegistry::Global().Model("gigacloud").value();
   EXPECT_EQ(giga.compute_granularity(), BillingGranularity::kMinute);
 }
 
@@ -245,7 +249,9 @@ TEST(PricingModel, RequestCostAfterFreeAllowance) {
   // 15k requests: 10k billable at $1/10k.
   EXPECT_EQ(metered.RequestCost(15'000), Money::FromDollars(1));
   // Unbilled CSPs charge nothing regardless.
-  EXPECT_EQ(AwsPricing2012().RequestCost(1'000'000), Money::Zero());
+  EXPECT_EQ(
+      ProviderRegistry::Global().Model("aws-2012")->RequestCost(1'000'000),
+      Money::Zero());
 }
 
 TEST(PricingModel, FreeTierWaivesBottomOfTransferSchedule) {
@@ -285,7 +291,7 @@ TEST(Providers, NimbusExercisesNewDimensions) {
 
 // --- BillingMeter ------------------------------------------------------------
 TEST(BillingMeter, ItemizedInvoiceTotals) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   InstanceType small = aws.instances().Find("small").value();
   BillingMeter meter(aws);
 
@@ -308,7 +314,7 @@ TEST(BillingMeter, ItemizedInvoiceTotals) {
 }
 
 TEST(BillingMeter, TransferTiersApplyAcrossEvents) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   BillingMeter meter(aws);
   // First GB free even when split across two events.
   Money first = meter.RecordTransferOut("r1", DataSize::FromMB(512));
@@ -321,7 +327,7 @@ TEST(BillingMeter, TransferTiersApplyAcrossEvents) {
 }
 
 TEST(BillingMeter, InvoicePrintContainsTotals) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   BillingMeter meter(aws);
   meter.RecordStorage("data", DataSize::FromGB(500),
                       Months::FromMonths(1));

@@ -154,7 +154,11 @@ TEST(ProviderRegistry, MacroRegisteredProviderRunsScenario) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  ScenarioRun run = scenario.Run(workload, spec).MoveValue();
+  SolveRun run = scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                                    .objective = spec,
+                                    .inline_workload = &workload})
+                     .MoveValue()
+                     .solve;
   EXPECT_GT(run.baseline.cost.total(), Money::Zero());
   // The per-request term reaches the breakdown: 5 queries x 100
   // requests/query, 100 free, $0.25/10k -> $0.01.
@@ -190,7 +194,12 @@ TEST(ProviderRegistry, CompareProvidersIncludesDownstreamCsp) {
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
   std::vector<ProviderComparisonRow> rows =
-      scenario.CompareProviders(workload, spec).MoveValue();
+      scenario
+          .Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                     .objective = spec,
+                     .inline_workload = &workload})
+          .MoveValue()
+          .providers;
 
   std::vector<std::string> names = ProviderRegistry::Global().Names();
   ASSERT_EQ(rows.size(), names.size());

@@ -60,17 +60,6 @@ TEST(CloudScenario, CreateRejectsUnknownProvider) {
   EXPECT_NE(status.message().find("aws-2012"), std::string::npos);
 }
 
-TEST(CloudScenario, RemovedPricingShimIsRejected) {
-  // The pre-registry explicit-model shim is gone: setting the field
-  // fails fast, and the error names the migration path.
-  ScenarioConfig config = SmallScenario();
-  config.pricing = GigaCloudPricing();
-  Status status = CloudScenario::Create(config).status();
-  EXPECT_TRUE(status.IsInvalidArgument());
-  EXPECT_NE(status.message().find("provider"), std::string::npos);
-  EXPECT_NE(status.message().find("pricing_overrides"), std::string::npos);
-}
-
 TEST(CloudScenario, NameBasedSelectionCoversFormerShimModels) {
   // What the shim used to express — an explicit GigaCloud sheet with
   // native billing semantics — is exactly provider="gigacloud" with
@@ -95,7 +84,12 @@ TEST(CloudScenario, CompareProvidersCoversRegistryInOrder) {
   spec.alpha = 0.5;
 
   std::vector<ProviderComparisonRow> rows =
-      scenario.CompareProviders(workload, spec).MoveValue();
+      scenario
+          .Dispatch({.kind = AdvisorRequestKind::kCompareProviders,
+                     .objective = spec,
+                     .inline_workload = &workload})
+          .MoveValue()
+          .providers;
   std::vector<std::string> names = ProviderRegistry::Global().Names();
   ASSERT_EQ(rows.size(), names.size());
   EXPECT_GE(rows.size(), 5u);  // The five builtin sheets.
@@ -120,7 +114,7 @@ TEST(CloudScenario, CompareProvidersCoversRegistryInOrder) {
   EXPECT_EQ(row_of("gigacloud").instance, "g-small");
   EXPECT_EQ(row_of("nimbus").instance, "n1");
 
-  // CompareProviders runs each sheet natively: the aws row bills by the
+  // A provider comparison runs each sheet natively: the aws row bills by the
   // started hour even though this scenario runs per-second.
   EXPECT_EQ(row_of("aws-2012").granularity, BillingGranularity::kHour);
   // The nimbus sheet's per-request charges reach its row's breakdown.
@@ -149,7 +143,10 @@ TEST(CloudScenario, MoveKeepsInternalReferencesValid) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  EXPECT_TRUE(b.Run(workload, spec).ok());
+  EXPECT_TRUE(b.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                          .objective = spec,
+                          .inline_workload = &workload})
+                  .ok());
 }
 
 TEST(CloudScenario, RunProducesConsistentBaseline) {
@@ -159,7 +156,11 @@ TEST(CloudScenario, RunProducesConsistentBaseline) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV1BudgetLimit;
   spec.budget_limit = Money::FromCents(80);
-  ScenarioRun run = scenario.Run(workload, spec).MoveValue();
+  SolveRun run = scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                                    .objective = spec,
+                                    .inline_workload = &workload})
+                     .MoveValue()
+                     .solve;
 
   EXPECT_TRUE(run.baseline.selected.empty());
   EXPECT_GT(run.baseline.processing_time, Duration::Zero());
@@ -239,19 +240,26 @@ TEST(CloudScenario, FixedStoragePeriodHonoured) {
 TEST(CloudScenario, RunRejectsEmptyWorkload) {
   CloudScenario scenario =
       CloudScenario::Create(SmallScenario()).MoveValue();
-  ObjectiveSpec spec;
-  EXPECT_TRUE(scenario.Run(Workload{}, spec).status()
+  const Workload empty;
+  EXPECT_TRUE(scenario
+                  .Dispatch({.kind = AdvisorRequestKind::kSolve,
+                             .inline_workload = &empty})
+                  .status()
                   .IsInvalidArgument());
 }
 
-TEST(ScenarioRun, ImprovementAccessors) {
+TEST(SolveRun, ImprovementAccessors) {
   CloudScenario scenario =
       CloudScenario::Create(SmallScenario()).MoveValue();
   Workload workload = scenario.PaperWorkload().MoveValue().Prefix(5);
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  ScenarioRun run = scenario.Run(workload, spec).MoveValue();
+  SolveRun run = scenario.Dispatch({.kind = AdvisorRequestKind::kSolve,
+                                    .objective = spec,
+                                    .inline_workload = &workload})
+                     .MoveValue()
+                     .solve;
   double ti = run.TimeImprovement(spec);
   double ci = run.CostImprovement();
   EXPECT_GE(ti, 0.0);

@@ -30,7 +30,7 @@ class RegistryFixture {
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_, params);
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(
+        ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
             BillingGranularity::kSecond));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ = ClusterSpec{pricing_->instances().Find("small").value(), 5};

@@ -154,8 +154,9 @@ TEST(SsbSelection, EndToEndViewSelectionWorks) {
   CubeLattice lattice = CubeLattice::Build(std::move(schema)).MoveValue();
   MapReduceParams params;
   MapReduceSimulator simulator(lattice, params);
-  PricingModel pricing = AwsPricing2012().WithComputeGranularity(
-      BillingGranularity::kSecond);
+  PricingModel pricing =
+      ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
+          BillingGranularity::kSecond);
   CloudCostModel cost_model(pricing);
   ClusterSpec cluster{pricing.instances().Find("small").value(), 5};
   Workload workload = MakeSsbWorkload(lattice).MoveValue();

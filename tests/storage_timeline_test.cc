@@ -125,7 +125,7 @@ TEST(StorageTimeline, FractionalMonthIntervals) {
 
 // StorageCostModel integration: pro-rata pricing over fractional spans.
 TEST(StorageCostModel, FractionalSpansAreProRata) {
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   StorageCostModel model(aws);
   StorageTimeline timeline(DataSize::FromGB(100));
   // Half a month at $0.14/GB-month on 100 GB = $7.
@@ -137,7 +137,7 @@ TEST(StorageCostModel, FractionalSpansAreProRata) {
 TEST(StorageCostModel, SplittingAnIntervalChangesNothing) {
   // Cost over [0, 12) equals cost over [0, 7) plus [7, 12) when the
   // volume is constant — interval decomposition is consistent.
-  PricingModel aws = AwsPricing2012();
+  PricingModel aws = ProviderRegistry::Global().Model("aws-2012").value();
   StorageCostModel model(aws);
   DataSize v = DataSize::FromGB(500);
   Money whole = model.ConstantCost(v, Months::FromMonths(12));

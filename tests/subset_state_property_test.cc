@@ -47,7 +47,8 @@ class SubsetStatePropertyTest
     params.map_throughput_per_unit = DataSize::FromBytes(2'100 * 1024);
     simulator_ = std::make_unique<MapReduceSimulator>(*lattice_, params);
     pricing_ = std::make_unique<PricingModel>(
-        AwsPricing2012().WithComputeGranularity(variant.granularity));
+        ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
+            variant.granularity));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
     cluster_ = ClusterSpec{pricing_->instances().Find("small").value(), 5};
     workload_ = MakePaperWorkload(*lattice_).MoveValue();

@@ -222,7 +222,7 @@ TEST(TemporalPlanner, RejectsBadPolicyAndSolver) {
                   .IsNotFound());
 }
 
-TEST(CloudScenario, RunTimelineWiresThePlanner) {
+TEST(CloudScenario, TimelineRequestsWireThePlanner) {
   // The scenario-level entry point on the paper's sales cube: provider
   // and solver by name, config-supplied candidate options.
   ScenarioConfig config;
@@ -246,20 +246,24 @@ TEST(CloudScenario, RunTimelineWiresThePlanner) {
 
   TemporalRunResult run =
       scenario
-          .RunTimeline(timeline, Mv3Spec(), ReselectPolicy::EveryK(2),
-                       "greedy")
-          .MoveValue();
+          .Dispatch({.kind = AdvisorRequestKind::kTimeline,
+                     .solver = "greedy",
+                     .objective = Mv3Spec(),
+                     .policy = ReselectPolicy::EveryK(2),
+                     .inline_timeline = &timeline})
+          .MoveValue()
+          .timeline;
   ASSERT_EQ(run.ledger.size(), 4u);
   EXPECT_EQ(run.solver, "greedy");
   EXPECT_EQ(run.solver_runs, 2u);
   EXPECT_GT(run.total.total(), Money::Zero());
 
+  AdvisorRequest compare{.kind = AdvisorRequestKind::kComparePolicies,
+                         .objective = Mv3Spec(),
+                         .inline_timeline = &timeline};
+  compare.policies = {ReselectPolicy::Static(), ReselectPolicy::OnDrift(0.2)};
   std::vector<TemporalRunResult> runs =
-      scenario
-          .CompareReselectPolicies(
-              timeline, Mv3Spec(),
-              {ReselectPolicy::Static(), ReselectPolicy::OnDrift(0.2)})
-          .MoveValue();
+      scenario.Dispatch(compare).MoveValue().policies;
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].policy.kind, ReselectPolicy::Kind::kStatic);
 }

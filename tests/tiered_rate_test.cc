@@ -11,11 +11,11 @@ namespace cloudview {
 namespace {
 
 TieredRate PaperStorageTiers() {
-  return AwsPricing2012().storage_schedule();
+  return ProviderRegistry::Global().Model("aws-2012")->storage_schedule();
 }
 
 TieredRate PaperTransferTiers() {
-  return AwsPricing2012().transfer_out_schedule();
+  return ProviderRegistry::Global().Model("aws-2012")->transfer_out_schedule();
 }
 
 TEST(TieredRate, CreateRejectsEmpty) {
