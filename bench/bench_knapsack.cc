@@ -1,7 +1,8 @@
 // Optimizer kernels: knapsack DP scaling with candidate count and
-// capacity resolution, plus a solver-quality table (knapsack DP and
-// greedy vs exhaustive ground truth on the paper's workloads) — the
-// ablation behind DESIGN.md's "knapsack + exact repair" choice.
+// capacity resolution, plus a solver-quality table (knapsack DP, greedy
+// and annealing vs branch-and-bound's exact optimum on the paper's
+// workloads) — the ablation behind DESIGN.md's "knapsack + exact
+// repair" choice.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +12,6 @@
 #include "common/random.h"
 #include "common/table_printer.h"
 #include "core/experiments.h"
-#include "core/optimizer/annealing.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/optimizer/knapsack.h"
 #include "core/optimizer/selector.h"
@@ -63,20 +63,21 @@ void BM_KnapsackBucketResolution(benchmark::State& state) {
 BENCHMARK(BM_KnapsackBucketResolution)->Arg(256)->Arg(4096)->Arg(65536);
 
 // Solver quality: for each scenario and workload size, how close the
-// knapsack DP and the greedy baseline land to exhaustive optimum.
+// knapsack DP and the greedy baseline land to the exact optimum.
 void PrintSolverQualityTable() {
   ExperimentConfig config;
-  config.scenario.candidates.max_candidates = 8;  // Exhaustive-friendly.
+  config.scenario.candidates.max_candidates = 8;
   ExperimentRunner runner =
       Unwrap(ExperimentRunner::Create(config), "runner");
   const CloudScenario& scenario = runner.scenario();
   Workload full = Unwrap(scenario.PaperWorkload(), "workload");
 
-  TablePrinter table({"scenario", "queries", "objective (exhaustive)",
-                      "knapsack-dp gap", "greedy gap",
-                      "annealing gap"});
+  TablePrinter table({"scenario", "queries",
+                      "objective (branch-and-bound)", "knapsack-dp gap",
+                      "greedy gap", "annealing gap"});
   table.SetTitle(
-      "Solver quality vs exhaustive ground truth (8 candidates)");
+      "Solver quality vs the exact branch-and-bound optimum "
+      "(8 candidates)");
 
   struct Case {
     Scenario scenario;
@@ -117,7 +118,7 @@ void PrintSolverQualityTable() {
     AdvisorRequest request{.kind = AdvisorRequestKind::kSolve,
                            .objective = spec,
                            .inline_workload = &workload};
-    request.solver = "exhaustive";
+    request.solver = "branch-and-bound";
     SolveRun exact = Unwrap(scenario.Dispatch(request), "exact").solve;
     request.solver = "knapsack-dp";
     SolveRun dp = Unwrap(scenario.Dispatch(request), "dp").solve;

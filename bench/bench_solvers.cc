@@ -1,16 +1,20 @@
 // Solver-strategy comparison: every registered solver on shared
-// workloads — wall time per solve, objective gap vs the exhaustive
-// ground truth, and subsets scored per second — plus the ablation the
-// incremental evaluation layer exists for: the same local search run
-// with incremental SubsetState probes vs full Evaluate() rebuilds on a
-// 20-candidate SSB instance. Rows are emitted in the bench_util.h
-// BENCH_JSON format for the perf trajectory.
+// workloads — wall time per solve, objective gap vs branch-and-bound's
+// certified optimum, and subsets scored per second — plus the ablation
+// the incremental evaluation layer exists for (the same local search
+// run with incremental SubsetState probes vs full Evaluate() rebuilds
+// on a 20-candidate SSB instance), branch-and-bound's scaling, and a
+// solver census on SSB instances hard enough to rank the heuristics.
+// Rows are emitted in the bench_util.h BENCH_JSON format for the perf
+// trajectory.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -21,6 +25,7 @@
 #include "core/optimizer/branch_and_bound.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/optimizer/solver.h"
+#include "core/scenario.h"
 #include "engine/sales_generator.h"
 #include "pricing/providers.h"
 #include "workload/ssb.h"
@@ -53,7 +58,7 @@ struct Instance {
   std::unique_ptr<SelectionEvaluator> evaluator;
 };
 
-// The paper's sales cube, sized so exhaustive stays the ground truth.
+// The paper's sales cube at a size every registered solver handles.
 Instance MakeSalesInstance(size_t workload_size, size_t max_candidates) {
   Instance inst;
   SalesConfig config;
@@ -190,7 +195,7 @@ double ObjectiveOf(const ObjectiveSpec& spec, const SelectionResult& r) {
   return 0;
 }
 
-// --- Part 1: every registered strategy vs exhaustive ------------------------
+// --- Part 1: every registered strategy vs branch-and-bound ------------------
 
 void PrintSolverComparison() {
   Instance inst = MakeSalesInstance(/*workload_size=*/10,
@@ -209,22 +214,20 @@ void PrintSolverComparison() {
   mv3.scenario = Scenario::kMV3Tradeoff;
   mv3.alpha = 0.5;
 
-  const Solver& exhaustive = *Unwrap(
-      SolverRegistry::Global().Find("exhaustive"), "exhaustive");
+  const Solver& bnb = *Unwrap(
+      SolverRegistry::Global().Find("branch-and-bound"), "branch-and-bound");
 
   TablePrinter table({"scenario", "solver", "views", "objective",
-                      "gap vs exhaustive", "wall/solve",
-                      "subsets/sec"});
+                      "gap vs b&b", "wall/solve", "subsets/sec"});
   table.SetTitle("Registered solver strategies on the paper workload");
 
   for (const ObjectiveSpec& spec : {mv1, mv2, mv3}) {
-    Measured exact =
-        MeasureSolver(exhaustive, inst, spec, /*incremental=*/true);
+    Measured exact = MeasureSolver(bnb, inst, spec, /*incremental=*/true);
     double best = ObjectiveOf(spec, exact.result);
     for (const std::string& name : SolverRegistry::Global().Names()) {
       const Solver& solver =
           *Unwrap(SolverRegistry::Global().Find(name), "solver");
-      Measured m = name == "exhaustive"
+      Measured m = name == "branch-and-bound"
                        ? exact
                        : MeasureSolver(solver, inst, spec, true);
       double objective = ObjectiveOf(spec, m.result);
@@ -239,7 +242,7 @@ void PrintSolverComparison() {
           .Str("scenario", ToString(spec.scenario))
           .Str("solver", name)
           .Num("objective", objective)
-          .Num("gap_vs_exhaustive", gap)
+          .Num("gap_vs_bnb", gap)
           .Num("wall_ms_per_solve", m.wall_ms_per_solve)
           .Num("subsets_per_sec", m.subsets_per_sec)
           .Int("views", static_cast<int64_t>(
@@ -305,79 +308,15 @@ void PrintIncrementalAblation() {
       .Emit();
 }
 
-// --- Part 3: portfolio thread sweep -----------------------------------------
-
-// The parallel execution engine's headline number: the "portfolio"
-// multi-start solver on the 20-candidate SSB scenario at 1/2/4/8
-// threads. Selections must be identical at every thread count (the
-// determinism pin); wall time should drop roughly linearly until the
-// start roster or the core count runs out (>= 3x at 8 threads on an
-// 8-core box is the acceptance bar; see DESIGN.md §9).
-void PrintPortfolioThreadSweep() {
-  Instance inst = MakeSsbInstance(/*max_candidates=*/20,
-                                  /*workload_repeats=*/3);
-  ObjectiveSpec spec;
-  spec.scenario = Scenario::kMV3Tradeoff;
-  spec.alpha = 0.5;
-  const Solver& portfolio = *Unwrap(
-      SolverRegistry::Global().Find("portfolio"), "portfolio");
-
-  TablePrinter table({"threads", "wall/solve", "speedup vs 1",
-                      "subsets/sec", "views"});
-  table.SetTitle(
-      "Portfolio solver thread sweep (20-candidate SSB scenario)");
-
-  size_t original = ThreadPool::Global().concurrency();
-  double serial_ms = 0.0;
-  std::vector<size_t> reference_selection;
-  bool identical = true;
-  for (size_t threads : {1, 2, 4, 8}) {
-    ThreadPool::SetGlobalConcurrency(threads);
-    Measured m = MeasureSolver(portfolio, inst, spec,
-                               /*incremental=*/true);
-    if (threads == 1) {
-      serial_ms = m.wall_ms_per_solve;
-      reference_selection = m.result.evaluation.selected;
-    } else if (m.result.evaluation.selected != reference_selection) {
-      identical = false;
-    }
-    double speedup =
-        m.wall_ms_per_solve > 0 ? serial_ms / m.wall_ms_per_solve : 0.0;
-    table.AddRow({std::to_string(threads),
-                  StrFormat("%.2f ms", m.wall_ms_per_solve),
-                  StrFormat("%.2fx", speedup),
-                  StrFormat("%.0f", m.subsets_per_sec),
-                  std::to_string(m.result.evaluation.selected.size())});
-    JsonLine("solvers")
-        .Str("sweep", "portfolio_threads")
-        // A string so it lands in the row's identity key (string
-        // fields key rows in check_regression.py; numbers are data).
-        .Str("threads", std::to_string(threads))
-        .Num("wall_ms_per_solve", m.wall_ms_per_solve)
-        .Num("speedup_vs_1thread", speedup)
-        .Num("subsets_per_sec", m.subsets_per_sec)
-        .Emit();
-  }
-  ThreadPool::SetGlobalConcurrency(original);
-  table.Print(std::cout);
-  std::cout << "Identical selection at every thread count: "
-            << (identical ? "yes" : "NO") << "\n\n";
-  if (!identical) {
-    std::fprintf(stderr,
-                 "portfolio selections diverged across thread counts\n");
-    std::exit(1);
-  }
-}
-
-// --- Part 4: branch-and-bound past the exhaustive wall ----------------------
+// --- Part 3: branch-and-bound past the enumeration wall ---------------------
 
 // The exact-search headline (DESIGN.md §13): branch-and-bound on SSB
-// rosters of 20, 50 and 100 candidates — sizes where exhaustive's 2^n
-// is 1e6x past hopeless — with the proof status, certified gap, search
-// telemetry and EvaluationCache behavior (hits/misses/evictions) in the
-// regression rows; nodes_expanded is gated exactly. Selections and
-// node counts must be bit-identical at 1 vs 8 threads (one sequential
-// walk); divergence exits 1 like the portfolio sweep.
+// rosters of 20, 50 and 100 candidates — sizes where enumerating 2^n
+// subsets is 1e6x past hopeless — with the proof status, certified gap,
+// search telemetry and EvaluationCache behavior (hits/misses/evictions)
+// in the regression rows; nodes_expanded is gated exactly. Selections
+// and node counts must be bit-identical at 1 vs 8 threads (one
+// sequential walk); divergence exits 1.
 void PrintBranchAndBoundScaling() {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
@@ -387,7 +326,7 @@ void PrintBranchAndBoundScaling() {
                       "nodes", "proven", "gap", "views",
                       "cache hit rate"});
   table.SetTitle(
-      "Branch-and-bound scaling on SSB (exhaustive wall is 20)");
+      "Branch-and-bound scaling on SSB (enumeration wall is 20)");
 
   size_t original = ThreadPool::Global().concurrency();
   bool identical = true;
@@ -473,6 +412,155 @@ void PrintBranchAndBoundScaling() {
   }
 }
 
+// --- Part 4: solver census on hard instances --------------------------------
+
+// Ranks every single-objective solver on quality against time (the
+// framing of arXiv 2606.03772 and arXiv 2403.19906) where the
+// heuristics stop agreeing: perfbench's served SSB session config at
+// 50, 100 and all 138 candidates, over a 39-spec grid — 21 MV3 alphas
+// (0, 0.05, ..., 1), then 9 MV1 budgets and 9 MV2 limits at 0.1 ... 0.9
+// of the baseline's cost and makespan. The reference is
+// branch-and-bound's certified optimum on each spec. Per solver: the
+// specs it solves to the optimum's lexicographic score, the specs where
+// it misses feasibility the optimum reaches, its largest objective gap,
+// and its median wall time per solve (one fresh-cache solve per spec).
+
+struct ServedInstance {
+  CloudScenario scenario;
+  std::unique_ptr<SelectionEvaluator> evaluator;
+};
+
+ServedInstance MakeServedSsbInstance(size_t max_candidates) {
+  ScenarioConfig config;
+  config.schema = "ssb";
+  config.candidates.max_candidates = max_candidates;
+  CloudScenario scenario = Unwrap(CloudScenario::Create(config), "scenario");
+  Workload workload = Unwrap(scenario.DefaultWorkload(), "workload");
+  DeploymentSpec deployment = Unwrap(
+      scenario.MakeDeployment(workload, scenario.cluster()), "deployment");
+  auto evaluator = std::make_unique<SelectionEvaluator>(Unwrap(
+      SelectionEvaluator::Create(
+          scenario.lattice(), workload, scenario.simulator(),
+          scenario.cluster(), scenario.cost_model(), deployment,
+          Unwrap(GenerateCandidates(scenario.lattice(), workload,
+                                    scenario.simulator(), scenario.cluster(),
+                                    config.candidates),
+                 "candidates")),
+      "evaluator"));
+  return ServedInstance{std::move(scenario), std::move(evaluator)};
+}
+
+std::vector<ObjectiveSpec> CensusGrid(const SelectionEvaluator& evaluator) {
+  std::vector<ObjectiveSpec> specs;
+  for (int step = 0; step <= 20; ++step) {
+    ObjectiveSpec spec;
+    spec.scenario = Scenario::kMV3Tradeoff;
+    spec.alpha = step / 20.0;
+    specs.push_back(spec);
+  }
+  const SubsetEvaluation& baseline = evaluator.baseline();
+  for (int tenths = 1; tenths <= 9; ++tenths) {
+    ObjectiveSpec spec;
+    spec.scenario = Scenario::kMV1BudgetLimit;
+    spec.budget_limit = baseline.cost.total().ScaleBy(tenths, 10);
+    specs.push_back(spec);
+  }
+  for (int tenths = 1; tenths <= 9; ++tenths) {
+    ObjectiveSpec spec;
+    spec.scenario = Scenario::kMV2TimeLimit;
+    spec.time_limit =
+        Duration::FromMillis(baseline.makespan.millis() * tenths / 10);
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+void PrintSolverCensus() {
+  std::vector<const Solver*> roster;
+  size_t bnb = 0;
+  for (const std::string& name : SolverRegistry::Global().Names()) {
+    const Solver* solver =
+        Unwrap(SolverRegistry::Global().Find(name), "solver");
+    if (solver->multi_objective()) continue;
+    if (name == "branch-and-bound") bnb = roster.size();
+    roster.push_back(solver);
+  }
+
+  TablePrinter table({"candidates", "solver", "at optimum",
+                      "infeasible", "max gap", "median wall"});
+  table.SetTitle("Solver census vs branch-and-bound (SSB, 39 specs)");
+  std::string proofs;
+  for (size_t max_candidates : {50, 100, 138}) {
+    ServedInstance inst = MakeServedSsbInstance(max_candidates);
+    const SelectionEvaluator& evaluator = *inst.evaluator;
+    const std::vector<ObjectiveSpec> grid = CensusGrid(evaluator);
+
+    struct Tally {
+      int at_optimum = 0;
+      int infeasible = 0;
+      double max_gap = 0.0;
+      std::vector<double> wall_ms;
+    };
+    std::vector<Tally> tallies(roster.size());
+    int proven = 0;
+    for (const ObjectiveSpec& spec : grid) {
+      std::vector<SelectionResult> results;
+      for (size_t i = 0; i < roster.size(); ++i) {
+        EvaluationCache cache;
+        SolverContext context(evaluator, spec, &cache);
+        auto start = std::chrono::steady_clock::now();
+        results.push_back(Unwrap(roster[i]->Solve(spec, context), "solve"));
+        tallies[i].wall_ms.push_back(MillisSince(start));
+      }
+      const SelectionResult& optimum = results[bnb];
+      if (optimum.gap_fraction == 0.0) ++proven;
+      SolverContext scoring(evaluator, spec);
+      const double best = ObjectiveOf(spec, optimum);
+      for (size_t i = 0; i < roster.size(); ++i) {
+        const SelectionResult& r = results[i];
+        if (scoring.ScoreOf(r.evaluation) ==
+            scoring.ScoreOf(optimum.evaluation)) {
+          ++tallies[i].at_optimum;
+        }
+        if (!optimum.feasible) continue;
+        if (!r.feasible) {
+          ++tallies[i].infeasible;
+          continue;
+        }
+        double gap = best > 0 ? (ObjectiveOf(spec, r) - best) / best : 0.0;
+        tallies[i].max_gap = std::max(tallies[i].max_gap, gap);
+      }
+    }
+
+    const size_t n = evaluator.num_candidates();
+    for (size_t i = 0; i < roster.size(); ++i) {
+      Tally& t = tallies[i];
+      std::sort(t.wall_ms.begin(), t.wall_ms.end());
+      double median_ms = t.wall_ms[t.wall_ms.size() / 2];
+      const std::string name(roster[i]->name());
+      table.AddRow({std::to_string(n), name,
+                    StrFormat("%d/%zu", t.at_optimum, grid.size()),
+                    std::to_string(t.infeasible), Pct(t.max_gap),
+                    StrFormat("%.3f ms", median_ms)});
+      JsonLine("solvers")
+          .Str("sweep", "census")
+          // Strings so they land in the row's identity key.
+          .Str("candidates", std::to_string(n))
+          .Str("solver", name)
+          .Int("specs", static_cast<int64_t>(grid.size()))
+          .Int("at_optimum", t.at_optimum)
+          .Int("infeasible", t.infeasible)
+          .Num("max_gap", t.max_gap)
+          .Num("median_wall_ms", median_ms)
+          .Emit();
+    }
+    proofs += StrFormat("%zu candidates: b&b proved %d/%zu optima\n", n,
+                        proven, grid.size());
+  }
+  table.Print(std::cout);
+  std::cout << proofs << "\n";
+}
+
 // --- Microbenchmarks: the two evaluation paths head to head -----------------
 
 Instance& SharedSsbInstance() {
@@ -514,8 +602,8 @@ int main(int argc, char** argv) {
   bench::ParseSmoke(argc, argv);
   PrintSolverComparison();
   PrintIncrementalAblation();
-  PrintPortfolioThreadSweep();
   PrintBranchAndBoundScaling();
+  PrintSolverCensus();
   bench::RunMicrobenchmarks(argc, argv);
   return 0;
 }

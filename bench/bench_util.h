@@ -4,8 +4,9 @@
 //
 //   BENCH_JSON {"bench":"solvers","name":"MV1/10q/greedy","wall_ms":1.2}
 //
-// Emit rows with JsonLine; string fields are escaped, numeric fields
-// print as plain JSON numbers (NaN/inf become null).
+// Emit rows with JsonLine, which writes through the serving layer's
+// JSON writer (serving/json.h): strings are fully escaped, numbers
+// print as shortest round-trip JSON numbers (NaN/inf become null).
 
 #pragma once
 
@@ -25,6 +26,7 @@
 #include "common/money.h"
 #include "common/result.h"
 #include "common/str_format.h"
+#include "serving/json.h"
 
 namespace cloudview {
 namespace bench {
@@ -118,47 +120,32 @@ T Unwrap(Result<T> result, const char* what) {
 class JsonLine {
  public:
   /// \brief `bench` names the harness, e.g. "solvers".
-  explicit JsonLine(const std::string& bench) {
-    body_ = "{\"bench\":\"" + Escape(bench) + "\"";
+  explicit JsonLine(const std::string& bench) : row_(JsonValue::Object()) {
+    row_.Set("bench", JsonValue::Str(bench));
   }
 
   JsonLine& Str(const char* key, const std::string& value) {
-    body_ += StrFormat(",\"%s\":\"%s\"", key, Escape(value).c_str());
+    row_.Set(key, JsonValue::Str(value));
     return *this;
   }
 
   JsonLine& Num(const char* key, double value) {
-    if (std::isfinite(value)) {
-      body_ += StrFormat(",\"%s\":%.6g", key, value);
-    } else {
-      body_ += StrFormat(",\"%s\":null", key);
-    }
+    row_.Set(key, JsonValue::Double(value));
     return *this;
   }
 
   JsonLine& Int(const char* key, int64_t value) {
-    body_ += StrFormat(",\"%s\":%lld", key,
-                       static_cast<long long>(value));
+    row_.Set(key, JsonValue::Int(value));
     return *this;
   }
 
   /// \brief Prints "BENCH_JSON {...}" on its own stdout line.
   void Emit(std::ostream& os = std::cout) const {
-    os << "BENCH_JSON " << body_ << "}\n";
+    os << "BENCH_JSON " << WriteJson(row_) << "\n";
   }
 
  private:
-  static std::string Escape(const std::string& raw) {
-    std::string out;
-    out.reserve(raw.size());
-    for (char c : raw) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-
-  std::string body_;
+  JsonValue row_;
 };
 
 }  // namespace bench

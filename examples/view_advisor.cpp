@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   solvers.SetTitle("Strategy cross-check (MV3, alpha = 0.5)");
   for (const std::string& name : SolverRegistry::Global().Names()) {
     auto result = selector.Solve(spec, name);
-    if (!result.ok()) continue;  // e.g. exhaustive over its size cap
+    if (!result.ok()) continue;  // A strategy this setup cannot run.
     solvers.AddRow(
         {name,
          std::to_string(result.value().evaluation.selected.size()),

@@ -1,4 +1,4 @@
-// Work-stealing thread pool and the ParallelFor/ParallelMap primitives
+// Work-stealing thread pool and the ParallelFor primitives
 // every parallel seam in cloudview runs on (DESIGN.md §9).
 //
 // Tasks are plain std::function thunks on per-worker deques: a worker
@@ -19,7 +19,8 @@
 // once and the caller observes all writes made by iteration bodies
 // (completion is an acquire/release barrier). It does NOT order
 // iterations; parallel callers must keep iteration bodies independent
-// and reduce by index afterwards (see ParallelMap), never by arrival.
+// and reduce by index afterwards (see ParallelForStatus), never by
+// arrival.
 //
 // Nesting is safe: a worker that hits a nested ParallelFor claims that
 // loop's iterations itself and helps drain them, so inner loops never
@@ -150,23 +151,6 @@ void ParallelFor(ThreadPool& pool, size_t n, Fn&& body) {
 template <typename Fn>
 void ParallelFor(size_t n, Fn&& body) {
   ParallelFor(ThreadPool::Global(), n, std::forward<Fn>(body));
-}
-
-/// \brief Maps i -> fn(i) into a vector ordered by index, for
-/// infallible bodies. T must be default-constructible and movable.
-/// (Fallible fan-outs — the comparison sweeps — use ParallelForStatus
-/// and write into index-addressed slots instead.)
-template <typename T, typename Fn>
-std::vector<T> ParallelMap(ThreadPool& pool, size_t n, Fn&& fn) {
-  std::vector<T> out(n);
-  ParallelFor(pool, n, [&](size_t i) { out[i] = fn(i); });
-  return out;
-}
-
-/// \brief ParallelMap on the global pool.
-template <typename T, typename Fn>
-std::vector<T> ParallelMap(size_t n, Fn&& fn) {
-  return ParallelMap<T>(ThreadPool::Global(), n, std::forward<Fn>(fn));
 }
 
 /// \brief ParallelFor over Status-returning bodies — the fallible

@@ -1,15 +1,33 @@
-#include "core/optimizer/annealing.h"
+// "annealing": simulated-annealing view selection (the paper's
+// Section 8 notes that "optimization techniques are the most efficient
+// when combined").
+//
+// Annealing explores the subset space with random single-view toggles
+// and a geometric cooling schedule; unlike the exact local search it can
+// escape local optima on rugged instances (strong view interactions,
+// stepwise hour billing). Proposals are O(queries) incremental
+// SubsetState moves. The schedule is fixed, so the walk is
+// deterministic.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
 #include "core/optimizer/solver.h"
 
 namespace cloudview {
-
 namespace {
+
+// The schedule: total toggle proposals, the initial acceptance
+// temperature as a fraction of the baseline objective (0.05 accepts
+// ~5%-worse moves early on), the geometric cooling factor applied every
+// proposal, and the walk's seed.
+constexpr int kIterations = 2000;
+constexpr double kInitialTemperature = 0.05;
+constexpr double kCooling = 0.995;
+constexpr uint64_t kSeed = 1848;  // Metropolis et al., by spirit.
 
 // Scalarized objective: normalized primary objective plus a heavy
 // penalty per unit of constraint violation (also normalized). Hard
@@ -63,12 +81,12 @@ double Scalarize(const SolverContext& context, const Norms& norms,
   return 0.0;
 }
 
-Result<SelectionResult> Anneal(SolverContext& context,
-                               const AnnealingOptions& options) {
-  if (options.iterations <= 0 || options.cooling <= 0.0 ||
-      options.cooling >= 1.0 || options.initial_temperature < 0.0) {
-    return Status::InvalidArgument("bad annealing schedule");
-  }
+// The walk returns the best selection visited (always at least as good
+// as the empty set). Constraint handling matches the hill-climb
+// strategies: the lexicographic score's violation term is folded into
+// the scalar with a large penalty, so the walk is pulled into the
+// feasible region before optimizing within it.
+Result<SelectionResult> Anneal(SolverContext& context) {
   size_t n = context.num_candidates();
 
   SubsetState current(context.evaluator());
@@ -79,9 +97,9 @@ Result<SelectionResult> Anneal(SolverContext& context,
   std::vector<size_t> best = current.Selected();
   double best_score = current_score;
 
-  Rng rng(options.seed);
-  double temperature = options.initial_temperature;
-  for (int it = 0; it < options.iterations && n > 0; ++it) {
+  Rng rng(kSeed);
+  double temperature = kInitialTemperature;
+  for (int it = 0; it < kIterations && n > 0; ++it) {
     // Cancellation poll every 64 proposals (DESIGN.md §14): break out
     // with the best subset seen; Finalize flags the truncation.
     if ((it & 63) == 0 && context.Cancelled()) break;
@@ -99,11 +117,9 @@ Result<SelectionResult> Anneal(SolverContext& context,
         best_score = current_score;
       }
     }
-    temperature *= options.cooling;
+    temperature *= kCooling;
   }
-  CV_ASSIGN_OR_RETURN(SelectionResult result, context.Finalize(best));
-  result.solver = "annealing";
-  return result;
+  return context.Finalize(best);
 }
 
 class AnnealingSolver : public Solver {
@@ -116,25 +132,11 @@ class AnnealingSolver : public Solver {
   Result<SelectionResult> Solve(const ObjectiveSpec& spec,
                                 SolverContext& context) const override {
     (void)spec;  // The context carries the spec.
-    return Anneal(context, AnnealingOptions{});
+    return Anneal(context);
   }
 };
 
 CLOUDVIEW_REGISTER_SOLVER(AnnealingSolver)
 
 }  // namespace
-
-Result<SelectionResult> AnnealSelection(
-    const SelectionEvaluator& evaluator, const ObjectiveSpec& spec,
-    const AnnealingOptions& options) {
-  EvaluationCache cache;
-  SolverContext context(evaluator, spec, &cache);
-  return Anneal(context, options);
-}
-
-Result<SelectionResult> AnnealWithContext(SolverContext& context,
-                                          const AnnealingOptions& options) {
-  return Anneal(context, options);
-}
-
 }  // namespace cloudview

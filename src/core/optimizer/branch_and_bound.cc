@@ -124,8 +124,8 @@ using Score = SolverContext::Score;
 
 /// The best (score, subset) seen so far. Ties resolve to the
 /// lexicographically smallest selected-index vector — the project-wide
-/// tie-break rule exact solvers share (solver_exhaustive.cc applies the
-/// same one).
+/// tie-break rule exact solvers share (the tests' exhaustive oracle
+/// applies the same one).
 struct Incumbent {
   Score score{};
   std::vector<size_t> selected;
@@ -265,9 +265,8 @@ Result<SelectionResult> SolveBranchAndBound(
       options.stats != nullptr ? *options.stats : local_stats;
   stats = SearchStats{};
 
-  // Warm upper bound: the greedy swap climb from the empty set (the
-  // portfolio's first start). It revisits neighborhoods, so it keeps
-  // the context's evaluation cache.
+  // Warm upper bound: the greedy swap climb from the empty set. It
+  // revisits neighborhoods, so it keeps the context's evaluation cache.
   SubsetState warm_state(context.evaluator());
   CV_RETURN_IF_ERROR(context.HillClimb(warm_state, /*with_swaps=*/true));
   Incumbent warm;
@@ -307,15 +306,15 @@ Result<SelectionResult> SolveBranchAndBound(
 
 namespace {
 
-// "branch-and-bound": the exact solver past the exhaustive
-// enumerator's 20-candidate wall. Registered like any other strategy,
-// so the frontier, temporal and provider machinery pick it up by name.
+// "branch-and-bound": the exact solver, at any candidate count.
+// Registered like any other strategy, so the frontier, temporal and
+// provider machinery pick it up by name.
 class BranchAndBoundSolver : public Solver {
  public:
   std::string_view name() const override { return "branch-and-bound"; }
   std::string_view description() const override {
-    return "branch-and-bound; exact (or certified-gap) optimum beyond "
-           "the exhaustive 20-candidate wall";
+    return "branch-and-bound; exact (or certified-gap) optimum at any "
+           "candidate count";
   }
 
   Result<SelectionResult> Solve(const ObjectiveSpec&,

@@ -1,5 +1,5 @@
 // Branch-and-bound over the candidate subset space — the exact search
-// that scales past exhaustive's 2^n wall (DESIGN.md §13): one
+// that scales past full enumeration's 2^n wall (DESIGN.md §13): one
 // sequential depth-first walk that prunes against a live incumbent,
 // warm-started from greedy plus a hill climb.
 //
@@ -135,8 +135,8 @@ class SearchNode {
 /// lexicographic optimum (proven when stats->proven_optimal; otherwise
 /// the best incumbent with a gap certificate). Ties between
 /// equal-scoring subsets resolve to the lexicographically smallest
-/// selected-index vector — the same rule the "exhaustive" solver
-/// applies, so the two agree bit-for-bit wherever both run. Node probes
+/// selected-index vector — the same rule the test suite's exhaustive
+/// oracle applies, so the two agree bit-for-bit. Node probes
 /// bypass the context's evaluation cache (each committed subset is
 /// visited once); only the warm start's hill climb uses it. The
 /// registered "branch-and-bound" strategy calls this with default

@@ -213,7 +213,7 @@ class SelectionEvaluator {
  private:
   /// The precomputed query-x-candidate tables — the expensive, immutable
   /// part of an evaluator. Built once, shared read-only across every
-  /// Clone() via shared_ptr (parallel portfolio starts, temporal period
+  /// Clone() via shared_ptr (arch-sweep tasks, temporal period
   /// clones), so per-task copies never rebuild or duplicate the matrix.
   ///
   /// Structure-of-arrays (DESIGN.md §11): every hot-path quantity is a
@@ -512,10 +512,10 @@ class EvaluationCache {
   /// \brief Aggregate telemetry shared across a cache family (a parent
   /// and its NewChild() task caches). Counters used to be per-instance
   /// and vanished with every per-task child, so session-level hit rates
-  /// under-reported everything the portfolio and arch-sweep fan-outs
-  /// probed; children now flush their local counters here when they
-  /// die. Atomic because children flush from pool threads; the hot
-  /// path never touches these (local counters flush in bulk).
+  /// under-reported everything the arch-sweep fan-out probed; children
+  /// now flush their local counters here when they die. Atomic because
+  /// children flush from pool threads; the hot path never touches these
+  /// (local counters flush in bulk).
   struct SharedStats {
     std::atomic<uint64_t> lookups{0};
     std::atomic<uint64_t> hits{0};
@@ -550,7 +550,7 @@ class EvaluationCache {
   /// (and fan-out solvers one per start/task), so the initial footprint
   /// is per-solve setup cost on the hot path — a 2^12-slot start cost
   /// ~200KB of zeroing per solve, which dominated the short gate-row
-  /// solves (greedy, knapsack-dp) and every portfolio/arch-sweep task. 2^8
+  /// solves (greedy, knapsack-dp) and every arch-sweep task. 2^8
   /// keeps that setup at ~8KB while skipping the first two growth
   /// rehashes of the annealing/local-search runs (a few thousand
   /// distinct subsets each).

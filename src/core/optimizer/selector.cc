@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "common/str_format.h"
 #include "core/optimizer/solver.h"
 
 namespace cloudview {
@@ -33,16 +32,6 @@ Result<SelectionResult> ViewSelector::Solve(const ObjectiveSpec& spec,
   }
   CV_ASSIGN_OR_RETURN(const Solver* strategy,
                       SolverRegistry::Global().Find(solver));
-  if (evaluator_->num_candidates() > strategy->max_candidates()) {
-    // Degrade with a clear chain instead of a bare failure deep inside
-    // the strategy: name the wall and the strategy that scales past it.
-    return Status::InvalidArgument(StrFormat(
-        "solver '%s' supports at most %zu candidates, got %zu; "
-        "\"branch-and-bound\" solves large instances exactly "
-        "(DESIGN.md §13)",
-        std::string(solver).c_str(), strategy->max_candidates(),
-        evaluator_->num_candidates()));
-  }
   SolverContext context(
       *evaluator_, spec,
       external_cache_ != nullptr ? external_cache_ : &cache_);

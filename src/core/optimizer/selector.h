@@ -11,9 +11,9 @@
 // pluggable strategy: ViewSelector looks the solver up by name in the
 // SolverRegistry (see solver.h) and runs it against a SolverContext that
 // carries the scenario scoring plus the shared evaluation memo. The
-// built-in strategies are "knapsack-dp" (the paper's DP + exact repair),
-// "greedy", "exhaustive", "annealing", "local-search" and "portfolio"
-// (parallel multi-start; DESIGN.md §9).
+// built-in single-objective strategies are "knapsack-dp" (the paper's
+// DP + exact repair), "greedy", "annealing", "local-search" and
+// "branch-and-bound" (exact; DESIGN.md §13).
 //
 // MV3 mixes hours with dollars; we evaluate the blend on
 // baseline-normalized terms (T/T0, C/C0) so alpha is a unit-free
@@ -101,7 +101,7 @@ struct ObjectiveSpec {
   /// truncate the search like a node-budget cutoff — the best incumbent
   /// found so far is still finalized and SelectionResult::cancelled is
   /// set. Riding on the spec (not serialized, not compared) means every
-  /// existing fan-out path — portfolio starts, pareto-sweep tasks,
+  /// existing fan-out path — pareto-sweep tasks, arch-sweep tasks,
   /// provider sweeps — forwards it without new plumbing. Borrowed: the
   /// token must outlive the solve.
   const CancelToken* cancel = nullptr;
@@ -156,7 +156,7 @@ struct SelectionResult {
 /// is const but memoizing — subset evaluations accumulate in the
 /// per-selector EvaluationCache across calls — so two threads must not
 /// share one selector (or its evaluator). Parallel searches do not
-/// share selectors at all: the "portfolio" solver and the comparison
+/// share selectors at all: the "arch-sweep" solver and the comparison
 /// sweeps give every task its own SolverContext + EvaluationCache over
 /// a SelectionEvaluator::Clone(), which shares only the immutable
 /// timing tables. Memoization never changes results, only speed.

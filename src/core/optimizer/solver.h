@@ -12,20 +12,20 @@
 //                     same way).
 //
 // Built-in strategies: "knapsack-dp" (the paper's Section 5.2 DP plus
-// exact repair), "greedy", "exhaustive", "annealing", "local-search"
-// (add/remove/swap iterated local search in the spirit of
-// arXiv 2606.03772), "portfolio" (a parallel multi-start race over the
-// others' start procedures; DESIGN.md §9), and the multi-objective
-// strategies "pareto-sweep" (one sequential pass of the single-objective
-// solvers over weight vectors, on the caller's evaluator and cache) /
-// "pareto-genetic", which additionally return the (monthly cost, time,
-// storage) Pareto frontier (DESIGN.md §10). See DESIGN.md §5.11.
+// exact repair), "greedy", "annealing", "local-search" (add/remove/swap
+// iterated local search in the spirit of arXiv 2606.03772),
+// "branch-and-bound" (the exact solver; DESIGN.md §13), and the
+// multi-objective strategies "pareto-sweep" (one sequential pass of the
+// single-objective solvers over weight vectors, on the caller's
+// evaluator and cache) / "pareto-genetic", which additionally return
+// the (monthly cost, time, storage) Pareto frontier (DESIGN.md §10), and
+// "arch-sweep" (the joint view-and-architecture race). See DESIGN.md
+// §5.11.
 
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -238,18 +238,18 @@ class SolverContext {
   void set_use_incremental(bool on) { use_incremental_ = on; }
   bool use_incremental() const { return use_incremental_; }
 
-  /// \brief When off, probes skip the shared memo entirely. Solvers
-  /// that never revisit a subset (exhaustive enumeration) turn this off
-  /// so they don't flood the cache with single-use entries.
+  /// \brief When off, probes skip the shared memo entirely. Walks that
+  /// rarely revisit a subset (branch-and-bound's node expansion) turn
+  /// this off so they don't flood the cache with single-use entries.
   void set_use_cache(bool on) { use_cache_ = on; }
   bool use_cache() const { return use_cache_; }
 
   const Counters& counters() const { return counters_; }
 
   /// \brief Folds another context's counters into this one — how a
-  /// solver that runs others on child contexts (the "portfolio"'s
-  /// per-thread starts, the "pareto-sweep"'s tasks) reports the probes
-  /// they performed.
+  /// solver that runs others on child contexts (the "pareto-sweep"'s
+  /// tasks, the "arch-sweep"'s per-architecture solves) reports the
+  /// probes they performed.
   void MergeCounters(const Counters& other) {
     counters_.full_evaluations += other.full_evaluations;
     counters_.incremental_probes += other.incremental_probes;
@@ -326,17 +326,6 @@ class Solver {
   /// true — including downstream registrations — so two frontier
   /// builders can never recurse into each other.
   virtual bool multi_objective() const { return false; }
-
-  /// \brief Largest candidate count this strategy accepts (SIZE_MAX =
-  /// unbounded). The registry paths degrade gracefully on it: the
-  /// selector reports an actionable Status naming a strategy that does
-  /// scale, and registry-enumerating sweeps skip the strategy instead
-  /// of failing mid-fan-out — including for downstream registrations,
-  /// which previously required name-matching hacks ("exhaustive" was
-  /// special-cased by string).
-  virtual size_t max_candidates() const {
-    return std::numeric_limits<size_t>::max();
-  }
 
   /// \brief Searches the subset space for `spec`'s objective. The
   /// returned result must come from SolverContext::Finalize (exact

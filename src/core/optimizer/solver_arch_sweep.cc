@@ -77,11 +77,6 @@ class ArchSweepSolver : public Solver {
           "arch-sweep needs a single-objective inner solver, got '" +
           inner_name + "'");
     }
-    if (context.num_candidates() > inner->max_candidates()) {
-      return Status::InvalidArgument(
-          "inner solver '" + inner_name +
-          "' does not scale to this candidate count");
-    }
 
     const SelectionEvaluator& shared = context.evaluator();
     if (!shared.deployment().architecture.is_identity()) {

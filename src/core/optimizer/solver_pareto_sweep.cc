@@ -3,12 +3,10 @@
 // the spirit of arXiv 2408.00253's budget sweeps).
 //
 // Three task families, run in one sequential pass:
-//   * anchors — every registered single-objective solver except the
-//     portfolio runs once on the caller's own spec, so the frontier
-//     always contains (or dominates) each strategy's lexicographic
-//     optimum. The portfolio only races the other solvers' own start
-//     procedures and never reached a frontier or a best pick the exact
-//     branch-and-bound anchor does not already supply (DESIGN.md §10.3);
+//   * anchors — every registered single-objective solver runs once on
+//     the caller's own spec, so the frontier always contains (or
+//     dominates) each strategy's lexicographic optimum, including the
+//     exact branch-and-bound one (DESIGN.md §10.3);
 //   * weight sweep — a cheap solver roster re-solves the instance as an
 //     MV3 tradeoff across a fixed grid of alpha weights, tracing the
 //     middle of the time/cost frontier the anchors skip;
@@ -42,19 +40,17 @@ namespace cloudview {
 namespace {
 
 /// Solvers the sweep runs at all: not frontier builders themselves
-/// (Solver::multi_objective; a sweep must not recurse into them), and
-/// not the portfolio, whose picks the census never saw on a frontier.
+/// (Solver::multi_objective; a sweep must not recurse into them).
 bool IsSweepAnchor(const std::string& name) {
   Result<const Solver*> solver = SolverRegistry::Global().Find(name);
-  return solver.ok() && !solver.value()->multi_objective() &&
-         name != "portfolio";
+  return solver.ok() && !solver.value()->multi_objective();
 }
 
-/// Anchors too expensive to re-run once per weight vector; they still
-/// anchor the frontier with one solve on the caller's spec.
+/// Every anchor but the exact one re-runs once per weight vector;
+/// branch-and-bound is too expensive for that and anchors the frontier
+/// with its one solve on the caller's spec.
 bool IsSweepRosterMember(const std::string& name) {
-  return IsSweepAnchor(name) && name != "exhaustive" &&
-         name != "branch-and-bound";
+  return IsSweepAnchor(name) && name != "branch-and-bound";
 }
 
 /// The alpha grid the roster re-solves MV3 on (endpoints included:
@@ -84,8 +80,7 @@ class ParetoSweepSolver : public Solver {
          context.evaluator().candidates()) {
       total_bytes += candidate.size;
     }
-    std::vector<SweepTask> tasks =
-        BuildTasks(spec, context.num_candidates(), total_bytes);
+    std::vector<SweepTask> tasks = BuildTasks(spec, total_bytes);
     EvaluationCache local_cache;
     EvaluationCache* cache =
         context.cache() != nullptr ? context.cache() : &local_cache;
@@ -144,23 +139,12 @@ class ParetoSweepSolver : public Solver {
   /// The fixed task list for `spec`: anchors first (sorted registry
   /// order), then roster x alpha grid, then roster x alpha endpoints x
   /// storage caps.
-  static std::vector<SweepTask> BuildTasks(
-      const ObjectiveSpec& spec, size_t num_candidates,
-      DataSize total_candidate_bytes) {
+  static std::vector<SweepTask> BuildTasks(const ObjectiveSpec& spec,
+                                           DataSize total_candidate_bytes) {
     std::vector<SweepTask> tasks;
     std::vector<std::string> names = SolverRegistry::Global().Names();
     for (const std::string& name : names) {
-      if (!IsSweepAnchor(name)) continue;
-      // Capacity-capped strategies (Solver::max_candidates) anchor only
-      // where they are tractable — the registry-wide contract that
-      // replaced the old `name == "exhaustive" && n > 20` hack, so
-      // downstream capped registrations degrade the same way.
-      Result<const Solver*> solver = SolverRegistry::Global().Find(name);
-      if (solver.ok() &&
-          num_candidates > solver.value()->max_candidates()) {
-        continue;
-      }
-      tasks.push_back(SweepTask{name, spec, name});
+      if (IsSweepAnchor(name)) tasks.push_back(SweepTask{name, spec, name});
     }
     for (const std::string& name : names) {
       if (!IsSweepRosterMember(name)) continue;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/optimizer/solver.h"
 #include "core/scenario.h"
 #include "pricing/provider_registry.h"
 #include "serving/advisor_codec.h"
@@ -175,6 +176,31 @@ TEST_F(DispatchEntryTest, MetaSolverEchoesTheDefaultedName) {
                       .inline_workload = workload_.get()})
           .MoveValue();
   EXPECT_EQ(joint.meta.solver, "arch-sweep");
+}
+
+TEST_F(DispatchEntryTest, RetiredSolverNamesAreNotFound) {
+  const std::vector<std::string> names = SolverRegistry::Global().Names();
+  std::string roster;
+  for (const std::string& name : names) roster += name + " ";
+  EXPECT_EQ(roster,
+            "annealing arch-sweep branch-and-bound greedy knapsack-dp "
+            "local-search pareto-genetic pareto-sweep ");
+  // "portfolio" was deleted and "exhaustive" became a test-only oracle;
+  // a request naming either fails with the list of what does exist.
+  for (const char* retired : {"portfolio", "exhaustive"}) {
+    SCOPED_TRACE(retired);
+    Result<AdvisorResponse> response =
+        scenario_->Dispatch({.kind = AdvisorRequestKind::kSolve,
+                             .solver = retired,
+                             .objective = spec_,
+                             .inline_workload = workload_.get()});
+    ASSERT_FALSE(response.ok());
+    EXPECT_TRUE(response.status().IsNotFound());
+    const std::string& message = response.status().message();
+    for (const std::string& name : names) {
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+    }
+  }
 }
 
 }  // namespace

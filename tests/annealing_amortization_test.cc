@@ -5,9 +5,10 @@
 
 #include "core/cost/amortization.h"
 #include "core/experiments.h"
-#include "core/optimizer/annealing.h"
 #include "core/optimizer/candidate_generation.h"
+#include "core/optimizer/selector.h"
 #include "engine/sales_generator.h"
+#include "exhaustive_oracle.h"
 #include "pricing/providers.h"
 #include "workload/workload.h"
 
@@ -65,9 +66,9 @@ TEST_F(AnnealingTest, MatchesExhaustiveOnMV3) {
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
   ViewSelector selector(*evaluator_);
-  SelectionResult exact = selector.Solve(spec, "exhaustive").MoveValue();
+  SelectionResult exact = ExhaustiveSolve(*evaluator_, spec).MoveValue();
   SelectionResult annealed =
-      AnnealSelection(*evaluator_, spec).MoveValue();
+      selector.Solve(spec, "annealing").MoveValue();
   EXPECT_LE(annealed.objective_value, exact.objective_value * 1.05);
 }
 
@@ -75,8 +76,9 @@ TEST_F(AnnealingTest, RespectsBudgetConstraint) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV1BudgetLimit;
   spec.budget_limit = Money::FromCents(240);
+  ViewSelector selector(*evaluator_);
   SelectionResult result =
-      AnnealSelection(*evaluator_, spec).MoveValue();
+      selector.Solve(spec, "annealing").MoveValue();
   EXPECT_TRUE(result.feasible);
   EXPECT_LE(result.evaluation.cost.total(), spec.budget_limit);
   // And it finds real savings.
@@ -88,8 +90,9 @@ TEST_F(AnnealingTest, RespectsTimeLimit) {
   spec.scenario = Scenario::kMV2TimeLimit;
   spec.time_limit = Duration::FromHoursRounded(1.5);
   spec.time_includes_materialization = false;
+  ViewSelector selector(*evaluator_);
   SelectionResult result =
-      AnnealSelection(*evaluator_, spec).MoveValue();
+      selector.Solve(spec, "annealing").MoveValue();
   EXPECT_TRUE(result.feasible);
   EXPECT_LE(result.evaluation.processing_time, spec.time_limit);
 }
@@ -98,29 +101,13 @@ TEST_F(AnnealingTest, DeterministicForSameSeed) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.4;
-  AnnealingOptions options;
-  options.seed = 99;
+  ViewSelector selector(*evaluator_);
   SelectionResult a =
-      AnnealSelection(*evaluator_, spec, options).MoveValue();
+      selector.Solve(spec, "annealing").MoveValue();
   SelectionResult b =
-      AnnealSelection(*evaluator_, spec, options).MoveValue();
+      selector.Solve(spec, "annealing").MoveValue();
   EXPECT_EQ(a.evaluation.selected, b.evaluation.selected);
   EXPECT_DOUBLE_EQ(a.objective_value, b.objective_value);
-}
-
-TEST_F(AnnealingTest, RejectsBadSchedules) {
-  ObjectiveSpec spec;
-  spec.scenario = Scenario::kMV3Tradeoff;
-  AnnealingOptions bad;
-  bad.iterations = 0;
-  EXPECT_TRUE(AnnealSelection(*evaluator_, spec, bad)
-                  .status()
-                  .IsInvalidArgument());
-  bad = AnnealingOptions{};
-  bad.cooling = 1.5;
-  EXPECT_TRUE(AnnealSelection(*evaluator_, spec, bad)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 // --- Amortization ------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Property suite for branch-and-bound (DESIGN.md §13): across
 // randomized MV3 specs with random hard constraints, bound + dominance
 // pruning never discards the optimum — the search returns exactly the
-// exhaustive solver's answer (score AND selection, the lex-smallest
+// exhaustive oracle's answer (score AND selection, the lex-smallest
 // tie-break), bit-identically at CLOUDVIEW_THREADS=1 vs 8 — and the
 // node lower bound never exceeds any completion it stands for.
 
@@ -21,6 +21,7 @@
 #include "core/optimizer/candidate_generation.h"
 #include "core/optimizer/solver.h"
 #include "engine/sales_generator.h"
+#include "exhaustive_oracle.h"
 #include "pricing/providers.h"
 #include "workload/generator.h"
 #include "workload/workload.h"
@@ -102,7 +103,6 @@ ObjectiveSpec RandomSpec(Rng& rng, const SelectionEvaluator& evaluator) {
 TEST(BranchAndBoundPropertyTest, PruningNeverDiscardsTheOptimum) {
   for (size_t workload_size : {5, 10}) {
     Fixture fixture(workload_size);
-    ViewSelector selector(*fixture.evaluator);
     Rng rng(0xB0B0 + workload_size);
     size_t original = ThreadPool::Global().concurrency();
     for (int trial = 0; trial < 10; ++trial) {
@@ -110,7 +110,7 @@ TEST(BranchAndBoundPropertyTest, PruningNeverDiscardsTheOptimum) {
       SCOPED_TRACE(StrFormat("workload=%zu trial=%d alpha=%.1f",
                              workload_size, trial, spec.alpha));
       SelectionResult exact =
-          selector.Solve(spec, "exhaustive").MoveValue();
+          ExhaustiveSolve(*fixture.evaluator, spec).MoveValue();
 
       SearchStats stats;
       BranchAndBoundOptions options;

@@ -1,7 +1,7 @@
-// Branch-and-bound (DESIGN.md §13): exhaustive-identical optima on
-// every tractable fixture, bit-identical results across thread counts
-// (including under budget truncation), honest gap certificates, and
-// the graceful registry degrade for capacity-capped strategies.
+// Branch-and-bound (DESIGN.md §13): optima identical to the exhaustive
+// oracle on every tractable fixture, bit-identical results across
+// thread counts (including under budget truncation), honest gap
+// certificates, and exact solves past the oracle's 20-candidate wall.
 
 #include "core/optimizer/branch_and_bound.h"
 
@@ -16,6 +16,7 @@
 #include "core/optimizer/solver.h"
 #include "core/scenario.h"
 #include "engine/sales_generator.h"
+#include "exhaustive_oracle.h"
 #include "pricing/providers.h"
 #include "workload/ssb.h"
 #include "workload/generator.h"
@@ -25,7 +26,7 @@ namespace cloudview {
 namespace {
 
 // One self-owning instance (sales or SSB); both stay at or under the
-// exhaustive solver's 20-candidate wall so it remains the ground truth.
+// exhaustive oracle's 20-candidate wall so it remains the ground truth.
 struct Fixture {
   std::unique_ptr<CubeLattice> lattice;
   std::unique_ptr<MapReduceSimulator> simulator;
@@ -187,7 +188,8 @@ class BranchAndBoundTest : public ::testing::Test {
     ViewSelector selector(*fixture.evaluator);
     for (const ObjectiveSpec& spec : AllScenarioSpecs()) {
       SCOPED_TRACE(ToString(spec.scenario));
-      SelectionResult exact = selector.Solve(spec, "exhaustive").MoveValue();
+      SelectionResult exact =
+          ExhaustiveSolve(*fixture.evaluator, spec).MoveValue();
       SelectionResult bnb =
           selector.Solve(spec, "branch-and-bound").MoveValue();
       ExpectIdentical(bnb, exact);
@@ -342,31 +344,18 @@ TEST_F(BranchAndBoundTest, RegisteredAndDiscoverable) {
   const Solver* solver = registry.Find("branch-and-bound").value();
   EXPECT_EQ(solver->name(), "branch-and-bound");
   EXPECT_FALSE(solver->multi_objective());
-  // Unbounded capacity: this is the strategy the capped ones defer to.
-  EXPECT_GT(solver->max_candidates(), size_t{1} << 20);
 }
 
-TEST_F(BranchAndBoundTest, CappedSolverDegradesWithClearStatusChain) {
-  // 21+ candidates: exhaustive must refuse with an actionable message
-  // (the old behavior was a bare InvalidArgument deep in the solver),
-  // and branch-and-bound must take the same instance in stride.
+TEST_F(BranchAndBoundTest, SolvesPastTheOracleWall) {
+  // 21+ candidates: past what the exhaustive oracle enumerates,
+  // branch-and-bound takes the instance in stride.
   Fixture fixture = MakeSsbFixture(/*max_candidates=*/24);
   ASSERT_GT(fixture.evaluator->num_candidates(), 20u);
-  const Solver* exhaustive =
-      SolverRegistry::Global().Find("exhaustive").value();
-  EXPECT_EQ(exhaustive->max_candidates(), 20u);
 
   ViewSelector selector(*fixture.evaluator);
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
-  auto refused = selector.Solve(spec, "exhaustive");
-  ASSERT_FALSE(refused.ok());
-  EXPECT_TRUE(refused.status().IsInvalidArgument());
-  EXPECT_NE(refused.status().message().find("branch-and-bound"),
-            std::string::npos)
-      << refused.status().message();
-
   SelectionResult solved =
       selector.Solve(spec, "branch-and-bound").MoveValue();
   EXPECT_EQ(solved.solver, "branch-and-bound");

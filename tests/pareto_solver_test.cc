@@ -19,6 +19,7 @@
 #include "core/optimizer/solver.h"
 #include "core/scenario.h"
 #include "engine/sales_generator.h"
+#include "exhaustive_oracle.h"
 #include "pricing/provider_registry.h"
 #include "pricing/providers.h"
 #include "workload/generator.h"
@@ -56,7 +57,7 @@ class ParetoSolverTest : public ::testing::Test {
     Workload workload =
         MakePaperWorkload(*lattice_).MoveValue().Prefix(7);
     CandidateGenOptions options;
-    options.max_candidates = 10;  // Exhaustive-anchor friendly.
+    options.max_candidates = 10;  // Exhaustive-oracle friendly.
     options.max_rows_fraction = 0.05;
     auto candidates = GenerateCandidates(*lattice_, workload, *simulator_,
                                          cluster_, options)
@@ -164,10 +165,11 @@ TEST_F(ParetoSolverTest, SweepBestMatchesExhaustiveGroundTruth) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV1BudgetLimit;
   spec.budget_limit = Money::FromCents(120);
-  SelectionResult exact = selector.Solve(spec, "exhaustive").MoveValue();
+  SelectionResult exact = ExhaustiveSolve(*evaluator_, spec).MoveValue();
   SelectionResult sweep =
       selector.Solve(spec, "pareto-sweep").MoveValue();
-  // The sweep anchors on exhaustive, so its best can never score worse.
+  // The sweep anchors on the exact branch-and-bound, so its best can
+  // never score worse than the oracle's.
   SolverContext context(*evaluator_, spec);
   EXPECT_LE(context.ScoreOf(sweep.evaluation),
             context.ScoreOf(exact.evaluation));
@@ -181,7 +183,7 @@ TEST_F(ParetoSolverTest, AllSolversHonorHardConstraints) {
   ObjectiveSpec free_spec;
   free_spec.scenario = Scenario::kMV3Tradeoff;
   SelectionResult free_pick =
-      selector.Solve(free_spec, "exhaustive").MoveValue();
+      ExhaustiveSolve(*evaluator_, free_spec).MoveValue();
   const SubsetEvaluation& baseline = evaluator_->baseline();
 
   // Constraints the empty set always satisfies (so they are
@@ -284,16 +286,18 @@ TEST_F(ParetoSolverTest, CancelledSweepStopsLaunchingTasks) {
 
 // --- The served instance ----------------------------------------------------
 
-// perfbench's session config: SSB with at most 100 candidate views.
+// A session config's instance; the defaults are perfbench's: SSB with
+// at most 100 candidate views.
 struct ServedInstance {
   CloudScenario scenario;
   std::unique_ptr<SelectionEvaluator> evaluator;
 };
 
-ServedInstance MakeServedInstance() {
+ServedInstance MakeServedInstance(const std::string& schema = "ssb",
+                                  size_t max_candidates = 100) {
   ScenarioConfig config;
-  config.schema = "ssb";
-  config.candidates.max_candidates = 100;
+  config.schema = schema;
+  config.candidates.max_candidates = max_candidates;
   CloudScenario scenario = CloudScenario::Create(config).MoveValue();
   Workload workload = scenario.DefaultWorkload().MoveValue();
   DeploymentSpec deployment =
@@ -332,6 +336,10 @@ TEST(ParetoSweepServedInstance, RegressionPin) {
   ServedInstance served = MakeServedInstance();
   const SelectionEvaluator& evaluator = *served.evaluator;
   ASSERT_EQ(evaluator.num_candidates(), 100u);
+  ServedInstance sales = MakeServedInstance("sales", 12);
+  ASSERT_EQ(sales.evaluator->num_candidates(), 12u);
+  ServedInstance ssb20 = MakeServedInstance("ssb", 20);
+  ASSERT_EQ(ssb20.evaluator->num_candidates(), 20u);
   const Solver& sweep =
       *SolverRegistry::Global().Find("pareto-sweep").value();
 
@@ -341,13 +349,19 @@ TEST(ParetoSweepServedInstance, RegressionPin) {
     spec.alpha = alpha;
     return spec;
   };
-  ObjectiveSpec mv1;
-  mv1.scenario = Scenario::kMV1BudgetLimit;
-  mv1.budget_limit = evaluator.baseline().cost.total().ScaleBy(3, 5);
-  ObjectiveSpec mv2;
-  mv2.scenario = Scenario::kMV2TimeLimit;
-  mv2.time_limit =
-      Duration::FromMillis(evaluator.baseline().makespan.millis() * 3 / 5);
+  auto mv1 = [](const SelectionEvaluator& on) {
+    ObjectiveSpec spec;
+    spec.scenario = Scenario::kMV1BudgetLimit;
+    spec.budget_limit = on.baseline().cost.total().ScaleBy(3, 5);
+    return spec;
+  };
+  auto mv2 = [](const SelectionEvaluator& on) {
+    ObjectiveSpec spec;
+    spec.scenario = Scenario::kMV2TimeLimit;
+    spec.time_limit =
+        Duration::FromMillis(on.baseline().makespan.millis() * 3 / 5);
+    return spec;
+  };
 
   // The frontiers the sweep returned while it still ran a portfolio
   // anchor on a per-task clone and cache: dropping that anchor and
@@ -358,16 +372,52 @@ TEST(ParetoSweepServedInstance, RegressionPin) {
   const std::string without_baseline =
       "branch-and-bound{5,16,49} knapsack-dp a=0.0 s<=5%{5,38,39} "
       "best{5,16,49}";
-  const std::vector<std::pair<ObjectiveSpec, std::string>> pins = {
-      {mv3(0.05), with_baseline},
-      {mv3(0.5), with_baseline},
-      {mv3(0.95), with_baseline},
-      {mv1, without_baseline},  // The baseline busts the budget ...
-      {mv2, without_baseline},  // ... and the time limit.
+  // The small instances' frontiers while an exhaustive anchor still ran
+  // beside branch-and-bound (both fit its 20-candidate wall): dropping
+  // that anchor must move nothing either.
+  const std::string sales_with_baseline =
+      "annealing{0} annealing a=0.0 s<=15%{1,2} annealing a=0.0 s<=5%{1} "
+      "baseline{} best{0}";
+  const std::string sales_without_baseline =
+      "annealing{0} annealing a=0.0 s<=15%{1,2} annealing a=0.0 s<=5%{1} "
+      "best{0}";
+  const std::string ssb20_low_alpha =
+      "branch-and-bound{0,5} knapsack-dp a=0.0 s<=5%{5,14,18} baseline{} "
+      "best{0,5}";
+  const std::string ssb20_with_baseline =
+      "annealing{0,5} knapsack-dp a=0.0 s<=5%{5,14,18} baseline{} "
+      "best{0,5}";
+  const std::string ssb20_without_baseline =
+      "annealing{0,5} knapsack-dp a=0.0 s<=5%{5,14,18} best{0,5}";
+  const SelectionEvaluator& on_sales = *sales.evaluator;
+  const SelectionEvaluator& on_ssb20 = *ssb20.evaluator;
+  struct Pin {
+    const SelectionEvaluator* evaluator;
+    ObjectiveSpec spec;
+    std::string expected;
   };
-  for (const auto& [spec, expected] : pins) {
+  const std::vector<Pin> pins = {
+      {&evaluator, mv3(0.05), with_baseline},
+      {&evaluator, mv3(0.5), with_baseline},
+      {&evaluator, mv3(0.95), with_baseline},
+      // The baseline busts the budget ...
+      {&evaluator, mv1(evaluator), without_baseline},
+      // ... and the time limit.
+      {&evaluator, mv2(evaluator), without_baseline},
+      {&on_sales, mv3(0.05), sales_with_baseline},
+      {&on_sales, mv3(0.5), sales_with_baseline},
+      {&on_sales, mv3(0.95), sales_with_baseline},
+      {&on_sales, mv1(on_sales), sales_without_baseline},
+      {&on_sales, mv2(on_sales), sales_without_baseline},
+      {&on_ssb20, mv3(0.05), ssb20_low_alpha},
+      {&on_ssb20, mv3(0.5), ssb20_with_baseline},
+      {&on_ssb20, mv3(0.95), ssb20_with_baseline},
+      {&on_ssb20, mv1(on_ssb20), ssb20_without_baseline},
+      {&on_ssb20, mv2(on_ssb20), ssb20_without_baseline},
+  };
+  for (const auto& [pinned_on, spec, expected] : pins) {
     EvaluationCache cache;
-    SolverContext context(evaluator, spec, &cache);
+    SolverContext context(*pinned_on, spec, &cache);
     SelectionResult result = sweep.Solve(spec, context).MoveValue();
     EXPECT_EQ(Describe(result), expected);
   }

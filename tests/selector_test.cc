@@ -9,7 +9,9 @@
 #include <memory>
 
 #include "core/optimizer/candidate_generation.h"
+#include "core/scenario.h"
 #include "engine/sales_generator.h"
+#include "exhaustive_oracle.h"
 #include "pricing/providers.h"
 #include "workload/generator.h"
 #include "workload/workload.h"
@@ -79,7 +81,7 @@ TEST_F(SelectorTest, MV1RespectsBudget) {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV1BudgetLimit;
   spec.budget_limit = Money::FromCents(120);
-  for (const char* solver : {"knapsack-dp", "greedy", "exhaustive"}) {
+  for (const char* solver : {"knapsack-dp", "greedy", "branch-and-bound"}) {
     SelectionResult result = selector.Solve(spec, solver).MoveValue();
     EXPECT_TRUE(result.feasible) << solver;
     EXPECT_LE(result.evaluation.cost.total(), spec.budget_limit)
@@ -111,7 +113,7 @@ TEST_F(SelectorTest, MV2MeetsTimeLimit) {
   spec.scenario = Scenario::kMV2TimeLimit;
   spec.time_limit = Duration::FromHoursRounded(0.99);
   spec.time_includes_materialization = false;
-  for (const char* solver : {"knapsack-dp", "greedy", "exhaustive"}) {
+  for (const char* solver : {"knapsack-dp", "greedy", "branch-and-bound"}) {
     SelectionResult result = selector.Solve(spec, solver).MoveValue();
     EXPECT_TRUE(result.feasible) << solver;
     EXPECT_LE(result.evaluation.processing_time, spec.time_limit)
@@ -179,14 +181,27 @@ TEST_F(SelectorTest, ExternalReferenceNormalization) {
 }
 
 TEST_F(SelectorTest, ExhaustiveRefusesTooManyCandidates) {
-  auto evaluator = fixture_.MakeEvaluator(fixture_.PaperWorkload(10), 32);
-  if (evaluator->num_candidates() <= 20) {
-    GTEST_SKIP() << "lattice too small to exceed the cap";
-  }
-  ViewSelector selector(*evaluator);
+  // The oracle's guard. The sales lattice never yields more than 20
+  // candidates, so the instance is SSB's.
+  ScenarioConfig config;
+  config.schema = "ssb";
+  config.candidates.max_candidates = 24;
+  CloudScenario scenario = CloudScenario::Create(config).MoveValue();
+  Workload workload = scenario.DefaultWorkload().MoveValue();
+  SelectionEvaluator evaluator =
+      SelectionEvaluator::Create(
+          scenario.lattice(), workload, scenario.simulator(),
+          scenario.cluster(), scenario.cost_model(),
+          scenario.MakeDeployment(workload, scenario.cluster()).MoveValue(),
+          GenerateCandidates(scenario.lattice(), workload,
+                             scenario.simulator(), scenario.cluster(),
+                             config.candidates)
+              .MoveValue())
+          .MoveValue();
+  ASSERT_GT(evaluator.num_candidates(), kExhaustiveMaxCandidates);
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
-  EXPECT_TRUE(selector.Solve(spec, "exhaustive")
+  EXPECT_TRUE(ExhaustiveSolve(evaluator, spec)
                   .status()
                   .IsInvalidArgument());
 }
@@ -221,7 +236,7 @@ TEST_P(SolverGapTest, KnapsackAndGreedyNearExhaustive) {
     spec.time_includes_materialization = false;
   }
 
-  SelectionResult exact = selector.Solve(spec, "exhaustive").MoveValue();
+  SelectionResult exact = ExhaustiveSolve(*evaluator, spec).MoveValue();
   for (const char* solver : {"knapsack-dp", "greedy"}) {
     SelectionResult heuristic = selector.Solve(spec, solver).MoveValue();
     ASSERT_EQ(heuristic.feasible, exact.feasible) << solver;

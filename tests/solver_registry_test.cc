@@ -1,6 +1,6 @@
 // SolverRegistry: the strategy seam stays open (runtime registration
 // round-trips through ViewSelector) and every registered strategy agrees
-// with exhaustive ground truth on a small instance, for all three
+// with the exhaustive oracle on a small instance, for all three
 // scenarios.
 
 #include "core/optimizer/solver.h"
@@ -12,6 +12,7 @@
 
 #include "core/optimizer/candidate_generation.h"
 #include "engine/sales_generator.h"
+#include "exhaustive_oracle.h"
 #include "pricing/providers.h"
 #include "workload/generator.h"
 #include "workload/workload.h"
@@ -66,8 +67,8 @@ class RegistryFixture {
 
 TEST(SolverRegistry, BuiltinsAreRegistered) {
   const SolverRegistry& registry = SolverRegistry::Global();
-  for (const char* name : {"knapsack-dp", "greedy", "exhaustive",
-                           "annealing", "local-search"}) {
+  for (const char* name :
+       {"knapsack-dp", "greedy", "annealing", "local-search"}) {
     EXPECT_TRUE(registry.Contains(name)) << name;
     const Solver* solver = registry.Find(name).value();
     EXPECT_EQ(solver->name(), name);
@@ -153,7 +154,7 @@ TEST_F(RegistryAgreementTest, AllSolversNearExhaustiveOnAllScenarios) {
 
   for (const ObjectiveSpec& spec : {mv1, mv2, mv3}) {
     SelectionResult exact =
-        selector.Solve(spec, "exhaustive").MoveValue();
+        ExhaustiveSolve(*fixture_.evaluator_, spec).MoveValue();
     for (const std::string& name : SolverRegistry::Global().Names()) {
       if (name == "test-empty-set") continue;  // Intentionally bad.
       SCOPED_TRACE(std::string(ToString(spec.scenario)) + " / " + name);

@@ -82,16 +82,6 @@ TEST(ThreadPool, CallerObservesIterationWrites) {
   }
 }
 
-TEST(ThreadPool, ParallelMapKeepsIndexOrder) {
-  ThreadPool pool(4);
-  std::vector<int> squares = ParallelMap<int>(
-      pool, 200, [](size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(squares.size(), 200u);
-  for (size_t i = 0; i < squares.size(); ++i) {
-    EXPECT_EQ(squares[i], static_cast<int>(i * i));
-  }
-}
-
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   // A worker that hits an inner ParallelFor must help drain it itself,
   // even when every other worker is busy in the same position.

@@ -16,19 +16,22 @@
 //
 // Transports: stdin/stdout by default (pipe or `nc -U`-style driving),
 // or --port N to listen on 127.0.0.1:N and serve TCP connections
-// sequentially (each connection speaks the same line protocol).
+// sequentially (each connection speaks the same line protocol). A
+// request line longer than kMaxLineBytes (1 MiB) is answered with one
+// InvalidArgument envelope and skipped; serving continues.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "serving/advisor_codec.h"
@@ -153,45 +156,68 @@ HandledLine HandleLine(AdvisorService& service, const std::string& line) {
   return handled;
 }
 
-int RunStdio(AdvisorService& service) {
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    HandledLine handled = HandleLine(service, line);
-    std::cout << handled.reply << "\n" << std::flush;
-    if (handled.shutdown) return 0;
+// Longest request line served. A longer line gets one InvalidArgument
+// reply and is discarded through its newline without being buffered,
+// so a peer that never sends a newline cannot grow server memory.
+constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
+// Writes all of `data`; false once the peer is gone.
+bool WriteAll(int fd, std::string_view data) {
+  while (!data.empty()) {
+    ssize_t w = ::write(fd, data.data(), data.size());
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    data.remove_prefix(static_cast<size_t>(w));
   }
-  return 0;
+  return true;
 }
 
-// Serves one accepted connection; returns true if a shutdown op was
-// seen (the accept loop then exits).
-bool ServeConnection(AdvisorService& service, int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool shutdown = false;
-  while (!shutdown) {
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t newline;
-    while (!shutdown && (newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+// Serves the line protocol from `in` to `out` until EOF, a write
+// failure or a shutdown op; returns true on shutdown (the TCP accept
+// loop then exits). Each read is scanned once for newlines; only the
+// unfinished tail of a line is kept between reads.
+bool Serve(AdvisorService& service, int in, int out) {
+  std::string line;
+  bool discarding = false;  // Inside an oversized line.
+  char chunk[64 * 1024];
+  bool eof = false;
+  while (!eof) {
+    ssize_t n = ::read(in, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    std::string_view data(chunk, n > 0 ? static_cast<size_t>(n) : 0);
+    if (n <= 0) {
+      // End of input also ends an unterminated last line.
+      eof = true;
+      data = "\n";
+    }
+    while (!data.empty()) {
+      const size_t newline = data.find('\n');
+      const std::string_view piece = data.substr(0, newline);
+      if (!discarding && line.size() + piece.size() > kMaxLineBytes) {
+        discarding = true;
+        line.clear();
+        std::string reply = WriteJson(Envelope(Status::InvalidArgument(
+            "request line exceeds " + std::to_string(kMaxLineBytes) +
+            " bytes; discarded")));
+        reply.push_back('\n');
+        if (!WriteAll(out, reply)) return false;
+      }
+      if (!discarding) line.append(piece);
+      if (newline == std::string_view::npos) break;
+      data.remove_prefix(newline + 1);
+      if (discarding) {
+        discarding = false;
+        continue;
+      }
       if (line.empty()) continue;
       HandledLine handled = HandleLine(service, line);
+      line.clear();
       handled.reply.push_back('\n');
-      size_t written = 0;
-      while (written < handled.reply.size()) {
-        ssize_t w = ::write(fd, handled.reply.data() + written,
-                            handled.reply.size() - written);
-        if (w <= 0) return shutdown;
-        written += static_cast<size_t>(w);
-      }
-      shutdown = handled.shutdown;
+      if (!WriteAll(out, handled.reply)) return false;
+      if (handled.shutdown) return true;
     }
   }
-  return shutdown;
+  return false;
 }
 
 int RunTcp(AdvisorService& service, int port) {
@@ -226,7 +252,7 @@ int RunTcp(AdvisorService& service, int port) {
   while (!shutdown) {
     int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) continue;
-    shutdown = ServeConnection(service, fd);
+    shutdown = Serve(service, fd, fd);
     ::close(fd);
   }
   ::close(listener);
@@ -260,7 +286,8 @@ int Main(int argc, char** argv) {
     return 1;
   }
   if (port >= 0) return RunTcp(*service.value(), port);
-  return RunStdio(*service.value());
+  Serve(*service.value(), STDIN_FILENO, STDOUT_FILENO);
+  return 0;
 }
 
 }  // namespace
