@@ -1,6 +1,7 @@
 // Temporal planning bench: re-selection policies over a drifting SSB
 // year — 12-month total cost and wall time per policy, the cost of one
-// planner walk as the horizon grows, and the warm-start ablation the
+// planner walk as the horizon grows, the work the policy comparison's
+// winner memo saves per solver, and the warm-start ablation the
 // temporal layer exists for (seeding each period's SubsetState from the
 // previous selection vs pricing every carried period with a cold
 // Evaluate). Rows are emitted in the bench_util.h BENCH_JSON format.
@@ -14,7 +15,6 @@
 
 #include "bench_util.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "core/optimizer/temporal_planner.h"
 #include "pricing/provider_registry.h"
 #include "workload/ssb.h"
@@ -186,13 +186,36 @@ void PrintHorizonScaling() {
   std::cout << "\n";
 }
 
-// --- Part 3: thread sweep over the parallel planner seams --------------------
+// --- Part 3: the policy comparison's winner memo -----------------------------
 
-// The two parallel seams the temporal layer gained: Create()'s
-// per-period evaluator pre-materialization and ComparePolicies()'s
-// walk-per-policy fan-out. Total costs must be identical at every
-// thread count; wall time falls with threads.
-void PrintThreadSweep() {
+// True when two walks agree on every figure the ledger reports.
+bool SameWalk(const TemporalRunResult& a, const TemporalRunResult& b) {
+  if (a.solver_runs != b.solver_runs || a.warm_periods != b.warm_periods ||
+      a.total.total() != b.total.total() ||
+      a.ledger.size() != b.ledger.size()) {
+    return false;
+  }
+  for (size_t p = 0; p < a.ledger.size(); ++p) {
+    const TemporalPeriodRow& x = a.ledger[p];
+    const TemporalPeriodRow& y = b.ledger[p];
+    if (x.selected != y.selected || x.reselected != y.reselected ||
+        x.drift != y.drift || x.views_added != y.views_added ||
+        x.views_dropped != y.views_dropped ||
+        x.cost.total() != y.cost.total() ||
+        x.processing_time != y.processing_time) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// ComparePolicies walks its policies one after another and memoizes
+// each re-selection's winner by (period, carried selection). One row per
+// solver's 6-policy comparison: the re-selections (solver_runs), the
+// solves actually run (fresh_solves, gated exactly), the ones the memo
+// answered, and the wall time of planner build plus comparison. Every
+// row must equal standalone Run() walks.
+void PrintMemoSweep() {
   Instance inst = MakeInstance();
   WorkloadTimeline timeline = MakeTimeline(inst, 12);
   ObjectiveSpec spec = Mv3Spec();
@@ -201,56 +224,56 @@ void PrintThreadSweep() {
       ReselectPolicy::EveryK(3), ReselectPolicy::OnDrift(0.1),
       ReselectPolicy::OnDrift(0.25), ReselectPolicy::OnDrift(0.5)};
 
-  TablePrinter table({"threads", "wall/compare", "speedup vs 1"});
+  TablePrinter table({"solver", "solver runs", "fresh solves",
+                      "memo hits", "wall/compare"});
   table.SetTitle(
-      "Planner create + 6-policy comparison thread sweep (12 periods)");
-
-  size_t original = ThreadPool::Global().concurrency();
-  double serial_ms = 0.0;
-  Money reference_total;
+      "Planner create + 6-policy comparison, one memo (12 periods)");
   bool identical = true;
-  for (size_t threads : {1, 2, 4, 8}) {
-    ThreadPool::SetGlobalConcurrency(threads);
+  for (const char* solver : {"knapsack-dp", "greedy", "local-search",
+                             "branch-and-bound", "annealing"}) {
     int reps = 0;
-    Money grand_total;
+    std::vector<TemporalRunResult> runs;
     auto start = std::chrono::steady_clock::now();
     do {
       TemporalPlanner planner = MakePlanner(inst, timeline);
-      auto runs = Unwrap(planner.ComparePolicies(spec, policies),
-                         "compare");
-      grand_total = Money::Zero();
-      for (const TemporalRunResult& run : runs) {
-        grand_total += run.total.total();
-      }
+      runs = Unwrap(planner.ComparePolicies(spec, policies, solver),
+                    "compare");
       ++reps;
     } while (MillisSince(start) < bench::MeasureBudgetMs(200.0) &&
              reps < 10);
     double wall_ms = MillisSince(start) / reps;
-    if (threads == 1) {
-      serial_ms = wall_ms;
-      reference_total = grand_total;
-    } else if (grand_total != reference_total) {
-      identical = false;
+
+    TemporalPlanner planner = MakePlanner(inst, timeline);
+    uint64_t solver_runs = 0;
+    uint64_t fresh_solves = 0;
+    for (size_t i = 0; i < policies.size(); ++i) {
+      identical = identical &&
+                  SameWalk(runs[i], Unwrap(planner.Run(spec, policies[i],
+                                                       solver),
+                                           "run"));
+      solver_runs += runs[i].solver_runs;
+      fresh_solves += runs[i].fresh_solves;
     }
-    double speedup = wall_ms > 0 ? serial_ms / wall_ms : 0.0;
-    table.AddRow({std::to_string(threads),
-                  StrFormat("%.2f ms", wall_ms),
-                  StrFormat("%.2fx", speedup)});
+    uint64_t memo_hits = solver_runs - fresh_solves;
+    table.AddRow({solver, std::to_string(solver_runs),
+                  std::to_string(fresh_solves), std::to_string(memo_hits),
+                  StrFormat("%.2f ms", wall_ms)});
     JsonLine("temporal")
-        .Str("sweep", "threads")
-        // String: part of the row identity key in check_regression.py.
-        .Str("threads", std::to_string(threads))
+        .Str("sweep", "compare")
+        .Str("solver", solver)
+        .Int("policies", static_cast<int64_t>(policies.size()))
+        .Int("solver_runs", static_cast<int64_t>(solver_runs))
+        .Int("fresh_solves", static_cast<int64_t>(fresh_solves))
+        .Int("memo_hits", static_cast<int64_t>(memo_hits))
         .Num("wall_ms_per_compare", wall_ms)
-        .Num("speedup_vs_1thread", speedup)
         .Emit();
   }
-  ThreadPool::SetGlobalConcurrency(original);
   table.Print(std::cout);
-  std::cout << "Identical totals at every thread count: "
+  std::cout << "Comparison rows equal standalone walks: "
             << (identical ? "yes" : "NO") << "\n\n";
   if (!identical) {
     std::fprintf(stderr,
-                 "policy-comparison totals diverged across threads\n");
+                 "memoized policy comparison diverged from Run()\n");
     std::exit(1);
   }
 }
@@ -280,7 +303,7 @@ int main(int argc, char** argv) {
   bench::ParseSmoke(argc, argv);
   PrintPolicyComparison();
   PrintHorizonScaling();
-  PrintThreadSweep();
+  PrintMemoSweep();
   bench::RunMicrobenchmarks(argc, argv);
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "catalog/lattice.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -16,6 +17,22 @@ CubeLattice::CubeLattice(StarSchema schema) : schema_(std::move(schema)) {
     num_nodes_ *= radix_.back();
   }
   base_.levels.assign(schema_.num_dimensions(), 0);
+
+  const size_t dims = radix_.size();
+  levels_.reserve(num_nodes_ * dims);
+  rows_.reserve(num_nodes_);
+  coarse_to_fine_.reserve(num_nodes_);
+  for (CuboidId id = 0; id < num_nodes_; ++id) {
+    Cuboid cuboid = CuboidOf(id);
+    levels_.insert(levels_.end(), cuboid.levels.begin(),
+                   cuboid.levels.end());
+    rows_.push_back(CardenasRows(cuboid));
+    coarse_to_fine_.push_back(id);
+  }
+  std::stable_sort(coarse_to_fine_.begin(), coarse_to_fine_.end(),
+                   [&](CuboidId a, CuboidId b) {
+                     return rows_[a] < rows_[b];
+                   });
 }
 
 Result<CubeLattice> CubeLattice::Build(StarSchema schema) {
@@ -80,11 +97,16 @@ Result<CuboidId> CubeLattice::NodeByLevels(
   return IdOf(cuboid);
 }
 
+const uint8_t* CubeLattice::LevelsOf(CuboidId id) const {
+  CV_CHECK(id < num_nodes_) << "cuboid id out of range";
+  return levels_.data() + static_cast<size_t>(id) * radix_.size();
+}
+
 bool CubeLattice::CanAnswer(CuboidId view, CuboidId query) const {
-  Cuboid v = CuboidOf(view);
-  Cuboid q = CuboidOf(query);
+  const uint8_t* v = LevelsOf(view);
+  const uint8_t* q = LevelsOf(query);
   for (size_t d = 0; d < radix_.size(); ++d) {
-    if (v.levels[d] > q.levels[d]) return false;
+    if (v[d] > q[d]) return false;
   }
   return true;
 }
@@ -134,8 +156,7 @@ uint64_t CubeLattice::KeySpace(const Cuboid& cuboid) const {
   return space;
 }
 
-uint64_t CubeLattice::EstimateRows(CuboidId id) const {
-  Cuboid cuboid = CuboidOf(id);
+uint64_t CubeLattice::CardenasRows(const Cuboid& cuboid) const {
   uint64_t d = KeySpace(cuboid);
   uint64_t n = schema_.stats().fact_rows;
   if (d == 0) return 0;
@@ -148,6 +169,11 @@ uint64_t CubeLattice::EstimateRows(CuboidId id) const {
   if (est > d) est = d;
   if (est > n) est = n;
   return est == 0 ? 1 : est;
+}
+
+uint64_t CubeLattice::EstimateRows(CuboidId id) const {
+  CV_CHECK(id < num_nodes_) << "cuboid id out of range";
+  return rows_[id];
 }
 
 DataSize CubeLattice::EstimateSize(CuboidId id) const {

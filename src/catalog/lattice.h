@@ -8,6 +8,10 @@
 //
 // Row counts per cuboid are estimated with Cardenas' formula
 // (expected distinct groups among `n` facts over `d` possible keys).
+// Build() evaluates it once per node and keeps three per-node tables —
+// the row estimate, the flat level vector, and the coarse-to-fine node
+// order — so the hot queries (EstimateRows, EstimateSize, CanAnswer)
+// are table lookups that never allocate.
 
 #pragma once
 
@@ -71,6 +75,13 @@ class CubeLattice {
   /// dimension, i.e. the view can answer the query by further roll-up.
   bool CanAnswer(CuboidId view, CuboidId query) const;
 
+  /// \brief Every node ordered coarse-to-fine: by EstimateRows
+  /// ascending, ties by id. The Zipf rank order of the workload
+  /// generator and of query churn (analysts ask mostly coarse roll-ups).
+  const std::vector<CuboidId>& CoarseToFine() const {
+    return coarse_to_fine_;
+  }
+
   /// \brief Immediate parents: one level coarser on exactly one dimension.
   std::vector<CuboidId> Parents(CuboidId id) const;
 
@@ -100,11 +111,19 @@ class CubeLattice {
   explicit CubeLattice(StarSchema schema);
 
   uint64_t KeySpace(const Cuboid& cuboid) const;
+  /// Cardenas' estimate for one cuboid (what rows_ caches).
+  uint64_t CardenasRows(const Cuboid& cuboid) const;
+  /// levels[d] of node `id` lives at levels_[id * radix_.size() + d].
+  const uint8_t* LevelsOf(CuboidId id) const;
 
   StarSchema schema_;
   std::vector<uint32_t> radix_;  // Levels per dimension.
   size_t num_nodes_ = 0;
   Cuboid base_;
+  // Per-node tables, filled once by the constructor.
+  std::vector<uint8_t> levels_;
+  std::vector<uint64_t> rows_;
+  std::vector<CuboidId> coarse_to_fine_;
 };
 
 }  // namespace cloudview

@@ -132,7 +132,16 @@ class AnnealingSolver : public Solver {
   Result<SelectionResult> Solve(const ObjectiveSpec& spec,
                                 SolverContext& context) const override {
     (void)spec;  // The context carries the spec.
-    return Anneal(context);
+    if (context.cache() != nullptr) return Anneal(context);
+    // An uncached caller (the temporal walk): the late, low-temperature
+    // toggles revisit the same few subsets, so a solve-local memo pays
+    // for itself even though nothing outlives the solve.
+    EvaluationCache local_cache;
+    SolverContext local(context.evaluator(), context.spec(), &local_cache);
+    local.set_use_incremental(context.use_incremental());
+    Result<SelectionResult> result = Anneal(local);
+    context.MergeCounters(local.counters());
+    return result;
   }
 };
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/str_format.h"
-#include "common/thread_pool.h"
 #include "core/optimizer/solver.h"
 
 namespace cloudview {
@@ -85,23 +84,22 @@ Result<TemporalPlanner> TemporalPlanner::Create(
     planner.base_at_period_.push_back(base);
   }
 
-  // Pre-materialize each period's evaluator (timing table + baseline) —
-  // the walk-independent, embarrassingly parallel bulk of a planner's
-  // cost. Built from the full candidate pool; the walk later snapshots
-  // them with the carried views' builds zeroed.
+  // Pre-materialize each period's evaluator (timing table + baseline),
+  // the walk-independent bulk of a planner's cost. Built from the full
+  // candidate pool; the walk later snapshots them with the carried
+  // views' builds zeroed.
   size_t periods = planner.timeline_.num_periods();
-  planner.period_evaluators_.resize(periods);
-  CV_RETURN_IF_ERROR(ParallelForStatus(periods, [&](size_t p) -> Status {
+  planner.period_evaluators_.reserve(periods);
+  for (size_t p = 0; p < periods; ++p) {
     CV_ASSIGN_OR_RETURN(
         SelectionEvaluator evaluator,
         SelectionEvaluator::Create(
-            *planner.lattice_, planner.timeline_.period(p).workload,
-            *planner.simulator_, planner.cluster_, *planner.cost_model_,
-            planner.PeriodDeployment(p), planner.candidates_));
-    planner.period_evaluators_[p] =
-        std::make_unique<const SelectionEvaluator>(std::move(evaluator));
-    return Status::OK();
-  }));
+            lattice, planner.timeline_.period(p).workload, simulator,
+            planner.cluster_, cost_model, planner.PeriodDeployment(p),
+            planner.candidates_));
+    planner.period_evaluators_.push_back(
+        std::make_unique<const SelectionEvaluator>(std::move(evaluator)));
+  }
   return planner;
 }
 
@@ -145,7 +143,13 @@ DeploymentSpec TemporalPlanner::PeriodDeployment(size_t p) const {
 
 Result<TemporalRunResult> TemporalPlanner::Run(
     const ObjectiveSpec& spec, const ReselectPolicy& policy,
-    std::string_view solver_name) const {
+    std::string_view solver) const {
+  return Walk(spec, policy, solver, nullptr);
+}
+
+Result<TemporalRunResult> TemporalPlanner::Walk(
+    const ObjectiveSpec& spec, const ReselectPolicy& policy,
+    std::string_view solver_name, WinnerMemo* memo) const {
   if (policy.kind == ReselectPolicy::Kind::kEveryK &&
       policy.every_k <= 0) {
     return Status::InvalidArgument("every_k must be positive");
@@ -180,6 +184,9 @@ Result<TemporalRunResult> TemporalPlanner::Run(
   std::vector<size_t> prev_selected;
   Workload last_solve_mix;
   for (size_t p = 0; p < timeline_.num_periods(); ++p) {
+    // Cancellation poll (DESIGN.md §14): an expired request stops at
+    // the next period head and returns the ledger walked so far.
+    if (spec.cancel != nullptr && spec.cancel->cancelled()) break;
     const TimelinePeriod& period = timeline_.period(p);
     DeploymentSpec deployment = PeriodDeployment(p);
     // Transition-aware period problem: carried views' build time is
@@ -206,27 +213,44 @@ Result<TemporalRunResult> TemporalPlanner::Run(
     row.reselected = ShouldReselect(policy, p, row.drift);
 
     if (row.reselected) {
-      EvaluationCache cache;
-      SolverContext context(evaluator, spec, &cache);
-      CV_ASSIGN_OR_RETURN(SelectionResult fresh,
-                          solver->Solve(spec, context));
-      // Hill-climbed warm start: often as good as the fresh solve and
-      // closer to the carried selection. Ties prefer it — fewer
-      // transitions at equal score.
-      SubsetState climbed = state;
-      CV_RETURN_IF_ERROR(context.HillClimb(climbed));
-      CV_ASSIGN_OR_RETURN(SelectionResult warm,
-                          context.Finalize(climbed));
-      const SelectionResult& winner =
-          context.ScoreOf(warm.evaluation) <=
-                  context.ScoreOf(fresh.evaluation)
-              ? warm
-              : fresh;
+      // The winner depends only on (p, prev_selected) — spec, solver and
+      // period evaluator are fixed for the planner's request — so a memo
+      // shared across policies may answer it without re-solving.
+      const std::vector<size_t>* memoized = nullptr;
+      if (memo != nullptr) {
+        auto it = memo->find({p, prev_selected});
+        if (it != memo->end()) memoized = &it->second;
+      }
+      std::vector<size_t> winner;
+      if (memoized != nullptr) {
+        winner = *memoized;
+      } else {
+        // No EvaluationCache: one period solve revisits too few subsets
+        // to pay for filling one (as in branch-and-bound's walk).
+        SolverContext context(evaluator, spec);
+        CV_ASSIGN_OR_RETURN(SelectionResult fresh,
+                            solver->Solve(spec, context));
+        // Hill-climbed warm start: often as good as the fresh solve and
+        // closer to the carried selection. Ties prefer it — fewer
+        // transitions at equal score.
+        SubsetState climbed = state;
+        CV_RETURN_IF_ERROR(context.HillClimb(climbed));
+        CV_ASSIGN_OR_RETURN(SelectionResult warm,
+                            context.Finalize(climbed));
+        winner = context.ScoreOf(warm.evaluation) <=
+                         context.ScoreOf(fresh.evaluation)
+                     ? std::move(warm.evaluation.selected)
+                     : std::move(fresh.evaluation.selected);
+        ++result.fresh_solves;
+        // A truncated solve is not this subproblem's answer: never
+        // memoize it.
+        if (memo != nullptr && !context.Cancelled()) {
+          memo->emplace(std::pair(p, prev_selected), winner);
+        }
+      }
       // Move the warm state to the winning selection incrementally.
       for (size_t c = 0; c < candidates_.size(); ++c) {
-        bool want = std::binary_search(winner.evaluation.selected.begin(),
-                                       winner.evaluation.selected.end(),
-                                       c);
+        bool want = std::binary_search(winner.begin(), winner.end(), c);
         if (want != state.contains(c)) state.Toggle(c);
       }
       last_solve_mix = period.workload;
@@ -337,16 +361,17 @@ Result<std::vector<TemporalRunResult>> TemporalPlanner::ComparePolicies(
     const ObjectiveSpec& spec,
     const std::vector<ReselectPolicy>& policies,
     std::string_view solver) const {
-  // One walk per policy, in parallel: the walks are independent and the
-  // planner is immutable after Create (the pre-built evaluators are
-  // only cloned). Results land by policy index, so row order — and
-  // every number in the rows — is the same at any thread count.
-  std::vector<TemporalRunResult> runs(policies.size());
-  CV_RETURN_IF_ERROR(
-      ParallelForStatus(policies.size(), [&](size_t i) -> Status {
-        CV_ASSIGN_OR_RETURN(runs[i], Run(spec, policies[i], solver));
-        return Status::OK();
-      }));
+  // One walk per policy, in policy order, sharing one winner memo: every
+  // policy re-selects period 0 from the same empty start, and cadences
+  // that coincide share later (period, carried selection) subproblems.
+  WinnerMemo memo;
+  std::vector<TemporalRunResult> runs;
+  runs.reserve(policies.size());
+  for (const ReselectPolicy& policy : policies) {
+    CV_ASSIGN_OR_RETURN(TemporalRunResult run,
+                        Walk(spec, policy, solver, &memo));
+    runs.push_back(std::move(run));
+  }
   return runs;
 }
 

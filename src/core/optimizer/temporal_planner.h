@@ -31,11 +31,13 @@
 // The expensive per-period work — each period's query-x-candidate
 // timing table and baseline — depends only on the timeline, never on
 // the walk, so Create() pre-materializes one SelectionEvaluator per
-// period in parallel on the ThreadPool (DESIGN.md §9). The walk itself
-// is inherently sequential (each period's warm start and sunk-build
-// zeroing depend on the previous selection); it takes per-period
-// O(queries + candidates) CloneWithSunkBuilds snapshots of the
-// pre-built evaluators, which share the immutable timing tables.
+// period. The walk itself is inherently sequential (each period's warm
+// start and sunk-build zeroing depend on the previous selection); it
+// takes per-period O(queries + candidates) CloneWithSunkBuilds
+// snapshots of the pre-built evaluators, which share the immutable
+// timing tables. A re-selection's winner is a pure function of (period,
+// carried selection) within one request, so ComparePolicies memoizes it
+// across its policies' walks (DESIGN.md §8).
 //
 // Re-selection is transition-aware: views carried from the previous
 // period have their materialization time zeroed in the period's
@@ -50,9 +52,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "catalog/architecture.h"
@@ -122,8 +126,12 @@ struct TemporalRunResult {
   std::vector<TemporalPeriodRow> ledger;
   /// Sum of the ledger rows (storage sums to the horizon Formula 5).
   CostBreakdown total;
-  /// How many periods actually ran the solver.
+  /// How many periods re-selected (the wire's `solver_runs`).
   uint64_t solver_runs = 0;
+  /// Re-selections this walk actually solved: solver_runs minus those a
+  /// ComparePolicies memo answered, so equal to solver_runs for Run().
+  /// Work telemetry only; not encoded on the wire.
+  uint64_t fresh_solves = 0;
   /// Periods priced purely from the warm-started SubsetState.
   uint64_t warm_periods = 0;
 
@@ -136,10 +144,10 @@ struct TemporalRunResult {
 /// planner); the timeline is copied in.
 ///
 /// Concurrency contract (DESIGN.md §9): after Create(), the planner is
-/// immutable — Run() and ComparePolicies() are const and genuinely
-/// safe to call from several threads at once (ComparePolicies does:
-/// one Run task per policy). Each Run keeps all mutable search state
-/// (SubsetStates, caches, evaluator clones) on its own stack; the
+/// immutable — Run() and ComparePolicies() are const and safe to call
+/// from several threads at once. Each call keeps all mutable state
+/// (SubsetStates, evaluator clones, ComparePolicies' winner memo) on
+/// its own stack and runs sequentially on the calling thread; the
 /// shared pre-built per-period evaluators are only ever cloned, never
 /// probed directly.
 class TemporalPlanner {
@@ -147,7 +155,7 @@ class TemporalPlanner {
   /// \brief Builds the planner: generates the shared candidate set from
   /// the union of all period mixes, precomputes per-period storage
   /// scaffolding, and pre-materializes each period's SelectionEvaluator
-  /// (timing table + baseline) in parallel on the global ThreadPool.
+  /// (timing table + baseline).
   /// `maintenance_cycles` is charged per period.
   ///
   /// `architecture` (default: identity, i.e. single-node on-demand)
@@ -172,16 +180,19 @@ class TemporalPlanner {
 
   /// \brief Walks the timeline under `policy`, running the named
   /// registered solver on re-selection periods. `spec` is interpreted
-  /// per period (an MV1 budget constrains each period's bill).
+  /// per period (an MV1 budget constrains each period's bill). The walk
+  /// polls `spec.cancel` at each period head and, once it fired,
+  /// returns the ledger walked so far.
   Result<TemporalRunResult> Run(
       const ObjectiveSpec& spec, const ReselectPolicy& policy,
       std::string_view solver = kDefaultSolverName) const;
 
   /// \brief Run() for each policy, same spec/solver — the
-  /// static-vs-periodic-vs-drift comparison, one parallel task per
-  /// policy over the shared pre-built evaluators. Rows keep policy
-  /// order (never completion order), so results are independent of
-  /// thread count.
+  /// static-vs-periodic-vs-drift comparison. The walks run one after
+  /// another and share one memo of re-selection winners keyed by
+  /// (period, carried selection), so a subproblem two policies reach
+  /// is solved once. Rows keep policy order and equal standalone Run()
+  /// results field for field, except `fresh_solves`.
   Result<std::vector<TemporalRunResult>> ComparePolicies(
       const ObjectiveSpec& spec,
       const std::vector<ReselectPolicy>& policies,
@@ -198,6 +209,18 @@ class TemporalPlanner {
         cost_model_(&cost_model), timeline_(std::move(timeline)),
         maintenance_cycles_(maintenance_cycles),
         architecture_(architecture) {}
+
+  /// Re-selection winners (ascending candidate indices) keyed by
+  /// (period, ascending carried selection).
+  using WinnerMemo =
+      std::map<std::pair<size_t, std::vector<size_t>>, std::vector<size_t>>;
+
+  /// Run()'s walk; `memo` (optional) answers and records re-selection
+  /// winners. Only untruncated solves are recorded.
+  Result<TemporalRunResult> Walk(const ObjectiveSpec& spec,
+                                 const ReselectPolicy& policy,
+                                 std::string_view solver_name,
+                                 WinnerMemo* memo) const;
 
   /// Whether `policy` re-solves in period `p` given the drift since the
   /// last solve.
@@ -219,9 +242,8 @@ class TemporalPlanner {
   /// accumulated growth); index num_periods() holds the end state.
   std::vector<DataSize> base_at_period_;
   /// One pre-built evaluator per period (full, un-zeroed candidate
-  /// pool), built in parallel by Create(). Immutable afterwards: the
-  /// walk takes CloneWithSunkBuilds snapshots, so concurrent Runs can
-  /// share them.
+  /// pool), built by Create(). Immutable afterwards: the walk takes
+  /// CloneWithSunkBuilds snapshots, so concurrent Runs can share them.
   std::vector<std::unique_ptr<const SelectionEvaluator>> period_evaluators_;
 };
 

@@ -1,6 +1,5 @@
 #include "workload/generator.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
@@ -24,18 +23,14 @@ Result<Workload> GenerateWorkload(const CubeLattice& lattice,
                   options.num_queries, pool));
   }
 
-  // Order nodes coarse-to-fine (by estimated rows ascending): analysts ask
-  // mostly coarse roll-ups, so the Zipf head sits on the coarse end.
+  // The lattice's coarse-to-fine order: analysts ask mostly coarse
+  // roll-ups, so the Zipf head sits on the coarse end.
   std::vector<CuboidId> nodes;
   nodes.reserve(lattice.num_nodes());
-  for (CuboidId id = 0; id < lattice.num_nodes(); ++id) {
+  for (CuboidId id : lattice.CoarseToFine()) {
     if (options.exclude_base && id == lattice.base_id()) continue;
     nodes.push_back(id);
   }
-  std::stable_sort(nodes.begin(), nodes.end(),
-                   [&](CuboidId a, CuboidId b) {
-                     return lattice.EstimateRows(a) < lattice.EstimateRows(b);
-                   });
 
   Rng rng(options.seed);
   ZipfDistribution dist(nodes.size(), options.cuboid_skew);

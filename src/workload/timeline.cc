@@ -61,11 +61,11 @@ Status QueryChurnDrift::Apply(const CubeLattice& lattice, Rng& rng,
     return Status::InvalidArgument(
         StrFormat("churn rate %.3f outside [0, 1]", rate_));
   }
-  // Coarse-to-fine node order, matching workload/generator.cc: the Zipf
-  // head sits on the coarse roll-ups analysts mostly ask for.
+  // The lattice's coarse-to-fine order, as in workload/generator.cc:
+  // the Zipf head sits on the coarse roll-ups analysts mostly ask for.
   std::vector<CuboidId> nodes;
   nodes.reserve(lattice.num_nodes());
-  for (CuboidId id = 0; id < lattice.num_nodes(); ++id) {
+  for (CuboidId id : lattice.CoarseToFine()) {
     if (id == lattice.base_id()) continue;  // Full scans churn nowhere.
     nodes.push_back(id);
   }
@@ -73,11 +73,6 @@ Status QueryChurnDrift::Apply(const CubeLattice& lattice, Rng& rng,
     return Status::InvalidArgument(
         "lattice has no aggregate cuboids to churn to");
   }
-  std::stable_sort(nodes.begin(), nodes.end(),
-                   [&](CuboidId a, CuboidId b) {
-                     return lattice.EstimateRows(a) <
-                            lattice.EstimateRows(b);
-                   });
   ZipfDistribution dist(nodes.size(), cuboid_skew_);
 
   std::vector<QuerySpec> queries = period.workload.queries();

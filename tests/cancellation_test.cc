@@ -101,6 +101,40 @@ TEST(Cancellation, CancelledBranchAndBoundIsDeterministicAcrossThreads) {
             0);
 }
 
+// The temporal walk polls the token at each period head: a pre-fired
+// token stops it before period 0, for a lone walk and for every policy
+// of a comparison, and Dispatch reports the truncation.
+TEST(Cancellation, CancelledTimelineStopsAtThePeriodHead) {
+  CloudScenario scenario =
+      CloudScenario::Create(SmallConfig()).MoveValue();
+  CancelToken token;
+  token.Cancel();
+  ObjectiveSpec spec = LooseBudgetSpec();
+  spec.cancel = &token;
+
+  AdvisorRequest timeline{.kind = AdvisorRequestKind::kTimeline,
+                          .objective = spec,
+                          .policy = ReselectPolicy::EveryK(1)};
+  timeline.timeline.num_periods = 4;
+  AdvisorResponse walked = scenario.Dispatch(timeline).MoveValue();
+  EXPECT_TRUE(walked.meta.cancelled);
+  EXPECT_TRUE(walked.timeline.ledger.empty());
+  EXPECT_EQ(walked.timeline.solver_runs, 0u);
+
+  AdvisorRequest compare{.kind = AdvisorRequestKind::kComparePolicies,
+                         .objective = spec};
+  compare.timeline.num_periods = 4;
+  compare.policies = {ReselectPolicy::Static(), ReselectPolicy::EveryK(1),
+                      ReselectPolicy::OnDrift(0.25)};
+  AdvisorResponse compared = scenario.Dispatch(compare).MoveValue();
+  EXPECT_TRUE(compared.meta.cancelled);
+  ASSERT_EQ(compared.policies.size(), compare.policies.size());
+  for (const TemporalRunResult& run : compared.policies) {
+    EXPECT_TRUE(run.ledger.empty()) << run.policy.Name();
+    EXPECT_EQ(run.fresh_solves, 0u) << run.policy.Name();
+  }
+}
+
 TEST(Cancellation, ServiceReportsCancelledWithIncumbentPayload) {
   AdvisorService::Options options;
   options.default_config = SmallConfig();

@@ -2,12 +2,27 @@
 // counts, level depths, cardinalities), the partial order, the id
 // encoding, the cardinality estimator and the key codec must hold their
 // invariants. Parameterized over seeds.
+//
+// The per-node tables CubeLattice::Build precomputes (row estimates,
+// level vectors, the coarse-to-fine order) are checked against direct
+// computation on the SSB and sales lattices, and the query lists the
+// seeded generators draw from that order are pinned.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <numeric>
+#include <vector>
 
 #include "catalog/key_codec.h"
 #include "catalog/lattice.h"
 #include "common/random.h"
+#include "engine/sales_generator.h"
+#include "workload/generator.h"
+#include "workload/ssb.h"
+#include "workload/timeline.h"
 
 namespace cloudview {
 namespace {
@@ -133,6 +148,150 @@ TEST_P(LatticePropertyTest, EstimateSizeConsistentWithRows) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatticePropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+CubeLattice SsbLattice() {
+  return CubeLattice::Build(MakeSsbSchema(SsbConfig{}).value())
+      .MoveValue();
+}
+
+CubeLattice SalesLattice() {
+  return CubeLattice::Build(MakeSalesSchema(SalesConfig{}).value())
+      .MoveValue();
+}
+
+// Cardenas' formula over the cuboid's key space, straight from the
+// schema: d(1 - e^(-n/d)) capped by n and d, at least 1.
+uint64_t CardenasRows(const CubeLattice& lattice, CuboidId id) {
+  const StarSchema& schema = lattice.schema();
+  Cuboid cuboid = lattice.CuboidOf(id);
+  uint64_t d = 1;
+  for (size_t dim = 0; dim < schema.num_dimensions(); ++dim) {
+    uint64_t card =
+        schema.dimension(dim).level(cuboid.levels[dim]).cardinality;
+    if (card != 0 && d > UINT64_MAX / card) {
+      d = UINT64_MAX;
+      break;
+    }
+    d *= card;
+  }
+  uint64_t n = schema.stats().fact_rows;
+  if (d == 0) return 0;
+  long double dd = static_cast<long double>(d);
+  long double nn = static_cast<long double>(n);
+  uint64_t est =
+      static_cast<uint64_t>(dd * (1.0L - std::exp(-nn / dd)));
+  est = std::min({est, d, n});
+  return est == 0 ? 1 : est;
+}
+
+class LatticeTablesTest : public ::testing::TestWithParam<bool> {
+ protected:
+  CubeLattice Lattice() const {
+    return GetParam() ? SsbLattice() : SalesLattice();
+  }
+};
+
+TEST_P(LatticeTablesTest, RowEstimatesMatchCardenas) {
+  CubeLattice lattice = Lattice();
+  int64_t width = lattice.schema().stats().bytes_per_view_row;
+  for (CuboidId id = 0; id < lattice.num_nodes(); ++id) {
+    EXPECT_EQ(lattice.EstimateRows(id), CardenasRows(lattice, id)) << id;
+    EXPECT_EQ(lattice.EstimateSize(id).bytes(),
+              static_cast<int64_t>(CardenasRows(lattice, id)) * width);
+  }
+}
+
+TEST_P(LatticeTablesTest, CanAnswerMatchesLevelComparison) {
+  CubeLattice lattice = Lattice();
+  for (CuboidId view = 0; view < lattice.num_nodes(); ++view) {
+    Cuboid v = lattice.CuboidOf(view);
+    for (CuboidId query = 0; query < lattice.num_nodes(); ++query) {
+      Cuboid q = lattice.CuboidOf(query);
+      bool finer = true;
+      for (size_t d = 0; d < v.levels.size(); ++d) {
+        finer = finer && v.levels[d] <= q.levels[d];
+      }
+      ASSERT_EQ(lattice.CanAnswer(view, query), finer)
+          << view << " -> " << query;
+    }
+  }
+}
+
+TEST_P(LatticeTablesTest, CoarseToFineIsTheStableRowSort) {
+  CubeLattice lattice = Lattice();
+  std::vector<CuboidId> expected(lattice.num_nodes());
+  std::iota(expected.begin(), expected.end(), 0);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](CuboidId a, CuboidId b) {
+                     return CardenasRows(lattice, a) <
+                            CardenasRows(lattice, b);
+                   });
+  EXPECT_EQ(lattice.CoarseToFine(), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SsbAndSales, LatticeTablesTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return std::string(info.param ? "Ssb" : "Sales");
+    });
+
+std::vector<CuboidId> Targets(const Workload& workload) {
+  std::vector<CuboidId> out;
+  for (const QuerySpec& q : workload.queries()) out.push_back(q.target);
+  return out;
+}
+
+// Query lists drawn before the coarse-to-fine order moved into the
+// lattice: the seeded generators must keep drawing exactly these.
+TEST(LatticeOrderPins, SeededGenerateWorkload) {
+  CubeLattice ssb = SsbLattice();
+  CubeLattice sales = SalesLattice();
+
+  WorkloadGenOptions with_duplicates;
+  with_duplicates.num_queries = 16;
+  with_duplicates.seed = 7;
+  EXPECT_EQ(Targets(GenerateWorkload(ssb, with_duplicates).value()),
+            (std::vector<CuboidId>{114, 176, 1, 251, 203, 163, 192, 122,
+                                   249, 250, 253, 195, 194, 239, 175,
+                                   254}));
+  EXPECT_EQ(Targets(GenerateWorkload(sales, with_duplicates).value()),
+            (std::vector<CuboidId>{6, 8, 0, 15, 7, 10, 1, 13, 14, 11, 11,
+                                   6, 3, 15, 11, 15}));
+
+  WorkloadGenOptions distinct;
+  distinct.num_queries = 12;
+  distinct.exclude_base = true;
+  distinct.allow_duplicates = false;
+  distinct.cuboid_skew = 0.9;
+  distinct.seed = 41;
+  EXPECT_EQ(Targets(GenerateWorkload(ssb, distinct).value()),
+            (std::vector<CuboidId>{151, 221, 175, 211, 247, 251, 191, 239,
+                                   223, 254, 215, 212}));
+}
+
+TEST(LatticeOrderPins, SeededChurnTimeline) {
+  CubeLattice ssb = SsbLattice();
+  std::vector<std::unique_ptr<DriftModel>> drift;
+  drift.push_back(std::make_unique<QueryChurnDrift>(0.35));
+  TimelineOptions options;
+  options.num_periods = 6;
+  options.seed = 17;
+  WorkloadTimeline timeline =
+      WorkloadTimeline::Generate(ssb, MakeSsbWorkload(ssb).MoveValue(),
+                                 std::move(drift), options)
+          .MoveValue();
+  const std::vector<std::vector<CuboidId>> expected = {
+      {191, 127, 187, 55, 184, 184, 45, 131, 131, 198, 154, 165, 144},
+      {191, 127, 187, 55, 184, 184, 45, 231, 161, 230, 154, 82, 144},
+      {152, 127, 187, 55, 184, 184, 247, 143, 30, 115, 104, 82, 107},
+      {152, 127, 221, 55, 184, 184, 247, 186, 30, 115, 104, 82, 107},
+      {251, 24, 221, 170, 223, 221, 20, 59, 30, 115, 207, 82, 240},
+      {251, 24, 221, 170, 223, 221, 20, 59, 89, 255, 215, 82, 168}};
+  ASSERT_EQ(timeline.num_periods(), expected.size());
+  for (size_t p = 0; p < expected.size(); ++p) {
+    EXPECT_EQ(Targets(timeline.period(p).workload), expected[p]) << p;
+  }
+}
 
 }  // namespace
 }  // namespace cloudview

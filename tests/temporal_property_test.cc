@@ -62,12 +62,8 @@ struct Variant {
   uint64_t seed;
 };
 
-class TemporalPropertyTest : public ::testing::TestWithParam<Variant> {};
-
-TEST_P(TemporalPropertyTest, LedgerMatchesFromScratchEvaluation) {
-  const Variant& variant = GetParam();
-  Instance inst = MakeInstance(variant.granularity);
-
+WorkloadTimeline MakeTimeline(const Instance& inst,
+                              const Variant& variant) {
   Workload ssb = MakeSsbWorkload(*inst.lattice).MoveValue();
   std::vector<QuerySpec> mix = ssb.queries();
   for (QuerySpec& q : mix) q.frequency = 25;
@@ -81,24 +77,40 @@ TEST_P(TemporalPropertyTest, LedgerMatchesFromScratchEvaluation) {
   TimelineOptions options;
   options.num_periods = 6;
   options.seed = variant.seed;
-  WorkloadTimeline timeline =
-      WorkloadTimeline::Generate(*inst.lattice, Workload(std::move(mix)),
-                                 std::move(drift), options)
-          .MoveValue();
+  return WorkloadTimeline::Generate(*inst.lattice,
+                                    Workload(std::move(mix)),
+                                    std::move(drift), options)
+      .MoveValue();
+}
 
+TemporalPlanner MakePlanner(const Instance& inst, const Variant& variant,
+                            const WorkloadTimeline& timeline) {
   CandidateGenOptions candidate_options;
   candidate_options.max_candidates = 16;
   candidate_options.max_rows_fraction = 0.10;
-  TemporalPlanner planner =
-      TemporalPlanner::Create(*inst.lattice, *inst.simulator,
-                              inst.cluster, *inst.cost_model, timeline,
-                              candidate_options,
-                              variant.maintenance_cycles)
-          .MoveValue();
+  return TemporalPlanner::Create(*inst.lattice, *inst.simulator,
+                                 inst.cluster, *inst.cost_model, timeline,
+                                 candidate_options,
+                                 variant.maintenance_cycles)
+      .MoveValue();
+}
 
+ObjectiveSpec Mv3Spec() {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
+  return spec;
+}
+
+class TemporalPropertyTest : public ::testing::TestWithParam<Variant> {};
+
+TEST_P(TemporalPropertyTest, LedgerMatchesFromScratchEvaluation) {
+  const Variant& variant = GetParam();
+  Instance inst = MakeInstance(variant.granularity);
+  WorkloadTimeline timeline = MakeTimeline(inst, variant);
+  TemporalPlanner planner = MakePlanner(inst, variant, timeline);
+
+  ObjectiveSpec spec = Mv3Spec();
   TemporalRunResult run =
       planner.Run(spec, variant.policy).MoveValue();
   ASSERT_EQ(run.ledger.size(), timeline.num_periods());
@@ -234,6 +246,77 @@ TEST_P(TemporalPropertyTest, LedgerMatchesFromScratchEvaluation) {
   EXPECT_EQ(sum.total(), run.total.total());
   EXPECT_EQ(run.total.storage,
             storage.Cost(horizon_storage, timeline.horizon()).MoveValue());
+}
+
+void ExpectSameBreakdown(const CostBreakdown& a, const CostBreakdown& b) {
+  EXPECT_EQ(a.processing, b.processing);
+  EXPECT_EQ(a.materialization, b.materialization);
+  EXPECT_EQ(a.maintenance, b.maintenance);
+  EXPECT_EQ(a.storage, b.storage);
+  EXPECT_EQ(a.transfer, b.transfer);
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.session_rounding, b.session_rounding);
+  EXPECT_EQ(a.interruption, b.interruption);
+  EXPECT_EQ(a.inter_az, b.inter_az);
+}
+
+// ComparePolicies shares one memo of re-selection winners across its
+// walks. Its rows must equal standalone Run() walks field for field.
+// every-1 and drift-0.00 re-select in every period and share every
+// subproblem, while every-3 and drift-0.25 reach the same periods with
+// other carried selections: a memo keyed on the period alone fails
+// here.
+TEST_P(TemporalPropertyTest, ComparePoliciesMemoMatchesStandaloneRuns) {
+  const Variant& variant = GetParam();
+  Instance inst = MakeInstance(variant.granularity);
+  WorkloadTimeline timeline = MakeTimeline(inst, variant);
+  TemporalPlanner planner = MakePlanner(inst, variant, timeline);
+  ObjectiveSpec spec = Mv3Spec();
+  const std::vector<ReselectPolicy> policies = {
+      ReselectPolicy::Static(), ReselectPolicy::EveryK(1),
+      ReselectPolicy::EveryK(3), ReselectPolicy::OnDrift(0.0),
+      ReselectPolicy::OnDrift(0.25)};
+
+  std::vector<TemporalRunResult> compared =
+      planner.ComparePolicies(spec, policies).MoveValue();
+  ASSERT_EQ(compared.size(), policies.size());
+  uint64_t solver_runs = 0;
+  uint64_t fresh_solves = 0;
+  for (size_t i = 0; i < policies.size(); ++i) {
+    SCOPED_TRACE(testing::Message()
+                 << variant.label << " " << policies[i].Name());
+    TemporalRunResult alone = planner.Run(spec, policies[i]).MoveValue();
+    const TemporalRunResult& memo = compared[i];
+    EXPECT_EQ(memo.policy.Name(), alone.policy.Name());
+    EXPECT_EQ(memo.solver, alone.solver);
+    EXPECT_EQ(memo.solver_runs, alone.solver_runs);
+    EXPECT_EQ(memo.warm_periods, alone.warm_periods);
+    ExpectSameBreakdown(memo.total, alone.total);
+    ASSERT_EQ(memo.ledger.size(), alone.ledger.size());
+    for (size_t p = 0; p < alone.ledger.size(); ++p) {
+      SCOPED_TRACE(testing::Message() << "period " << p);
+      const TemporalPeriodRow& a = memo.ledger[p];
+      const TemporalPeriodRow& b = alone.ledger[p];
+      EXPECT_EQ(a.period, b.period);
+      EXPECT_EQ(a.selected, b.selected);
+      EXPECT_EQ(a.reselected, b.reselected);
+      EXPECT_EQ(a.drift, b.drift);
+      EXPECT_EQ(a.views_added, b.views_added);
+      EXPECT_EQ(a.views_dropped, b.views_dropped);
+      EXPECT_EQ(a.processing_time, b.processing_time);
+      ExpectSameBreakdown(a.cost, b.cost);
+    }
+    // A standalone walk solves every re-selection itself.
+    EXPECT_EQ(alone.fresh_solves, alone.solver_runs);
+    EXPECT_LE(memo.fresh_solves, memo.solver_runs);
+    solver_runs += memo.solver_runs;
+    fresh_solves += memo.fresh_solves;
+  }
+  // Every policy re-selects period 0 from the same empty start, so the
+  // memo answers at least the four repeats of that subproblem, and
+  // drift-0.00 retraces every-1's walk without solving at all.
+  EXPECT_LE(fresh_solves + (policies.size() - 1), solver_runs);
+  EXPECT_EQ(compared[3].fresh_solves, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
