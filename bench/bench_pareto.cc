@@ -2,10 +2,9 @@
 // ("pareto-sweep", "pareto-genetic") on the paper's sales instance —
 // wall time per frontier solve, frontier size, probe throughput and the
 // deterministic evaluation count (probes a fresh cache did not answer,
-// gated exactly by bench/check_regression.py) — plus the determinism
-// pin: the sweep's frontier must be bit-identical at every thread
-// count. Rows are emitted in the bench_util.h BENCH_JSON format for the
-// perf trajectory and the CI regression gate.
+// gated exactly by bench/check_regression.py). Rows are emitted in the
+// bench_util.h BENCH_JSON format for the perf trajectory and the CI
+// regression gate.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +17,6 @@
 
 #include "bench_util.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/optimizer/pareto.h"
 #include "core/optimizer/solver.h"
@@ -134,18 +132,6 @@ Measured MeasureFrontier(const Solver& solver, const Instance& inst,
   return out;
 }
 
-bool SameFrontier(const std::vector<ParetoPoint>& a,
-                  const std::vector<ParetoPoint>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].score != b[i].score || a[i].selected != b[i].selected ||
-        a[i].origin != b[i].origin) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // --- Part 1: the two frontier strategies head to head -----------------------
 
 void PrintFrontierComparison() {
@@ -181,40 +167,6 @@ void PrintFrontierComparison() {
   std::cout << "\n";
 }
 
-// --- Part 2: the sweep's frontier does not move with the thread count ------
-
-void CheckSweepThreadIdentity() {
-  Instance inst = MakeSalesInstance(/*workload_size=*/10,
-                                    /*max_candidates=*/12);
-  ObjectiveSpec spec = BudgetSpec();
-  const Solver& sweep = *Unwrap(
-      SolverRegistry::Global().Find("pareto-sweep"), "pareto-sweep");
-
-  size_t original = ThreadPool::Global().concurrency();
-  std::vector<ParetoPoint> reference;
-  bool identical = true;
-  for (size_t threads : {1, 2, 4, 8}) {
-    ThreadPool::SetGlobalConcurrency(threads);
-    EvaluationCache cache;
-    SolverContext context(*inst.evaluator, spec, &cache);
-    std::vector<ParetoPoint> frontier =
-        Unwrap(sweep.Solve(spec, context), "solve").frontier;
-    if (threads == 1) {
-      reference = std::move(frontier);
-    } else if (!SameFrontier(reference, frontier)) {
-      identical = false;
-    }
-  }
-  ThreadPool::SetGlobalConcurrency(original);
-  std::cout << "pareto-sweep frontier identical at 1/2/4/8 threads: "
-            << (identical ? "yes" : "NO") << "\n\n";
-  if (!identical) {
-    std::fprintf(stderr,
-                 "pareto-sweep frontiers diverged across thread counts\n");
-    std::exit(1);
-  }
-}
-
 // --- Microbenchmark: ParetoFront insertion ----------------------------------
 
 void BM_ParetoFrontInsert(benchmark::State& state) {
@@ -242,7 +194,6 @@ BENCHMARK(BM_ParetoFrontInsert);
 int main(int argc, char** argv) {
   bench::ParseSmoke(argc, argv);
   PrintFrontierComparison();
-  CheckSweepThreadIdentity();
   bench::RunMicrobenchmarks(argc, argv);
   return 0;
 }

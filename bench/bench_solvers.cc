@@ -20,7 +20,6 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "core/experiments.h"
 #include "core/optimizer/branch_and_bound.h"
 #include "core/optimizer/candidate_generation.h"
@@ -314,102 +313,76 @@ void PrintIncrementalAblation() {
 // rosters of 20, 50 and 100 candidates — sizes where enumerating 2^n
 // subsets is 1e6x past hopeless — with the proof status, certified gap,
 // search telemetry and EvaluationCache behavior (hits/misses/evictions)
-// in the regression rows; nodes_expanded is gated exactly. Selections
-// and node counts must be bit-identical at 1 vs 8 threads (one
-// sequential walk); divergence exits 1.
+// in the regression rows; nodes_expanded is gated exactly.
 void PrintBranchAndBoundScaling() {
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
 
-  TablePrinter table({"candidates", "wall/solve (1t)", "wall/solve (8t)",
-                      "nodes", "proven", "gap", "views",
-                      "cache hit rate"});
+  TablePrinter table({"candidates", "wall/solve", "nodes", "proven", "gap",
+                      "views", "cache hit rate"});
   table.SetTitle(
       "Branch-and-bound scaling on SSB (enumeration wall is 20)");
 
-  size_t original = ThreadPool::Global().concurrency();
-  bool identical = true;
   for (size_t max_candidates : {20, 50, 100}) {
     Instance inst = MakeSsbInstance(max_candidates, /*workload_repeats=*/3);
     size_t n = inst.evaluator->num_candidates();
 
-    double wall_ms[2] = {0.0, 0.0};
-    double subsets_per_sec = 0.0;
     uint64_t cache_hits = 0, cache_misses = 0, cache_evictions = 0;
-    SearchStats stats[2];
-    std::vector<size_t> selections[2];
-    for (int which : {0, 1}) {
-      ThreadPool::SetGlobalConcurrency(which == 0 ? 1 : 8);
-      uint64_t scored = 0;
-      int reps = 0;
-      auto start = std::chrono::steady_clock::now();
-      do {
-        EvaluationCache cache;
-        SolverContext context(*inst.evaluator, spec, &cache);
-        SearchStats rep_stats;
-        BranchAndBoundOptions options;
-        options.stats = &rep_stats;
-        SelectionResult result =
-            Unwrap(SolveBranchAndBound(context, options), "bnb");
-        stats[which] = rep_stats;
-        selections[which] = result.evaluation.selected;
-        scored += context.counters().subsets_scored();
-        cache_hits = cache.hits();
-        cache_misses = cache.misses();
-        cache_evictions = cache.evictions();
-        ++reps;
-      } while (MillisSince(start) < bench::MeasureBudgetMs(100.0) &&
-               reps < 20);
-      double total_ms = MillisSince(start);
-      wall_ms[which] = total_ms / reps;
-      subsets_per_sec =
-          1000.0 * static_cast<double>(scored) / total_ms;
-    }
-    if (selections[0] != selections[1] ||
-        stats[0].nodes_expanded != stats[1].nodes_expanded) {
-      identical = false;
-    }
+    SearchStats stats;
+    std::vector<size_t> selection;
+    uint64_t scored = 0;
+    int reps = 0;
+    auto start = std::chrono::steady_clock::now();
+    do {
+      EvaluationCache cache;
+      SolverContext context(*inst.evaluator, spec, &cache);
+      stats = SearchStats();
+      BranchAndBoundOptions options;
+      options.stats = &stats;
+      SelectionResult result =
+          Unwrap(SolveBranchAndBound(context, options), "bnb");
+      selection = result.evaluation.selected;
+      scored += context.counters().subsets_scored();
+      cache_hits = cache.hits();
+      cache_misses = cache.misses();
+      cache_evictions = cache.evictions();
+      ++reps;
+    } while (MillisSince(start) < bench::MeasureBudgetMs(100.0) &&
+             reps < 20);
+    double total_ms = MillisSince(start);
+    double wall_ms = total_ms / reps;
+    double subsets_per_sec =
+        1000.0 * static_cast<double>(scored) / total_ms;
 
     double hit_rate =
         cache_hits + cache_misses > 0
             ? static_cast<double>(cache_hits) /
                   static_cast<double>(cache_hits + cache_misses)
             : 0.0;
-    table.AddRow(
-        {std::to_string(n), StrFormat("%.2f ms", wall_ms[0]),
-         StrFormat("%.2f ms", wall_ms[1]),
-         std::to_string(stats[1].nodes_expanded),
-         stats[1].proven_optimal ? "yes" : "NO",
-         StrFormat("%.4f", stats[1].gap_fraction),
-         std::to_string(selections[1].size()), Pct(hit_rate)});
+    table.AddRow({std::to_string(n), StrFormat("%.2f ms", wall_ms),
+                  std::to_string(stats.nodes_expanded),
+                  stats.proven_optimal ? "yes" : "NO",
+                  StrFormat("%.4f", stats.gap_fraction),
+                  std::to_string(selection.size()), Pct(hit_rate)});
     JsonLine("solvers")
         .Str("sweep", "branch_and_bound")
         // String so the roster size lands in the row's identity key.
         .Str("candidates", std::to_string(n))
-        .Num("wall_ms_1thread", wall_ms[0])
-        .Num("wall_ms_8threads", wall_ms[1])
+        .Num("wall_ms_per_solve", wall_ms)
         .Num("subsets_per_sec", subsets_per_sec)
-        .Num("gap_fraction", stats[1].gap_fraction)
+        .Num("gap_fraction", stats.gap_fraction)
         .Num("cache_hit_rate", hit_rate)
-        .Int("nodes_expanded",
-             static_cast<int64_t>(stats[1].nodes_expanded))
+        .Int("nodes_expanded", static_cast<int64_t>(stats.nodes_expanded))
         .Int("pruned_by_bound",
-             static_cast<int64_t>(stats[1].pruned_by_bound))
-        .Int("proven_optimal", stats[1].proven_optimal ? 1 : 0)
+             static_cast<int64_t>(stats.pruned_by_bound))
+        .Int("proven_optimal", stats.proven_optimal ? 1 : 0)
         .Int("cache_evictions", static_cast<int64_t>(cache_evictions))
-        .Int("views", static_cast<int64_t>(selections[1].size()))
+        .Int("views", static_cast<int64_t>(selection.size()))
         .Emit();
   }
-  ThreadPool::SetGlobalConcurrency(original);
   table.Print(std::cout);
-  std::cout << "Identical selections and node counts at 1 vs 8 "
-            << "threads: " << (identical ? "yes" : "NO") << "\n\n";
-  if (!identical) {
-    std::fprintf(stderr,
-                 "branch-and-bound diverged across thread counts\n");
-    std::exit(1);
-  }
+  std::cout << "\n";
 }
 
 // --- Part 4: solver census on hard instances --------------------------------

@@ -1,5 +1,7 @@
-// Work-stealing thread pool and the ParallelFor primitives
-// every parallel seam in cloudview runs on (DESIGN.md §9).
+// Work-stealing thread pool and the ParallelFor primitive. In the
+// library the pool serves the advisor's async request queue
+// (AdvisorService::SubmitAsync, through Submit); no single request fans
+// out on it (DESIGN.md §9).
 //
 // Tasks are plain std::function thunks on per-worker deques: a worker
 // pops its own deque LIFO and steals FIFO from its siblings when empty,
@@ -19,8 +21,7 @@
 // once and the caller observes all writes made by iteration bodies
 // (completion is an acquire/release barrier). It does NOT order
 // iterations; parallel callers must keep iteration bodies independent
-// and reduce by index afterwards (see ParallelForStatus), never by
-// arrival.
+// and reduce by index afterwards, never by arrival.
 //
 // Nesting is safe: a worker that hits a nested ParallelFor claims that
 // loop's iterations itself and helps drain them, so inner loops never
@@ -43,7 +44,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/status.h"
 #include "common/thread_annotations.h"
 
 namespace cloudview {
@@ -151,29 +151,6 @@ void ParallelFor(ThreadPool& pool, size_t n, Fn&& body) {
 template <typename Fn>
 void ParallelFor(size_t n, Fn&& body) {
   ParallelFor(ThreadPool::Global(), n, std::forward<Fn>(body));
-}
-
-/// \brief ParallelFor over Status-returning bodies — the fallible
-/// ordered fan-out every comparison sweep uses. Runs body(i) for every
-/// index (no early abort: tasks are shared-nothing and cheap relative
-/// to scheduling them); returns OK when all succeeded, otherwise the
-/// failing status with the SMALLEST index — deterministic, never
-/// first-to-fail.
-template <typename Fn>
-Status ParallelForStatus(ThreadPool& pool, size_t n, Fn&& body) {
-  std::vector<Status> statuses(n);
-  ParallelFor(pool, n, [&](size_t i) { statuses[i] = body(i); });
-  for (Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
-  return Status::OK();
-}
-
-/// \brief ParallelForStatus on the global pool.
-template <typename Fn>
-Status ParallelForStatus(size_t n, Fn&& body) {
-  return ParallelForStatus(ThreadPool::Global(), n,
-                           std::forward<Fn>(body));
 }
 
 }  // namespace cloudview

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "common/thread_pool.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/scenario.h"
 #include "pricing/provider_registry.h"
@@ -159,9 +158,11 @@ Result<WorkloadTimeline> CloudScenario::ResolveTimeline(
     const AdvisorRequest& request, const Workload& base) const {
   if (request.inline_timeline != nullptr) return *request.inline_timeline;
   const TimelineSpec& spec = request.timeline;
-  if (spec.num_periods <= 0) {
-    return Status::InvalidArgument("timeline needs num_periods > 0, got " +
-                                   std::to_string(spec.num_periods));
+  if (spec.num_periods <= 0 || spec.num_periods > kMaxTimelinePeriods) {
+    return Status::InvalidArgument(
+        "timeline needs num_periods in [1, " +
+        std::to_string(kMaxTimelinePeriods) + "], got " +
+        std::to_string(spec.num_periods));
   }
   if (spec.period_length.milli() <= 0) {
     return Status::InvalidArgument("timeline needs a positive period_length");
@@ -351,24 +352,19 @@ Result<AdvisorResponse> CloudScenario::Dispatch(
       break;
     }
     case AdvisorRequestKind::kCompareProviders: {
-      // One task per registered sheet: each rebuilds its own deployment
-      // (scenario, evaluator, selector) from scratch, so the sweeps
-      // share nothing but the immutable registries. Rows land by name
-      // index, keeping sorted provider order at any thread count.
-      std::vector<std::string> names = ProviderRegistry::Global().Names();
-      response.providers.resize(names.size());
-      CV_RETURN_IF_ERROR(ParallelForStatus(names.size(), [&](size_t i) {
-        ProviderComparisonRow& row = response.providers[i];
-        row.provider = names[i];
+      // One row per registered sheet, in name order: each rebuilds its
+      // own deployment (scenario, evaluator, selector) from scratch.
+      for (const std::string& name : ProviderRegistry::Global().Names()) {
+        ProviderComparisonRow& row = response.providers.emplace_back();
+        row.provider = name;
         CV_ASSIGN_OR_RETURN(
             CloudScenario scenario,
-            ForProvider(names[i], &row.instance, &row.granularity));
+            ForProvider(name, &row.instance, &row.granularity));
         CV_ASSIGN_OR_RETURN(row.run,
                             scenario.SolveImpl(workload, request.objective,
                                                solver, nullptr, nullptr,
                                                nullptr));
-        return Status::OK();
-      }));
+      }
       break;
     }
     case AdvisorRequestKind::kComparePolicies: {

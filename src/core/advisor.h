@@ -74,8 +74,14 @@ struct DriftSpec {
   double growth_per_period = 0.02;
 };
 
+/// \brief The most periods a timeline request may unroll: 100 years of
+/// monthly periods. A timeline is generated eagerly, so an unbounded
+/// count lets one request line exhaust memory or hold the server.
+inline constexpr int64_t kMaxTimelinePeriods = 1200;
+
 /// \brief Serializable WorkloadTimeline description: the base workload
-/// (WorkloadSpec) unrolled over `num_periods` under `drifts`.
+/// (WorkloadSpec) unrolled over `num_periods` (1..kMaxTimelinePeriods)
+/// under `drifts`.
 struct TimelineSpec {
   int64_t num_periods = 12;
   Months period_length = Months::FromMonths(1);
@@ -140,9 +146,10 @@ struct ResponseMeta {
   std::string solver;
   /// Wall-clock time spent inside Dispatch.
   int64_t wall_ms = 0;
-  /// EvaluationCache family counters for the solve, aggregated across
-  /// every fan-out child (EvaluationCache::aggregate). For warm
-  /// sessions these are cumulative across the session's requests.
+  /// EvaluationCache counters for the solve, including the probes of
+  /// arch-sweep's per-architecture caches (EvaluationCache::aggregate).
+  /// For warm sessions these are cumulative across the session's
+  /// requests.
   uint64_t cache_lookups = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_evictions = 0;

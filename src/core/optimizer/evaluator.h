@@ -18,7 +18,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -509,21 +508,7 @@ class SubsetState {
 /// immune because Finalize() re-scores through exact Evaluate().
 class EvaluationCache {
  public:
-  /// \brief Aggregate telemetry shared across a cache family (a parent
-  /// and its NewChild() task caches). Counters used to be per-instance
-  /// and vanished with every per-task child, so session-level hit rates
-  /// under-reported everything the arch-sweep fan-out probed; children
-  /// now flush their local counters here when they die. Atomic because
-  /// children flush from pool threads; the hot path never touches these
-  /// (local counters flush in bulk).
-  struct SharedStats {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> evictions{0};
-  };
-
-  /// \brief One cache family's aggregate counts (sink totals plus this
-  /// instance's not-yet-flushed locals).
+  /// \brief The cache's lookup, hit and eviction counts as one value.
   struct AggregateCounts {
     uint64_t lookups = 0;
     uint64_t hits = 0;
@@ -547,67 +532,32 @@ class EvaluationCache {
   static constexpr size_t kDefaultMaxEntries = size_t{1} << 20;
 
   /// Starts small and doubles on load: solvers build one cache per run
-  /// (and fan-out solvers one per start/task), so the initial footprint
+  /// (and arch-sweep one per architecture), so the initial footprint
   /// is per-solve setup cost on the hot path — a 2^12-slot start cost
   /// ~200KB of zeroing per solve, which dominated the short gate-row
-  /// solves (greedy, knapsack-dp) and every arch-sweep task. 2^8
+  /// solves (greedy, knapsack-dp) and every arch-sweep inner solve. 2^8
   /// keeps that setup at ~8KB while skipping the first two growth
   /// rehashes of the annealing/local-search runs (a few thousand
   /// distinct subsets each).
   explicit EvaluationCache(size_t max_entries = kDefaultMaxEntries)
-      : max_entries_(max_entries > 0 ? max_entries : 1),
-        stats_(std::make_shared<SharedStats>()) {
+      : max_entries_(max_entries > 0 ? max_entries : 1) {
     Rehash(1 << 8);
   }
 
-  /// Moves transfer the stats sink; the moved-from cache keeps stale
-  /// local counters but no sink, so its destructor flushes nothing
-  /// twice. Copies are banned — two caches double-flushing one set of
-  /// local counters would inflate the aggregate.
-  EvaluationCache(EvaluationCache&&) noexcept = default;
-  EvaluationCache& operator=(EvaluationCache&&) noexcept = default;
-  EvaluationCache(const EvaluationCache&) = delete;
-  EvaluationCache& operator=(const EvaluationCache&) = delete;
-
-  ~EvaluationCache() { FlushStats(); }
-
-  /// \brief An empty cache (same entry cap) that shares this family's
-  /// stats sink — what fan-out solvers hand their shared-nothing tasks
-  /// so the per-task probes still land in the session-level telemetry.
-  /// The child's *entries* are its own (the one-task-per-cache
-  /// contract is unchanged); only the counters aggregate.
-  EvaluationCache NewChild() const {
-    EvaluationCache child(max_entries_);
-    child.stats_ = stats_;
-    return child;
+  /// \brief Adds `other`'s lookup, hit and eviction counts to this
+  /// cache's own — how a solver that probes on a private cache (the
+  /// "arch-sweep"'s per-architecture solves) reports those probes to
+  /// the caller's cache. Entries are not copied.
+  void AddCounts(const EvaluationCache& other) {
+    lookups_ += other.lookups_;
+    hits_ += other.hits_;
+    evictions_ += other.evictions_;
   }
 
-  /// \brief Adds the local counters into the shared sink and zeroes
-  /// them. Called by the destructor; callers that keep a child alive
-  /// can flush early to make its probes visible in the aggregate.
-  void FlushStats() {
-    if (stats_ == nullptr) return;
-    stats_->lookups.fetch_add(lookups_, std::memory_order_relaxed);
-    stats_->hits.fetch_add(hits_, std::memory_order_relaxed);
-    stats_->evictions.fetch_add(evictions_, std::memory_order_relaxed);
-    lookups_ = 0;
-    hits_ = 0;
-    evictions_ = 0;
-  }
-
-  /// \brief Family-wide totals: everything flushed by dead (or
-  /// explicitly flushed) children plus this instance's own live
-  /// counters. The truthful session-level numbers (live unflushed
-  /// children are invisible until they die — fan-outs join before
-  /// anyone reads these).
+  /// \brief The counts as one value (what a session reports as
+  /// `meta.cache_*`).
   AggregateCounts aggregate() const {
-    AggregateCounts out{lookups_, hits_, evictions_};
-    if (stats_ != nullptr) {
-      out.lookups += stats_->lookups.load(std::memory_order_relaxed);
-      out.hits += stats_->hits.load(std::memory_order_relaxed);
-      out.evictions += stats_->evictions.load(std::memory_order_relaxed);
-    }
-    return out;
+    return AggregateCounts{lookups_, hits_, evictions_};
   }
 
   /// \brief Returns the entry for `key`, or nullptr on a miss.
@@ -702,9 +652,6 @@ class EvaluationCache {
   // run, per DESIGN.md §9.2.
   mutable uint64_t lookups_ = 0;
   mutable uint64_t hits_ = 0;
-  /// The family aggregate (see SharedStats). Shared across NewChild()
-  /// caches; only touched in bulk by FlushStats()/aggregate().
-  std::shared_ptr<SharedStats> stats_;
 };
 
 }  // namespace cloudview

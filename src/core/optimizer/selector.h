@@ -101,9 +101,9 @@ struct ObjectiveSpec {
   /// truncate the search like a node-budget cutoff — the best incumbent
   /// found so far is still finalized and SelectionResult::cancelled is
   /// set. Riding on the spec (not serialized, not compared) means every
-  /// existing fan-out path — pareto-sweep tasks, arch-sweep tasks,
-  /// provider sweeps — forwards it without new plumbing. Borrowed: the
-  /// token must outlive the solve.
+  /// solver that runs others — pareto-sweep tasks, arch-sweep inner
+  /// solves, provider rows — forwards it without new plumbing.
+  /// Borrowed: the token must outlive the solve.
   const CancelToken* cancel = nullptr;
 };
 
@@ -190,7 +190,7 @@ class ViewSelector {
   EvaluationCache* external_cache_ = nullptr;
   /// Subset evaluations are spec-independent; share them across runs.
   /// thread-compat: unsynchronized memo — one selector per thread
-  /// (DESIGN.md §9.2); parallel fan-outs build per-task contexts.
+  /// (DESIGN.md §9.2).
   mutable EvaluationCache cache_;
 };
 

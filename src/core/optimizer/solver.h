@@ -256,15 +256,6 @@ class SolverContext {
     counters_.cache_hits += other.cache_hits;
   }
 
-  /// \brief An empty cache for one shared-nothing fan-out task, wired
-  /// into this context's cache family so the task's probe telemetry
-  /// aggregates (EvaluationCache::NewChild); a standalone cache when
-  /// this context runs uncached. Safe to call concurrently from pool
-  /// tasks — it only reads the parent cache's shared-stats handle.
-  EvaluationCache NewTaskCache() const {
-    return cache_ != nullptr ? cache_->NewChild() : EvaluationCache();
-  }
-
  private:
   /// The scenario's own (violation, objective, tie-break) score, before
   /// hard constraints are folded in.

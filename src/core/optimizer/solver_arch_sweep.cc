@@ -1,64 +1,41 @@
 // "arch-sweep": joint (deployment architecture, view set) optimization.
 //
-// The paper fixes the deployment and selects views; this solver races
-// one shared-nothing single-objective solve per candidate architecture
-// (catalog/architecture.h) on the global ThreadPool and reduces the
-// per-architecture optima onto one four-axis Pareto frontier (monthly
-// cost, time, storage, unavailability ppm). The winning (architecture,
-// view set) pair is returned as the selection; the frontier keeps the
-// non-dominated losers — a cheap spot fleet and a durable multi-AZ
-// fleet typically both survive, trading cost against availability.
+// The paper fixes the deployment and selects views; this solver runs
+// one single-objective solve per candidate architecture
+// (catalog/architecture.h) and reduces the per-architecture optima onto
+// one four-axis Pareto frontier (monthly cost, time, storage,
+// unavailability ppm). The winning (architecture, view set) pair is
+// returned as the selection; the frontier keeps the non-dominated
+// losers — a cheap spot fleet and a durable multi-AZ fleet typically
+// both survive, trading cost against availability.
 //
-// Determinism (DESIGN.md §9/§10): the task list is a pure function of
-// the spec's roster (or DefaultArchitectureRoster()); architectures
-// that fail to lower against the deployment's sheet/instance (e.g. a
-// reserved plan on a sheet without reserved rates) are skipped by
-// roster index before any task runs, so the task list never depends on
-// execution order. Every task runs on its own
-// SelectionEvaluator::CloneWithArchitecture with a private context and
-// cache; the reduction walks outcomes in task-index order, so the
-// frontier and the winner are bit-identical at any thread count
-// (pinned by architecture_property_test).
+// The architectures run in one sequential pass in roster order; a
+// request never fans out (DESIGN.md §9). Architectures that fail to
+// lower against the deployment's sheet/instance (e.g. a reserved plan
+// on a sheet without reserved rates) are skipped up front. Each
+// architecture solves on its own SelectionEvaluator::CloneWithArchitecture
+// (the timing tables are shared, the bills differ) with a fresh
+// EvaluationCache, whose counts are folded into the caller's cache so
+// session telemetry sees every probe. The winner and the frontier are a
+// pure function of the roster order (pinned by
+// architecture_property_test).
 
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "catalog/architecture.h"
-#include "common/thread_pool.h"
 #include "core/optimizer/pareto.h"
 #include "core/optimizer/solver.h"
 
 namespace cloudview {
 namespace {
 
-/// What one per-architecture task reports to the index-ordered
-/// reduction. The result is finalized by the task's own context — the
-/// parent context bills under the identity architecture and must never
-/// re-score another architecture's pick.
-struct ArchOutcome {
-  Status status = Status::OK();
-  SelectionResult result;
-  /// Lexicographic score of the pick's absolute (time, cost) probe on
-  /// the PARENT context's scale. Each task's own context normalizes
-  /// kMV3Tradeoff by its own baseline — which the architecture also
-  /// scales, so self-relative scores are incomparable across fleets
-  /// (a spot fleet that cheapens bill and baseline alike would look no
-  /// better). One common identity-baseline yardstick ranks them.
-  SolverContext::Score score{};
-  bool feasible = false;
-  /// The architecture's empty-selection position (always a legal
-  /// frontier candidate: the baseline bill under that fleet).
-  MultiScore baseline_score;
-  bool baseline_feasible = false;
-  SolverContext::Counters counters;
-};
-
 class ArchSweepSolver : public Solver {
  public:
   std::string_view name() const override { return "arch-sweep"; }
   std::string_view description() const override {
-    return "races a single-objective solve per deployment architecture "
+    return "runs a single-objective solve per deployment architecture "
            "and reduces the optima to a cost/time/storage/availability "
            "frontier";
   }
@@ -86,8 +63,7 @@ class ArchSweepSolver : public Solver {
     }
 
     // Lower the roster up front, in roster order. Skips (plans the
-    // sheet cannot price) are deterministic: they depend only on the
-    // spec and the sheet, never on execution order.
+    // sheet cannot price) depend only on the spec and the sheet.
     std::vector<ArchitectureSpec> roster =
         spec.architectures.empty() ? DefaultArchitectureRoster()
                                    : spec.architectures;
@@ -105,86 +81,60 @@ class ArchSweepSolver : public Solver {
           shared.deployment().instance.name + "'");
     }
 
-    std::vector<ArchOutcome> outcomes(lowered.size());
-    ParallelFor(lowered.size(), [&](size_t i) {
-      outcomes[i] = RunTask(shared, context, *inner, spec,
-                            lowered[i].second);
-    });
-
-    // Index-ordered reduction: per architecture, the baseline point
-    // then the solved point, so the frontier is a pure function of the
-    // roster order.
+    // Per architecture, the baseline point then the solved point, so
+    // the frontier is a pure function of the roster order.
     ParetoFront front(spec.frontier_epsilon);
-    size_t best = lowered.size();
-    for (size_t i = 0; i < lowered.size(); ++i) {
-      CV_RETURN_IF_ERROR(outcomes[i].status);
-      context.MergeCounters(outcomes[i].counters);
-      const std::string& arch_name = lowered[i].first;
-      if (outcomes[i].baseline_feasible) {
-        front.Insert(ParetoPoint{outcomes[i].baseline_score,
+    SelectionResult best;
+    SolverContext::Score best_score{};
+    bool best_feasible = false;
+    bool have_best = false;
+    for (const auto& [arch_name, model] : lowered) {
+      CV_ASSIGN_OR_RETURN(SelectionEvaluator evaluator,
+                          shared.CloneWithArchitecture(model));
+      EvaluationCache cache;
+      SolverContext local(evaluator, spec, &cache);
+      Result<SelectionResult> solved = inner->Solve(spec, local);
+      if (context.cache() != nullptr) context.cache()->AddCounts(cache);
+      CV_RETURN_IF_ERROR(solved.status());
+      context.MergeCounters(local.counters());
+      SelectionResult result = std::move(solved).value();
+
+      // The result is finalized by the local context: the parent bills
+      // under the identity architecture and must never re-score another
+      // architecture's pick. Fleets are ranked on the parent's scale
+      // instead: the local context normalizes kMV3Tradeoff by its own
+      // baseline, which the architecture also scales, so self-relative
+      // scores are incomparable across fleets (a spot fleet that
+      // cheapens bill and baseline alike would look no better).
+      // Feasibility is probe-absolute, so parent and local agree.
+      SolverContext::Probe probe = local.ProbeOf(result.evaluation);
+      SolverContext::Score score = context.ScoreOf(probe);
+      bool feasible = context.Feasible(probe);
+      SolverContext::Probe baseline = local.ProbeOf(evaluator.baseline());
+      if (context.Feasible(baseline)) {
+        front.Insert(ParetoPoint{local.MultiScoreOf(baseline),
                                  {},
                                  "baseline",
                                  arch_name});
       }
-      if (outcomes[i].feasible) {
-        front.Insert(ParetoPoint{outcomes[i].result.multi,
-                                 outcomes[i].result.evaluation.selected,
+      if (feasible) {
+        front.Insert(ParetoPoint{result.multi, result.evaluation.selected,
                                  inner_name, arch_name});
       }
-      if (best == lowered.size() ||
-          Better(outcomes[i], outcomes[best])) {
-        best = i;
+      // Feasible beats infeasible, then the lexicographic score; ties
+      // keep the earlier architecture.
+      if (!have_best ||
+          (feasible != best_feasible ? feasible : score < best_score)) {
+        best = std::move(result);
+        best.architecture = arch_name;
+        best_score = score;
+        best_feasible = feasible;
+        have_best = true;
       }
     }
 
-    SelectionResult result = std::move(outcomes[best].result);
-    result.architecture = lowered[best].first;
-    result.frontier = front.points();
-    return result;
-  }
-
- private:
-  /// Winner order: feasible beats infeasible, then the lexicographic
-  /// scenario score, then the lower task index (the caller of the
-  /// reduction loop supplies index order).
-  static bool Better(const ArchOutcome& a, const ArchOutcome& b) {
-    if (a.feasible != b.feasible) return a.feasible;
-    return a.score < b.score;
-  }
-
-  /// One shared-nothing task: re-bill a clone under `model`, run the
-  /// inner solver on a private context, and score the pick and the
-  /// baseline under that same context.
-  static ArchOutcome RunTask(const SelectionEvaluator& shared,
-                             const SolverContext& parent,
-                             const Solver& inner,
-                             const ObjectiveSpec& spec,
-                             const ArchitectureModel& model) {
-    ArchOutcome out;
-    auto run = [&]() -> Status {
-      CV_ASSIGN_OR_RETURN(SelectionEvaluator evaluator,
-                          shared.CloneWithArchitecture(model));
-      EvaluationCache cache = parent.NewTaskCache();
-      SolverContext local(evaluator, spec, &cache);
-      CV_ASSIGN_OR_RETURN(SelectionResult result,
-                          inner.Solve(spec, local));
-      SolverContext::Probe probe =
-          local.ProbeOf(result.evaluation);
-      // Judged on the parent's scale (see ArchOutcome::score); the
-      // probe itself carries this architecture's absolute bill.
-      // Feasibility is probe-absolute, so parent and local agree.
-      out.score = parent.ScoreOf(probe);
-      out.feasible = parent.Feasible(probe);
-      SolverContext::Probe baseline =
-          local.ProbeOf(evaluator.baseline());
-      out.baseline_score = local.MultiScoreOf(baseline);
-      out.baseline_feasible = parent.Feasible(baseline);
-      out.result = std::move(result);
-      out.counters = local.counters();
-      return Status::OK();
-    };
-    out.status = run();
-    return out;
+    best.frontier = front.points();
+    return best;
   }
 };
 

@@ -5,6 +5,8 @@
 // row's deployment. Payloads compare serialized through the canonical
 // codec as byte-equal JSON (exact unit types make this an integer
 // comparison; doubles compare through their shortest round-trip form).
+// Timeline requests are bounded at kMaxTimelinePeriods, and two replies
+// on the served SSB session are pinned, cache telemetry included.
 
 #include <gtest/gtest.h>
 
@@ -12,13 +14,34 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/optimizer/solver.h"
 #include "core/scenario.h"
 #include "pricing/provider_registry.h"
 #include "serving/advisor_codec.h"
+#include "serving/json.h"
+#include "serving/session_manager.h"
 
 namespace cloudview {
 namespace {
+
+// The payload member of the response, as canonical JSON.
+std::string PayloadJson(const AdvisorResponse& response) {
+  JsonValue json = AdvisorResponseToJson(response);
+  const JsonValue* payload =
+      json.Find(response.kind == AdvisorRequestKind::kSolve ? "solve"
+                : response.kind == AdvisorRequestKind::kFrontier
+                    ? "frontier"
+                : response.kind == AdvisorRequestKind::kSolveJoint
+                    ? "joint"
+                : response.kind == AdvisorRequestKind::kTimeline
+                    ? "timeline"
+                : response.kind == AdvisorRequestKind::kCompareProviders
+                    ? "providers"
+                    : "policies");
+  EXPECT_NE(payload, nullptr);
+  return payload != nullptr ? WriteJson(*payload) : std::string();
+}
 
 class DispatchEntryTest : public ::testing::Test {
  protected:
@@ -31,24 +54,6 @@ class DispatchEntryTest : public ::testing::Test {
         scenario_->DefaultWorkload().MoveValue());
     spec_.scenario = Scenario::kMV1BudgetLimit;
     spec_.budget_limit = Money::FromMicros(50'000'000);  // $50: loose.
-  }
-
-  // The payload member of the response, as canonical JSON.
-  static std::string PayloadJson(const AdvisorResponse& response) {
-    JsonValue json = AdvisorResponseToJson(response);
-    const JsonValue* payload =
-        json.Find(response.kind == AdvisorRequestKind::kSolve ? "solve"
-                  : response.kind == AdvisorRequestKind::kFrontier
-                      ? "frontier"
-                  : response.kind == AdvisorRequestKind::kSolveJoint
-                      ? "joint"
-                  : response.kind == AdvisorRequestKind::kTimeline
-                      ? "timeline"
-                  : response.kind == AdvisorRequestKind::kCompareProviders
-                      ? "providers"
-                      : "policies");
-    EXPECT_NE(payload, nullptr);
-    return payload != nullptr ? WriteJson(*payload) : std::string();
   }
 
   // Dispatches `request` as given (workload by WorkloadSpec "default")
@@ -201,6 +206,90 @@ TEST_F(DispatchEntryTest, RetiredSolverNamesAreNotFound) {
       EXPECT_NE(message.find(name), std::string::npos) << message;
     }
   }
+}
+
+TEST_F(DispatchEntryTest, TimelinePeriodsAreBounded) {
+  AdvisorRequest request{.kind = AdvisorRequestKind::kTimeline,
+                         .objective = spec_,
+                         .policy = ReselectPolicy::Static()};
+  request.timeline.num_periods = kMaxTimelinePeriods;
+  Result<AdvisorResponse> at_bound = scenario_->Dispatch(request);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_EQ(at_bound.value().timeline.ledger.size(),
+            static_cast<size_t>(kMaxTimelinePeriods));
+
+  // One past the bound, and a count far past it, fail before a single
+  // period is generated; compare-policies resolves its timeline the
+  // same way.
+  AdvisorRequest compare{.kind = AdvisorRequestKind::kComparePolicies,
+                         .objective = spec_};
+  compare.policies = {ReselectPolicy::Static()};
+  for (int64_t periods :
+       {kMaxTimelinePeriods + 1, int64_t{4'000'000'000'000'000'000}}) {
+    SCOPED_TRACE(periods);
+    request.timeline.num_periods = periods;
+    compare.timeline.num_periods = periods;
+    for (const AdvisorRequest* over : {&request, &compare}) {
+      Result<AdvisorResponse> response = scenario_->Dispatch(*over);
+      ASSERT_FALSE(response.ok());
+      EXPECT_TRUE(response.status().IsInvalidArgument());
+    }
+  }
+}
+
+// Replies on the session perfbench serves (SSB, 100 candidates, primed
+// with a default solve), recorded while arch-sweep and compare-providers
+// still fanned out on the thread pool. The payloads must not move, and
+// the solve-joint reply's cache counters show that every
+// per-architecture probe still reaches the session's cache telemetry.
+TEST(ServedSsbSession, JointAndProviderRepliesArePinned) {
+  const char* kConfig =
+      R"({"schema":"ssb","candidates":{"max_candidates":100}})";
+  ScenarioConfig config =
+      ParseScenarioConfig(ParseJson(kConfig).MoveValue()).MoveValue();
+  SessionManager manager;
+  std::shared_ptr<AdvisorSession> session =
+      manager.Create("tenant", config).MoveValue();
+  auto serve = [&](std::string_view line) {
+    AdvisorRequest request = ParseAdvisorRequestText(line).MoveValue();
+    Result<AdvisorResponse> response = session->Serve(request);
+    EXPECT_TRUE(response.ok()) << response.status();
+    return response.ok() ? response.MoveValue() : AdvisorResponse();
+  };
+  struct Pinned {
+    size_t payload_bytes;
+    uint64_t payload_fnv;
+    uint64_t cache_lookups;
+    uint64_t cache_hits;
+    uint64_t cache_evictions;
+  };
+  auto pinned = [](const AdvisorResponse& response) {
+    std::string payload = PayloadJson(response);
+    return Pinned{payload.size(), Fnv1a64(payload),
+                  response.meta.cache_lookups, response.meta.cache_hits,
+                  response.meta.cache_evictions};
+  };
+  auto expect_pinned = [](const Pinned& got, const Pinned& want) {
+    EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+    EXPECT_EQ(got.payload_fnv, want.payload_fnv);
+    EXPECT_EQ(got.cache_lookups, want.cache_lookups);
+    EXPECT_EQ(got.cache_hits, want.cache_hits);
+    EXPECT_EQ(got.cache_evictions, want.cache_evictions);
+  };
+
+  AdvisorResponse prime = serve(R"({"kind":"solve"})");
+  AdvisorResponse joint = serve(R"({"kind":"solve-joint"})");
+  AdvisorResponse providers = serve(R"({"kind":"compare-providers"})");
+  EXPECT_EQ(joint.joint.best_architecture, "spot-single-az");
+  // The joint solve runs on the primed session cache and adds every
+  // architecture's probes to it.
+  EXPECT_GT(joint.meta.cache_lookups, prime.meta.cache_lookups);
+  expect_pinned(pinned(joint), {2440, 13382372316929059907u, 50105, 983, 0});
+  // Provider rows rebuild their own deployments; the session cache is
+  // not consulted, so the reply carries no cache counts.
+  EXPECT_EQ(providers.providers.size(),
+            ProviderRegistry::Global().Names().size());
+  expect_pinned(pinned(providers), {4902, 8990748280192531478u, 0, 0, 0});
 }
 
 }  // namespace

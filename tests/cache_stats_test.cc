@@ -1,13 +1,11 @@
-// EvaluationCache family telemetry: NewChild() task caches share the
-// parent's stats sink, so aggregate() reports session-level counters
-// across every fan-out child — including evictions — and moves never
-// double-flush.
+// EvaluationCache telemetry: lookups, hits, misses and epoch evictions
+// are counted, and AddCounts folds a private cache's counts into the
+// caller's (how arch-sweep's per-architecture probes reach a session's
+// meta.cache_* counters).
 
 #include "core/optimizer/evaluator.h"
 
 #include <gtest/gtest.h>
-
-#include <utility>
 
 namespace cloudview {
 namespace {
@@ -33,59 +31,26 @@ TEST(CacheStats, LocalCountersTrackFinds) {
   EXPECT_EQ(counts.misses(), 1u);
 }
 
-TEST(CacheStats, ChildCountersAggregateIntoTheFamily) {
+TEST(CacheStats, AddCountsFoldsAnotherCachesCounters) {
   EvaluationCache parent;
   parent.Insert(1, MakeEntry(10));
-  ASSERT_NE(parent.Find(1), nullptr);  // 1 lookup, 1 hit locally.
+  ASSERT_NE(parent.Find(1), nullptr);  // 1 lookup, 1 hit.
 
-  {
-    EvaluationCache child = parent.NewChild();
-    // Entries do NOT transfer — the child starts empty...
-    EXPECT_EQ(child.Find(1), nullptr);
-    child.Insert(2, MakeEntry(20));
-    ASSERT_NE(child.Find(2), nullptr);
-    // ...and its probes are invisible to the family until it flushes.
-    EXPECT_EQ(parent.aggregate().lookups, 1u);
-  }  // Destructor flushes the child's counters into the shared sink.
+  EvaluationCache task(/*max_entries=*/1);
+  EXPECT_EQ(task.Find(2), nullptr);  // Miss.
+  task.Insert(2, MakeEntry(20));
+  task.Insert(3, MakeEntry(30));  // Full: one epoch eviction.
+  ASSERT_NE(task.Find(3), nullptr);  // Hit.
+  parent.AddCounts(task);
 
   EvaluationCache::AggregateCounts counts = parent.aggregate();
-  EXPECT_EQ(counts.lookups, 3u);  // 1 parent + 2 child.
+  EXPECT_EQ(counts.lookups, 3u);  // 1 parent + 2 task.
   EXPECT_EQ(counts.hits, 2u);
   EXPECT_EQ(counts.misses(), 1u);
-  // The parent's own entry table never saw the child's keys.
+  EXPECT_EQ(counts.evictions, 1u);
+  // Only the counts move: the parent's entries never saw the task's keys.
   EXPECT_EQ(parent.size(), 1u);
-}
-
-TEST(CacheStats, ExplicitFlushMakesLiveChildVisible) {
-  EvaluationCache parent;
-  EvaluationCache child = parent.NewChild();
-  EXPECT_EQ(child.Find(7), nullptr);
-  child.FlushStats();
-  EXPECT_EQ(parent.aggregate().lookups, 1u);
-  // Flushing zeroes the locals: dying later must not double-count.
-  child.FlushStats();
-  EXPECT_EQ(parent.aggregate().lookups, 1u);
-}
-
-TEST(CacheStats, GrandchildrenShareTheSameSink) {
-  EvaluationCache parent;
-  {
-    EvaluationCache child = parent.NewChild();
-    EvaluationCache grandchild = child.NewChild();
-    EXPECT_EQ(grandchild.Find(3), nullptr);
-  }
-  EXPECT_EQ(parent.aggregate().lookups, 1u);
-}
-
-TEST(CacheStats, MovedCachesFlushExactlyOnce) {
-  EvaluationCache parent;
-  {
-    EvaluationCache child = parent.NewChild();
-    EXPECT_EQ(child.Find(5), nullptr);
-    EvaluationCache stolen = std::move(child);
-    // Both die here; only the move target holds the sink.
-  }
-  EXPECT_EQ(parent.aggregate().lookups, 1u);
+  EXPECT_EQ(parent.Find(3), nullptr);
 }
 
 TEST(CacheStats, EpochEvictionIsCounted) {

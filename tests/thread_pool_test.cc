@@ -146,22 +146,6 @@ TEST(ThreadPool, SubmitFromWorkerIsStealable) {
   EXPECT_EQ(follow_ups.load(), 4);
 }
 
-TEST(ThreadPool, ParallelForStatusKeepsSmallestFailingIndex) {
-  ThreadPool pool(4);
-  EXPECT_TRUE(
-      ParallelForStatus(pool, 100, [](size_t) { return Status::OK(); })
-          .ok());
-  // Two failures: the one with the SMALLEST index wins, regardless of
-  // which finished first — deterministic error reporting.
-  Status bad = ParallelForStatus(pool, 100, [](size_t i) {
-    if (i == 70) return Status::Internal("seventy");
-    if (i == 20) return Status::InvalidArgument("twenty");
-    return Status::OK();
-  });
-  EXPECT_TRUE(bad.IsInvalidArgument());
-  EXPECT_EQ(bad.message(), "twenty");
-}
-
 TEST(ThreadPool, GlobalConcurrencyIsAdjustable) {
   size_t original = ThreadPool::Global().concurrency();
   ThreadPool::SetGlobalConcurrency(4);
