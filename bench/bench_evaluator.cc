@@ -1,34 +1,23 @@
 // Evaluator hot-path microbench: the per-op costs underneath every
-// solver row in bench_solvers — single read-only probes, batched
-// neighborhood scans, committed toggles, memo-backed context probes,
-// and the from-scratch Evaluate() they all shortcut (DESIGN.md §11).
+// solver row in bench_solvers — single read-only probes, committed
+// toggles, memo-backed context probes, and the from-scratch Evaluate()
+// they all shortcut (DESIGN.md §11).
 // Rows are emitted in the bench_util.h BENCH_JSON format with the same
 // gated metric (subsets_per_sec) as the solver rows, so the CI
 // regression gate covers the evaluation layer directly: a solver row
 // can hide an evaluator regression behind solver-side wins, these rows
 // cannot.
-//
-// The binary also cross-checks the dispatched eval_kernels against
-// their scalar references on random inputs and exits non-zero on any
-// mismatch — the SIMD sweeps are bit-identical by construction, and a
-// bench run that measured a kernel producing different numbers would
-// be meaningless.
 
 #include <chrono>
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
 #include <iostream>
 #include <memory>
-#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/aligned_buffer.h"
-#include "common/random.h"
 #include "common/table_printer.h"
 #include "core/optimizer/candidate_generation.h"
-#include "core/optimizer/eval_kernels.h"
 #include "core/optimizer/solver.h"
 #include "engine/sales_generator.h"
 #include "pricing/providers.h"
@@ -108,10 +97,8 @@ Instance MakeSalesInstance(size_t workload_size, size_t max_candidates) {
   return inst;
 }
 
-// A wider SSB mix whose query count exceeds the evaluator's
-// inline-sweep threshold, so the probe loops here run through the
-// dispatched (AVX2 when available) eval_kernels rather than the
-// small-instance scalar path.
+// A wider SSB mix: 39 queries, so every probe streams a column about
+// four times longer than the sales instance's.
 Instance MakeSsbInstance(size_t max_candidates, int workload_repeats) {
   Instance inst;
   SsbConfig config;
@@ -219,20 +206,6 @@ std::vector<Row> RunOps(const Instance& inst) {
     })});
   }
 
-  // The same neighborhood as one batched matrix pass.
-  {
-    SubsetState state = MakeRoster(evaluator);
-    std::vector<size_t> candidates(n);
-    std::iota(candidates.begin(), candidates.end(), size_t{0});
-    std::vector<SubsetTotals> totals(n);
-    rows.push_back({"peek_toggle_batch", MeasureOp([&](uint64_t) {
-      state.PeekToggleBatch(candidates, totals);
-      int64_t sum = 0;
-      for (const SubsetTotals& t : totals) sum += t.processing.millis();
-      return std::pair<uint64_t, int64_t>(n, sum);
-    })});
-  }
-
   // Committed moves: every op is one Toggle (walking the candidate list
   // keeps the subset density stable over rounds).
   {
@@ -299,69 +272,10 @@ void EmitInstance(const Instance& inst) {
   std::cout << "\n";
 }
 
-// Random-input cross-check of the dispatched kernels against their
-// scalar references; any divergence is a correctness bug (the SIMD
-// sweeps are bit-identical by construction), so the bench refuses to
-// measure. Covers lengths straddling every vector-width boundary.
-bool VerifyKernelDispatch() {
-  Rng rng(0xEDB7'2012);
-  for (size_t m : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 39, 64, 100}) {
-    for (int trial = 0; trial < 8; ++trial) {
-      AlignedVector<int64_t> col(m), best(m), freq(m);
-      for (size_t q = 0; q < m; ++q) {
-        col[q] = static_cast<int64_t>(rng.Uniform(1'000'000));
-        best[q] = static_cast<int64_t>(rng.Uniform(1'000'000));
-        freq[q] = static_cast<int64_t>(rng.Uniform(1'000)) + 1;
-      }
-      int64_t want = eval_kernels::PeekAddDeltaScalar(
-          col.data(), best.data(), freq.data(), m);
-      int64_t got = eval_kernels::PeekAddDelta(col.data(), best.data(),
-                                               freq.data(), m);
-      if (want != got) {
-        std::fprintf(stderr,
-                     "FAIL: PeekAddDelta(%s) m=%zu: %" PRId64
-                     " != scalar %" PRId64 "\n",
-                     eval_kernels::DispatchName(), m, got, want);
-        return false;
-      }
-
-      AlignedVector<int64_t> best_a(best), best_b(best);
-      AlignedVector<uint32_t> view_a(m), view_b(m);
-      for (size_t q = 0; q < m; ++q) {
-        view_a[q] = static_cast<uint32_t>(rng.Uniform(32));
-        view_b[q] = view_a[q];
-      }
-      int64_t sweep_want = eval_kernels::AddSweepScalar(
-          col.data(), best_a.data(), view_a.data(), freq.data(), m, 7);
-      int64_t sweep_got = eval_kernels::AddSweep(
-          col.data(), best_b.data(), view_b.data(), freq.data(), m, 7);
-      bool arrays_equal = true;
-      for (size_t q = 0; q < m; ++q) {
-        arrays_equal &= best_a[q] == best_b[q] && view_a[q] == view_b[q];
-      }
-      if (sweep_want != sweep_got || !arrays_equal) {
-        std::fprintf(stderr,
-                     "FAIL: AddSweep(%s) m=%zu diverges from scalar\n",
-                     eval_kernels::DispatchName(), m);
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::ParseSmoke(argc, argv);
-
-  if (!VerifyKernelDispatch()) return 1;
-  std::cout << "Kernel dispatch: " << eval_kernels::DispatchName()
-            << " (scalar cross-check passed)\n\n";
-  JsonLine("evaluator")
-      .Str("op", "dispatch")
-      .Str("kernel", eval_kernels::DispatchName())
-      .Emit();
 
   EmitInstance(MakeSalesInstance(/*workload_size=*/10,
                                  /*max_candidates=*/12));

@@ -353,17 +353,22 @@ Result<AdvisorResponse> CloudScenario::Dispatch(
     }
     case AdvisorRequestKind::kCompareProviders: {
       // One row per registered sheet, in name order: each rebuilds its
-      // own deployment (scenario, evaluator, selector) from scratch.
+      // own deployment (scenario, evaluator, selector) from scratch. The
+      // reply's cache counts are the sums over the rows' caches.
       for (const std::string& name : ProviderRegistry::Global().Names()) {
         ProviderComparisonRow& row = response.providers.emplace_back();
         row.provider = name;
         CV_ASSIGN_OR_RETURN(
             CloudScenario scenario,
             ForProvider(name, &row.instance, &row.granularity));
+        ResponseMeta row_meta;
         CV_ASSIGN_OR_RETURN(row.run,
                             scenario.SolveImpl(workload, request.objective,
                                                solver, nullptr, nullptr,
-                                               nullptr));
+                                               &row_meta));
+        response.meta.cache_lookups += row_meta.cache_lookups;
+        response.meta.cache_hits += row_meta.cache_hits;
+        response.meta.cache_evictions += row_meta.cache_evictions;
       }
       break;
     }

@@ -146,10 +146,11 @@ struct ResponseMeta {
   std::string solver;
   /// Wall-clock time spent inside Dispatch.
   int64_t wall_ms = 0;
-  /// EvaluationCache counters for the solve, including the probes of
-  /// arch-sweep's per-architecture caches (EvaluationCache::aggregate).
-  /// For warm sessions these are cumulative across the session's
-  /// requests.
+  /// EvaluationCache counters summed over every cache the request
+  /// probed: the solve's cache, including the probes of arch-sweep's
+  /// per-architecture caches (EvaluationCache::aggregate), or each
+  /// compare-providers row's own cache. A warm session's cache is
+  /// cumulative across the session's requests.
   uint64_t cache_lookups = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_evictions = 0;

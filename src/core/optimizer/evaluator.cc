@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "core/optimizer/eval_kernels.h"
 
 namespace cloudview {
 
@@ -13,11 +12,6 @@ namespace {
 // Large enough never to win a min against any base time, small enough
 // that (sentinel - best) * frequency cannot overflow int64.
 constexpr int64_t kUnanswerableMs = std::numeric_limits<int64_t>::max() / 2;
-
-// Below this many queries the dispatched kernels' call indirection costs
-// more than the sweep itself; an inlined scalar loop (identical integer
-// arithmetic, so bit-identical results) wins. Two cache lines of int64.
-constexpr size_t kInlineSweepMaxQueries = 16;
 
 }  // namespace
 
@@ -46,7 +40,7 @@ SelectionEvaluator::SelectionEvaluator(
     timing->result_bytes[q] = lattice.EstimateSize(target);
   }
   // Candidate-major fill: one contiguous column per candidate, written
-  // in the order the probe kernels will stream it.
+  // in the order the probe loops will stream it.
   timing->view_time_ms.assign(m * n, kUnanswerableMs);
   for (size_t c = 0; c < n; ++c) {
     int64_t* column = timing->view_time_ms.data() + c * m;
@@ -84,14 +78,9 @@ SelectionEvaluator::SelectionEvaluator(
   }
 }
 
-SelectionEvaluator SelectionEvaluator::Clone() const {
-  // Shares timing_ by reference; skips the memos entirely (CloneTag).
-  return SelectionEvaluator(*this, CloneTag{});
-}
-
 Result<SelectionEvaluator> SelectionEvaluator::CloneWithSunkBuilds(
     const std::vector<size_t>& sunk) const {
-  SelectionEvaluator clone = Clone();
+  SelectionEvaluator clone(*this, CloneTag{});
   for (size_t c : sunk) {
     if (c >= clone.candidates_.size()) {
       return Status::InvalidArgument("sunk candidate index out of range");
@@ -103,7 +92,7 @@ Result<SelectionEvaluator> SelectionEvaluator::CloneWithSunkBuilds(
 
 Result<SelectionEvaluator> SelectionEvaluator::CloneWithArchitecture(
     const ArchitectureModel& architecture) const {
-  SelectionEvaluator clone = Clone();
+  SelectionEvaluator clone(*this, CloneTag{});
   clone.deployment_.architecture = architecture;
   // Re-bill the baseline under the new architecture; this also rejects
   // the single_compute_session conflict (CloudCostModel does).
@@ -343,7 +332,7 @@ Result<Money> SelectionEvaluator::StandaloneCostDelta(size_t c) const {
 
 // ---------------------------------------------------------------------------
 // SubsetState: incremental argmin + running totals, SoA over flat
-// millisecond arrays so Add/Peek reduce to the eval_kernels sweeps.
+// millisecond arrays so Add/Peek are one pass over a timing column.
 
 SubsetState::SubsetState(const SelectionEvaluator& evaluator)
     : evaluator_(&evaluator),
@@ -390,24 +379,19 @@ void SubsetState::Add(size_t c) {
   maintenance_ += candidate.maintenance_time;
   view_bytes_ += candidate.size;
 
+  // Formula 9 delta plus the argmin commit on every improved query.
   const int64_t* column = evaluator_->view_time_ms_of(c);
   const int64_t* freq = evaluator_->frequency_data();
+  int64_t* best = best_time_ms_.data();
+  uint32_t* view = best_view_.data();
   size_t m = best_time_ms_.size();
   int64_t delta_ms = 0;
-  if (m <= kInlineSweepMaxQueries) {
-    int64_t* best = best_time_ms_.data();
-    uint32_t* view = best_view_.data();
-    for (size_t q = 0; q < m; ++q) {
-      if (column[q] < best[q]) {
-        delta_ms += (column[q] - best[q]) * freq[q];
-        best[q] = column[q];
-        view[q] = static_cast<uint32_t>(c);
-      }
+  for (size_t q = 0; q < m; ++q) {
+    if (column[q] < best[q]) {
+      delta_ms += (column[q] - best[q]) * freq[q];
+      best[q] = column[q];
+      view[q] = static_cast<uint32_t>(c);
     }
-  } else {
-    delta_ms = eval_kernels::AddSweep(column, best_time_ms_.data(),
-                                      best_view_.data(), freq, m,
-                                      static_cast<uint32_t>(c));
   }
   processing_ += Duration::FromMillis(delta_ms);
 }
@@ -451,7 +435,8 @@ void SubsetState::Remove(size_t c) {
   processing_ += Duration::FromMillis(delta_ms);
 }
 
-SubsetTotals SubsetState::PeekToggleInto(size_t c) const {
+SubsetTotals SubsetState::PeekToggle(size_t c) const {
+  CV_CHECK(c < member_.size()) << "candidate index out of range";
   SubsetTotals totals{processing_, materialization_, maintenance_,
                       view_bytes_, hash_ ^ CandidateToken(c)};
   const ViewCandidate& candidate = evaluator_->candidates()[c];
@@ -459,19 +444,16 @@ SubsetTotals SubsetState::PeekToggleInto(size_t c) const {
     totals.materialization += candidate.materialization_time;
     totals.maintenance += candidate.maintenance_time;
     totals.view_bytes += candidate.size;
+    // The read-only Formula 9 delta: Add's loop without the writes.
     const int64_t* column = evaluator_->view_time_ms_of(c);
     const int64_t* best = best_time_ms_.data();
     const int64_t* freq = evaluator_->frequency_data();
     size_t m = best_time_ms_.size();
     int64_t delta_ms = 0;
-    if (m <= kInlineSweepMaxQueries) {
-      for (size_t q = 0; q < m; ++q) {
-        if (column[q] < best[q]) {
-          delta_ms += (column[q] - best[q]) * freq[q];
-        }
+    for (size_t q = 0; q < m; ++q) {
+      if (column[q] < best[q]) {
+        delta_ms += (column[q] - best[q]) * freq[q];
       }
-    } else {
-      delta_ms = eval_kernels::PeekAddDelta(column, best, freq, m);
     }
     totals.processing += Duration::FromMillis(delta_ms);
   } else {
@@ -495,22 +477,6 @@ SubsetTotals SubsetState::PeekToggleInto(size_t c) const {
     totals.processing += Duration::FromMillis(delta_ms);
   }
   return totals;
-}
-
-SubsetTotals SubsetState::PeekToggle(size_t c) const {
-  CV_CHECK(c < member_.size()) << "candidate index out of range";
-  return PeekToggleInto(c);
-}
-
-void SubsetState::PeekToggleBatch(std::span<const size_t> candidates,
-                                  std::span<SubsetTotals> out) const {
-  CV_CHECK(out.size() >= candidates.size())
-      << "PeekToggleBatch output span too short";
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    size_t c = candidates[i];
-    CV_CHECK(c < member_.size()) << "candidate index out of range";
-    out[i] = PeekToggleInto(c);
-  }
 }
 
 std::vector<size_t> SubsetState::Selected() const {

@@ -21,11 +21,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "catalog/lattice.h"
-#include "common/aligned_buffer.h"
 #include "common/hash.h"
 #include "common/result.h"
 #include "core/cost/cloud_cost_model.h"
@@ -93,13 +91,13 @@ struct SubsetEvaluation {
 ///
 /// Concurrency contract (DESIGN.md §9): one instance per task. The
 /// const methods are deterministic but *memoizing* — FastTotalCost()
-/// caches storage costs in a per-instance memo — so two threads must
-/// not share one instance. Clone() is the cheap per-thread handoff:
-/// the query-x-candidate timing tables are immutable and shared by
-/// reference across clones, while each clone gets its own (empty)
-/// storage memo, so cloning is O(queries + candidates), not
+/// caches storage and compute bills in per-instance memos — so two
+/// threads must not share one instance. The two variants
+/// (CloneWithSunkBuilds, CloneWithArchitecture) share the immutable
+/// query-x-candidate timing tables by reference and start with empty
+/// memos, so deriving one is O(queries + candidates), not
 /// O(queries x candidates). Memo contents only affect speed, never
-/// values: every clone computes bit-identical results.
+/// values: a variant computes exactly what a fresh build would.
 class SelectionEvaluator {
  public:
   /// \brief Builds the evaluator. `lattice` and `cost_model` must
@@ -131,12 +129,12 @@ class SelectionEvaluator {
         timing_->view_time_ms[c * workload_.size() + q]);
   }
   /// \brief Candidate `c`'s timing column in raw milliseconds,
-  /// contiguous over queries — what the eval_kernels sweeps stream.
+  /// contiguous over queries — what SubsetState's probe loops stream.
   const int64_t* view_time_ms_of(size_t c) const {
     return timing_->view_time_ms.data() + c * workload_.size();
   }
-  /// \brief Per-query base times / frequency weights as flat aligned
-  /// arrays (the kernels' other operands).
+  /// \brief Per-query base times / frequency weights as flat arrays
+  /// (the probe loops' other operands).
   const int64_t* base_time_ms_data() const {
     return timing_->base_time_ms.data();
   }
@@ -152,23 +150,17 @@ class SelectionEvaluator {
   /// \brief Frequency weight of query `q` (Formula 9).
   int64_t frequency(size_t q) const { return timing_->frequency[q]; }
 
-  /// \brief Cheap per-task copy: shares the immutable timing tables by
-  /// reference, starts with an empty storage memo. Build per-thread
-  /// SubsetStates and SolverContexts on the clone, never on a shared
-  /// instance (FastTotalCost checks the pairing).
-  SelectionEvaluator Clone() const;
-
-  /// \brief Clone() with `sunk` candidates' materialization time zeroed
+  /// \brief A copy with `sunk` candidates' materialization time zeroed
   /// — the temporal planner's transition-aware period problem (carried
   /// views' builds are sunk costs; see temporal_planner.h). The timing
-  /// tables are unaffected (they never depend on build time), so this
-  /// too is O(queries + candidates). InvalidArgument on an out-of-range
-  /// index.
+  /// tables are shared unchanged (they never depend on build time), so
+  /// this is O(queries + candidates). InvalidArgument on an
+  /// out-of-range index.
   Result<SelectionEvaluator> CloneWithSunkBuilds(
       const std::vector<size_t>& sunk) const;
 
-  /// \brief Clone() re-billed under `architecture` — the arch-sweep
-  /// solver's per-task handoff. Timing tables are shared unchanged (an
+  /// \brief A copy re-billed under `architecture` — what the arch-sweep
+  /// solver scores each architecture on. Timing tables are shared (an
   /// architecture rescales money, never query times); the baseline and
   /// the cold memos are rebuilt under the new bill. InvalidArgument
   /// when the deployment bills compute as a single session and the
@@ -211,25 +203,26 @@ class SelectionEvaluator {
 
  private:
   /// The precomputed query-x-candidate tables — the expensive, immutable
-  /// part of an evaluator. Built once, shared read-only across every
-  /// Clone() via shared_ptr (arch-sweep tasks, temporal period
-  /// clones), so per-task copies never rebuild or duplicate the matrix.
+  /// part of an evaluator. Built once, shared read-only via shared_ptr
+  /// with every variant (the arch-sweep's per-architecture re-billing,
+  /// the temporal planner's sunk-build copies), so a variant never
+  /// rebuilds or duplicates the matrix.
   ///
   /// Structure-of-arrays (DESIGN.md §11): every hot-path quantity is a
-  /// flat, 64-byte-aligned int64 array in raw milliseconds, and the
-  /// timing matrix exists in exactly one layout — candidate-major — so
-  /// a probe streams one contiguous column per candidate. The old
+  /// flat int64 array in raw milliseconds, and the timing matrix exists
+  /// in exactly one layout — candidate-major — so a probe streams one
+  /// contiguous column per candidate. The old
   /// query-major nested-vector duplicate is gone (the matrix was stored
   /// twice); query-major reads go through view_time(q, c), which just
   /// strides the candidate-major array.
   struct TimingTable {
     // base_time_ms[q]: query q answered from the base table.
-    AlignedVector<int64_t> base_time_ms;
+    std::vector<int64_t> base_time_ms;
     // frequency[q]: per-query frequency weight (hot-path copy).
-    AlignedVector<int64_t> frequency;
+    std::vector<int64_t> frequency;
     // view_time_ms[c * num_queries + q]: query q answered from
     // candidate c; a huge sentinel when c cannot answer q.
-    AlignedVector<int64_t> view_time_ms;
+    std::vector<int64_t> view_time_ms;
     // ranked_candidates[q]: candidates beating base_time[q], ascending
     // by view_time (ties by index, matching Evaluate()'s scan order).
     std::vector<std::vector<uint32_t>> ranked_candidates;
@@ -324,10 +317,9 @@ class SelectionEvaluator {
                      const DeploymentSpec& deployment,
                      std::vector<ViewCandidate> candidates);
 
-  /// Clone() backing: copies everything except the storage memo (the
-  /// clone starts cold), so cloning never pays for — or even reads — a
-  /// source memo that may have grown large. Safe to run concurrently
-  /// against one shared source.
+  /// The variants' shared copy step: copies everything except the
+  /// memos (the copy starts cold), so deriving a variant never pays
+  /// for — or even reads — a source memo that may have grown large.
   struct CloneTag {};
   SelectionEvaluator(const SelectionEvaluator& other, CloneTag)
       : lattice_(other.lattice_),
@@ -345,7 +337,7 @@ class SelectionEvaluator {
   DeploymentSpec deployment_;
   std::vector<ViewCandidate> candidates_;
 
-  // Immutable after construction; shared across Clone()s.
+  // Immutable after construction; shared with every variant.
   std::shared_ptr<const TimingTable> timing_;
 
   SubsetEvaluation baseline_;
@@ -372,12 +364,11 @@ class SelectionEvaluator {
 
   // Fast-path memos, keyed by duplicated-byte total (storage: the
   // tiered Formula 5 walk) and billed millis (compute: the __int128
-  // rational scaling). Per-instance (never shared across Clone()s):
+  // rational scaling). Per-instance (never shared with a variant):
   // these memos are why one instance must not be probed from two
-  // threads — and why a clone per task is enough. Contents only affect
-  // speed, never values.
-  // thread-compat: unsynchronized memo — one instance (or Clone())
-  // per task, per DESIGN.md §9.2.
+  // threads. Contents only affect speed, never values.
+  // thread-compat: unsynchronized memo — one instance per task, per
+  // DESIGN.md §9.2.
   mutable CostMemo storage_cost_memo_;
   mutable CostMemo compute_cost_memo_;
   // One-slot front cache over compute_cost_memo_ (see ComputeBill).
@@ -424,15 +415,6 @@ class SubsetState {
   /// neighborhoods with (no commit, no revert, no writes).
   SubsetTotals PeekToggle(size_t c) const;
 
-  /// \brief PeekToggle for many candidates in one pass over the timing
-  /// matrix: out[i] = PeekToggle(candidates[i]), bit-for-bit. The
-  /// batched neighborhood-scan primitive (DESIGN.md §11): consecutive
-  /// candidate columns stream sequentially through the dispatched
-  /// eval_kernels sweep instead of paying per-call setup per toggle.
-  /// `out` must be at least candidates.size() long.
-  void PeekToggleBatch(std::span<const size_t> candidates,
-                       std::span<SubsetTotals> out) const;
-
   /// \brief This state's current totals.
   SubsetTotals totals() const {
     return SubsetTotals{processing_, materialization_, maintenance_,
@@ -465,9 +447,6 @@ class SubsetState {
   const SelectionEvaluator& evaluator() const { return *evaluator_; }
 
  private:
-  /// PeekToggle body shared with PeekToggleBatch.
-  SubsetTotals PeekToggleInto(size_t c) const;
-
   const SelectionEvaluator* evaluator_;
   // kFromBase in best_view_[q] means the base table answers q best.
   static constexpr uint32_t kFromBase =
@@ -476,9 +455,9 @@ class SubsetState {
   std::vector<uint8_t> member_;
   size_t count_ = 0;
   // SoA hot state (DESIGN.md §11): the per-query argmin as two flat
-  // aligned arrays the vectorized sweeps read and write directly.
-  AlignedVector<uint32_t> best_view_;
-  AlignedVector<int64_t> best_time_ms_;
+  // arrays the probe loops read and write directly.
+  std::vector<uint32_t> best_view_;
+  std::vector<int64_t> best_time_ms_;
   Duration processing_;
   Duration materialization_;
   Duration maintenance_;

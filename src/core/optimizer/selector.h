@@ -155,11 +155,11 @@ struct SelectionResult {
 /// Concurrency contract (DESIGN.md §9): one selector per task. Solve()
 /// is const but memoizing — subset evaluations accumulate in the
 /// per-selector EvaluationCache across calls — so two threads must not
-/// share one selector (or its evaluator). Parallel searches do not
-/// share selectors at all: the "arch-sweep" solver and the comparison
-/// sweeps give every task its own SolverContext + EvaluationCache over
-/// a SelectionEvaluator::Clone(), which shares only the immutable
-/// timing tables. Memoization never changes results, only speed.
+/// share one selector (or its evaluator). The "arch-sweep" solver
+/// scores each architecture on its own SolverContext + EvaluationCache
+/// over a SelectionEvaluator::CloneWithArchitecture(), which shares
+/// only the immutable timing tables. Memoization never changes results,
+/// only speed.
 class ViewSelector {
  public:
   /// \brief Keeps a reference; `evaluator` must outlive the selector.

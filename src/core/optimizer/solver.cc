@@ -222,9 +222,9 @@ Status SolverContext::ProbeToggleBatch(const SubsetState& state,
     }
     return Status::OK();
   }
-  // Split the batch by memo state: hits resolve in O(1) each, misses
-  // stream through one PeekToggleBatch matrix pass.
-  scratch_cands_.clear();
+  // Split the batch by memo state: every hit resolves in one tight
+  // pass, then each miss pays its O(queries) peek. Every candidate has
+  // its own memo key, so answering the hits first changes no count.
   scratch_miss_.clear();
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (const EvaluationCache::Entry* entry =
@@ -233,15 +233,11 @@ Status SolverContext::ProbeToggleBatch(const SubsetState& state,
       out[i] = ProbeOfEntry(*entry);
     } else {
       scratch_miss_.push_back(i);
-      scratch_cands_.push_back(candidates[i]);
     }
   }
-  if (scratch_cands_.empty()) return Status::OK();
-  scratch_totals_.resize(scratch_cands_.size());
-  state.PeekToggleBatch(scratch_cands_, scratch_totals_);
-  for (size_t j = 0; j < scratch_cands_.size(); ++j) {
-    CV_ASSIGN_OR_RETURN(out[scratch_miss_[j]],
-                        ProbeTotalsMiss(scratch_totals_[j]));
+  for (size_t i : scratch_miss_) {
+    CV_ASSIGN_OR_RETURN(out[i],
+                        ProbeTotalsMiss(state.PeekToggle(candidates[i])));
   }
   return Status::OK();
 }

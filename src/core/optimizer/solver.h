@@ -203,12 +203,13 @@ class SolverContext {
     return ScoreOf(probe);
   }
 
-  /// \brief ProbeToggle over many candidates in one batched pass — the
-  /// neighborhood-scan primitive (DESIGN.md §11). Hash-first cache
-  /// probes split the batch into hits and misses; the misses go through
-  /// one SubsetState::PeekToggleBatch matrix pass. `out` is resized to
-  /// candidates.size(); out[i] equals ProbeToggle(state, candidates[i])
-  /// bit-for-bit, counters included.
+  /// \brief ProbeToggle over many candidates — the neighborhood-scan
+  /// primitive (DESIGN.md §11.2). One tight pass answers every memo hit
+  /// hash-first; a second pass peeks the misses. On a warm cache a scan
+  /// is nearly all hits, and this split is what keeps the served
+  /// local-search solves as fast as they are (EXPERIMENTS.md, "One
+  /// probe path"). `out` is resized to candidates.size(); out[i] equals
+  /// ProbeToggle(state, candidates[i]) bit-for-bit, counters included.
   Status ProbeToggleBatch(const SubsetState& state,
                           std::span<const size_t> candidates,
                           std::vector<Probe>& out);
@@ -292,9 +293,7 @@ class SolverContext {
   // so neighborhood scans only allocate on growth.
   std::vector<size_t> scratch_iota_;
   std::vector<size_t> scratch_swap_ins_;
-  std::vector<size_t> scratch_cands_;
   std::vector<size_t> scratch_miss_;
-  std::vector<SubsetTotals> scratch_totals_;
   std::vector<Probe> scratch_probes_;
 };
 

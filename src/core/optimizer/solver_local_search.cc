@@ -8,10 +8,10 @@
 // same-size plateaus that single toggles cannot; the perturb-and-reclimb
 // restarts escape the local optima the climb itself cannot. Every
 // neighborhood scan is a batched ProbeToggleBatch pass — hash-first
-// cache probes, then one PeekToggleBatch sweep over the timing matrix
-// for the misses (DESIGN.md §11) — making this solver the headline
-// consumer of the incremental evaluation layer (bench_solvers measures
-// the subsets/sec gap against full re-evaluation).
+// cache probes, then one PeekToggle per miss (DESIGN.md §11) — making
+// this solver the headline consumer of the incremental evaluation layer
+// (bench_solvers measures the subsets/sec gap against full
+// re-evaluation).
 // Deterministic: restarts draw from a fixed-seed Rng.
 
 #include <vector>

@@ -242,8 +242,9 @@ class TemporalPlanner {
   /// accumulated growth); index num_periods() holds the end state.
   std::vector<DataSize> base_at_period_;
   /// One pre-built evaluator per period (full, un-zeroed candidate
-  /// pool), built by Create(). Immutable afterwards: the walk takes
-  /// CloneWithSunkBuilds snapshots, so concurrent Runs can share them.
+  /// pool), built by Create(). Never probed: the walk probes
+  /// CloneWithSunkBuilds snapshots, which share these timing tables but
+  /// carry their own memos, so every Run starts from the same state.
   std::vector<std::unique_ptr<const SelectionEvaluator>> period_evaluators_;
 };
 

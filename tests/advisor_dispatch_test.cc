@@ -240,8 +240,9 @@ TEST_F(DispatchEntryTest, TimelinePeriodsAreBounded) {
 // Replies on the session perfbench serves (SSB, 100 candidates, primed
 // with a default solve), recorded while arch-sweep and compare-providers
 // still fanned out on the thread pool. The payloads must not move, and
-// the solve-joint reply's cache counters show that every
-// per-architecture probe still reaches the session's cache telemetry.
+// the cache counters show that every probe reaches the reply's
+// telemetry: each per-architecture probe of the joint solve, and each
+// provider row's solve.
 TEST(ServedSsbSession, JointAndProviderRepliesArePinned) {
   const char* kConfig =
       R"({"schema":"ssb","candidates":{"max_candidates":100}})";
@@ -285,11 +286,13 @@ TEST(ServedSsbSession, JointAndProviderRepliesArePinned) {
   // architecture's probes to it.
   EXPECT_GT(joint.meta.cache_lookups, prime.meta.cache_lookups);
   expect_pinned(pinned(joint), {2440, 13382372316929059907u, 50105, 983, 0});
-  // Provider rows rebuild their own deployments; the session cache is
-  // not consulted, so the reply carries no cache counts.
+  // Provider rows rebuild their own deployments and caches; the session
+  // cache is not consulted, so the reply carries the sums of the rows'
+  // cache counts.
   EXPECT_EQ(providers.providers.size(),
             ProviderRegistry::Global().Names().size());
-  expect_pinned(pinned(providers), {4902, 8990748280192531478u, 0, 0, 0});
+  expect_pinned(pinned(providers),
+                {4902, 8990748280192531478u, 21605, 516, 0});
 }
 
 }  // namespace

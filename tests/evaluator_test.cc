@@ -165,9 +165,10 @@ TEST_F(EvaluatorTest, EmptyWorkloadRejected) {
 }
 
 TEST_F(EvaluatorTest, CloneMatchesOriginalBitForBit) {
-  // The per-task handoff: a clone shares the immutable timing tables
-  // and reproduces every evaluation exactly, with its own storage memo.
-  SelectionEvaluator clone = evaluator_->Clone();
+  // With nothing sunk, a variant is a plain copy: it shares the
+  // immutable timing tables and reproduces every evaluation exactly,
+  // with its own storage memo.
+  SelectionEvaluator clone = evaluator_->CloneWithSunkBuilds({}).MoveValue();
   ASSERT_EQ(clone.num_candidates(), evaluator_->num_candidates());
   for (size_t q = 0; q < evaluator_->num_queries(); ++q) {
     EXPECT_EQ(clone.base_time(q).millis(),
