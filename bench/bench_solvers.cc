@@ -344,9 +344,10 @@ void PrintBranchAndBoundScaling() {
           Unwrap(SolveBranchAndBound(context, options), "bnb");
       selection = result.evaluation.selected;
       scored += context.counters().subsets_scored();
-      cache_hits = cache.hits();
-      cache_misses = cache.misses();
-      cache_evictions = cache.evictions();
+      EvaluationCache::AggregateCounts counts = cache.aggregate();
+      cache_hits = counts.hits;
+      cache_misses = counts.misses();
+      cache_evictions = counts.evictions;
       ++reps;
     } while (MillisSince(start) < bench::MeasureBudgetMs(100.0) &&
              reps < 20);

@@ -1,20 +1,16 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <string>
+#include <memory>
 #include <utility>
 
 namespace cloudview {
 
 namespace {
-
-/// Index of the worker running on this thread, or kNotAWorker. Lets
-/// Submit keep a worker's follow-up tasks on its own deque and lets
-/// TakeTask start stealing from a stable home.
-constexpr size_t kNotAWorker = static_cast<size_t>(-1);
-thread_local size_t tls_worker_index = kNotAWorker;
 
 std::unique_ptr<ThreadPool>& GlobalSlot() {
   static std::unique_ptr<ThreadPool> pool = std::make_unique<ThreadPool>(
@@ -46,116 +42,60 @@ size_t DefaultConcurrency() {
 }
 
 ThreadPool::ThreadPool(size_t workers) {
-  queues_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   threads_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    MutexLock lock(&wake_mu_);
+    MutexLock lock(&mu_);
     stopping_ = true;
   }
-  wake_.NotifyAll();
+  ready_.NotifyAll();
   for (std::thread& thread : threads_) thread.join();
-  // Drain anything submitted after the workers left (callers that
-  // Submit during teardown still get their tasks run, serially).
+  // Workers leave only once the queue is empty; this runs anything a
+  // still-running task submitted after the last worker left.
   while (TryRunOne()) {
   }
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  if (queues_.empty()) {
-    // No workers: run inline. Submit still "completes" the task, so
-    // zero-worker pools behave like a serial executor.
+  if (threads_.empty()) {
     task();
     return;
   }
-  size_t home = tls_worker_index;
-  if (home == kNotAWorker || home >= queues_.size()) {
-    home = next_queue_.fetch_add(1, std::memory_order_relaxed) %
-           queues_.size();
-  }
-  // Increment BEFORE enqueuing: a stealer may pop (and fetch_sub) the
-  // instant the queue mutex is released, and pending_ must never
-  // underflow (idle workers would busy-spin on a SIZE_MAX count). The
-  // reverse window — pending_ briefly positive with the task not yet
-  // pushed — only costs a worker one empty TakeTask scan.
-  pending_.fetch_add(1, std::memory_order_release);
   {
-    MutexLock lock(&queues_[home]->mu);
-    queues_[home]->tasks.push_back(std::move(task));
+    MutexLock lock(&mu_);
+    tasks_.push_back(std::move(task));
   }
-  // Notify under wake_mu_: a worker that read pending_ == 0 holds the
-  // mutex until it is inside wait(), so taking it here orders this
-  // submit after that read — the notify cannot land in the window
-  // between a worker's predicate check and its block (lost wakeup).
-  {
-    MutexLock lock(&wake_mu_);
-    wake_.NotifyOne();
-  }
-}
-
-std::function<void()> ThreadPool::TakeTask(size_t home) {
-  size_t n = queues_.size();
-  if (n == 0) return nullptr;
-  if (home >= n) home = 0;
-  // Own deque first, newest-first: the task most likely still warm in
-  // this core's cache.
-  {
-    WorkerQueue& own = *queues_[home];
-    MutexLock lock(&own.mu);
-    if (!own.tasks.empty()) {
-      std::function<void()> task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  // Steal oldest-first from the siblings: the opposite end, so thieves
-  // and owners rarely contend on the same task.
-  for (size_t step = 1; step < n; ++step) {
-    WorkerQueue& victim = *queues_[(home + step) % n];
-    MutexLock lock(&victim.mu);
-    if (!victim.tasks.empty()) {
-      std::function<void()> task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  return nullptr;
+  ready_.NotifyOne();
 }
 
 bool ThreadPool::TryRunOne() {
-  size_t home = tls_worker_index;
-  std::function<void()> task =
-      TakeTask(home == kNotAWorker ? 0 : home);
-  if (!task) return false;
+  std::function<void()> task;
+  {
+    MutexLock lock(&mu_);
+    if (tasks_.empty()) return false;
+    task = std::move(tasks_.front());
+    tasks_.pop_front();
+  }
   task();
   return true;
 }
 
-void ThreadPool::WorkerLoop(size_t self) {
-  tls_worker_index = self;
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    if (std::function<void()> task = TakeTask(self)) {
-      task();
-      continue;
+    std::function<void()> task;
+    {
+      MutexLock lock(&mu_);
+      while (!stopping_ && tasks_.empty()) ready_.Wait(mu_);
+      if (tasks_.empty()) return;  // Stopping, and nothing left to run.
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    MutexLock lock(&wake_mu_);
-    // Explicit predicate loop (not a wait-with-lambda): the analysis
-    // checks stopping_'s guard here, where wake_mu_ is visibly held.
-    while (!stopping_ &&
-           pending_.load(std::memory_order_acquire) == 0) {
-      wake_.Wait(wake_mu_);
-    }
-    if (stopping_) return;
+    task();
   }
 }
 

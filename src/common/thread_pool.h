@@ -1,14 +1,12 @@
-// Work-stealing thread pool and the ParallelFor primitive. In the
-// library the pool serves the advisor's async request queue
-// (AdvisorService::SubmitAsync, through Submit); no single request fans
-// out on it (DESIGN.md §9).
+// Thread pool and the ParallelFor primitive. In the library the pool
+// serves the advisor's async request queue (AdvisorService::SubmitAsync,
+// through Submit); no single request fans out on it (DESIGN.md §9).
 //
-// Tasks are plain std::function thunks on per-worker deques: a worker
-// pops its own deque LIFO and steals FIFO from its siblings when empty,
-// so related work stays cache-warm and idle threads drain the longest
-// queue ends. The pool is a fixed set of std::threads over
-// std::mutex/std::condition_variable — no dependencies beyond the
-// standard library.
+// Tasks are plain std::function thunks on one FIFO queue under one
+// mutex: workers and TryRunOne callers take the oldest task first. The
+// pool is a fixed set of std::threads over std::mutex /
+// std::condition_variable — no dependencies beyond the standard
+// library.
 //
 // Concurrency convention: a "concurrency of N" means N threads make
 // progress on a parallel region — the N-1 pool workers plus the caller,
@@ -34,11 +32,9 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -59,16 +55,16 @@ size_t ParseThreadCount(const char* value, size_t fallback);
 /// std::thread::hardware_concurrency() (at least 1).
 size_t DefaultConcurrency();
 
-/// \brief Fixed-size work-stealing pool of worker threads.
+/// \brief Fixed-size pool of worker threads over one FIFO task queue.
 ///
 /// Thread-safe: Submit may be called from any thread, including from
-/// inside a running task. Destruction joins the workers after draining
-/// already-submitted tasks.
+/// inside a running task. Destruction joins the workers, then runs
+/// whatever is still queued on the destroying thread.
 class ThreadPool {
  public:
   /// \brief Spawns `workers` threads. Zero workers is valid: Submit
-  /// still queues (tasks run only via TryRunOne or destruction drain),
-  /// and ParallelFor degenerates to a serial loop.
+  /// then runs each task inline, and ParallelFor degenerates to a
+  /// serial loop.
   explicit ThreadPool(size_t workers);
   ~ThreadPool();
 
@@ -81,16 +77,14 @@ class ThreadPool {
   /// calling thread (which always participates).
   size_t concurrency() const { return threads_.size() + 1; }
 
-  /// \brief Enqueues `task`. When called from a pool worker the task
-  /// goes on that worker's own deque (LIFO, cache-warm); otherwise
-  /// deques are fed round-robin. Excludes wake_mu_: Submit briefly
-  /// takes it to publish the wakeup, so callers must not hold it.
-  void Submit(std::function<void()> task) CLOUDVIEW_EXCLUDES(wake_mu_);
+  /// \brief Appends `task` to the queue and wakes one worker; with
+  /// zero workers it runs `task` inline instead.
+  void Submit(std::function<void()> task) CLOUDVIEW_EXCLUDES(mu_);
 
-  /// \brief Runs one queued task on the calling thread if any is
-  /// available (own deque first, then stealing). Returns false when
-  /// every deque is empty. Lets blocked joiners help drain the pool.
-  bool TryRunOne();
+  /// \brief Runs the oldest queued task on the calling thread, if any.
+  /// Returns false when the queue is empty. Lets blocked joiners help
+  /// drain the pool.
+  bool TryRunOne() CLOUDVIEW_EXCLUDES(mu_);
 
   /// \brief The shared process pool, lazily sized to
   /// DefaultConcurrency() - 1 workers (the caller is the extra thread).
@@ -104,24 +98,13 @@ class ThreadPool {
   static void SetGlobalConcurrency(size_t concurrency);
 
  private:
-  struct WorkerQueue {
-    Mutex mu;
-    std::deque<std::function<void()>> tasks CLOUDVIEW_GUARDED_BY(mu);
-  };
+  void WorkerLoop() CLOUDVIEW_EXCLUDES(mu_);
 
-  void WorkerLoop(size_t self);
-  /// Pops from `home`'s deque back, else steals from the next
-  /// non-empty sibling's front. Returns an empty function when all
-  /// deques are empty.
-  std::function<void()> TakeTask(size_t home);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> threads_;
-  Mutex wake_mu_;
-  CondVar wake_;
-  std::atomic<size_t> pending_{0};
-  std::atomic<size_t> next_queue_{0};
-  bool stopping_ CLOUDVIEW_GUARDED_BY(wake_mu_) = false;
+  Mutex mu_;
+  CondVar ready_;
+  std::deque<std::function<void()>> tasks_ CLOUDVIEW_GUARDED_BY(mu_);
+  bool stopping_ CLOUDVIEW_GUARDED_BY(mu_) = false;
 };
 
 namespace internal {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/hash.h"
 #include "core/optimizer/candidate_generation.h"
@@ -247,46 +248,6 @@ Result<SolveRun> CloudScenario::SolveImpl(const Workload& workload,
   return run;
 }
 
-Result<FrontierRun> CloudScenario::FrontierImpl(const Workload& workload,
-                                                const ObjectiveSpec& spec,
-                                                std::string_view solver,
-                                                AdvisorWarmSlot* warm,
-                                                ResponseMeta* meta) const {
-  CV_ASSIGN_OR_RETURN(
-      SolveRun run,
-      SolveImpl(workload, spec, solver, nullptr, warm, meta));
-  FrontierRun out;
-  out.baseline = std::move(run.baseline);
-  out.best = std::move(run.selection);
-  out.frontier = std::move(out.best.frontier);
-  out.best.frontier.clear();
-  if (out.frontier.empty() && out.best.feasible) {
-    // A single-objective strategy was named: degenerate to its one
-    // operating point rather than returning an empty frontier.
-    out.frontier.push_back(ParetoPoint{out.best.multi,
-                                       out.best.evaluation.selected,
-                                       out.best.solver});
-  }
-  return out;
-}
-
-Result<JointRun> CloudScenario::JointImpl(const Workload& workload,
-                                          const ObjectiveSpec& spec,
-                                          std::string_view solver,
-                                          AdvisorWarmSlot* warm,
-                                          ResponseMeta* meta) const {
-  CV_ASSIGN_OR_RETURN(
-      SolveRun run,
-      SolveImpl(workload, spec, solver, nullptr, warm, meta));
-  JointRun out;
-  out.baseline = std::move(run.baseline);
-  out.best = std::move(run.selection);
-  out.frontier = std::move(out.best.frontier);
-  out.best.frontier.clear();
-  out.best_architecture = out.best.architecture;
-  return out;
-}
-
 Result<AdvisorResponse> CloudScenario::Dispatch(
     const AdvisorRequest& request, AdvisorWarmSlot* warm) const {
   const auto start = std::chrono::steady_clock::now();
@@ -321,15 +282,43 @@ Result<AdvisorResponse> CloudScenario::Dispatch(
       response.meta.gap_fraction = response.solve.selection.gap_fraction;
       break;
     }
-    case AdvisorRequestKind::kFrontier: {
-      CV_ASSIGN_OR_RETURN(response.frontier,
-                          FrontierImpl(workload, request.objective, solver,
-                                       warm, &response.meta));
-      response.meta.cancelled = response.frontier.best.cancelled;
-      response.meta.gap_fraction = response.frontier.best.gap_fraction;
+    case AdvisorRequestKind::kFrontier:
+    case AdvisorRequestKind::kSolveJoint: {
+      // One solve under a multi-objective strategy; the reply lifts the
+      // frontier it carries out of the best selection.
+      CV_ASSIGN_OR_RETURN(SolveRun run,
+                          SolveImpl(workload, request.objective, solver,
+                                    nullptr, warm, &response.meta));
+      SelectionResult best = std::move(run.selection);
+      std::vector<ParetoPoint> frontier = std::move(best.frontier);
+      best.frontier.clear();
+      response.meta.cancelled = best.cancelled;
+      response.meta.gap_fraction = best.gap_fraction;
+      if (request.kind == AdvisorRequestKind::kSolveJoint) {
+        response.joint.best_architecture = best.architecture;
+        response.joint.frontier = std::move(frontier);
+        response.joint.best = std::move(best);
+        response.joint.baseline = std::move(run.baseline);
+        break;
+      }
+      if (frontier.empty() && best.feasible) {
+        // A single-objective strategy was named: degenerate to its one
+        // operating point rather than returning an empty frontier.
+        frontier.push_back(
+            ParetoPoint{best.multi, best.evaluation.selected, best.solver});
+      }
+      response.frontier.frontier = std::move(frontier);
+      response.frontier.best = std::move(best);
+      response.frontier.baseline = std::move(run.baseline);
       break;
     }
-    case AdvisorRequestKind::kTimeline: {
+    case AdvisorRequestKind::kTimeline:
+    case AdvisorRequestKind::kComparePolicies: {
+      if (request.kind == AdvisorRequestKind::kComparePolicies &&
+          request.policies.empty()) {
+        return Status::InvalidArgument(
+            "compare-policies needs a non-empty policies list");
+      }
       CV_ASSIGN_OR_RETURN(WorkloadTimeline timeline,
                           ResolveTimeline(request, workload));
       CV_ASSIGN_OR_RETURN(
@@ -338,17 +327,16 @@ Result<AdvisorResponse> CloudScenario::Dispatch(
                                   *cost_model_, std::move(timeline),
                                   config_.candidates,
                                   config_.maintenance_cycles));
-      CV_ASSIGN_OR_RETURN(
-          response.timeline,
-          planner.Run(request.objective, request.policy, solver));
-      break;
-    }
-    case AdvisorRequestKind::kSolveJoint: {
-      CV_ASSIGN_OR_RETURN(response.joint,
-                          JointImpl(workload, request.objective, solver,
-                                    warm, &response.meta));
-      response.meta.cancelled = response.joint.best.cancelled;
-      response.meta.gap_fraction = response.joint.best.gap_fraction;
+      if (request.kind == AdvisorRequestKind::kTimeline) {
+        CV_ASSIGN_OR_RETURN(
+            response.timeline,
+            planner.Run(request.objective, request.policy, solver));
+      } else {
+        CV_ASSIGN_OR_RETURN(
+            response.policies,
+            planner.ComparePolicies(request.objective, request.policies,
+                                    solver));
+      }
       break;
     }
     case AdvisorRequestKind::kCompareProviders: {
@@ -370,25 +358,6 @@ Result<AdvisorResponse> CloudScenario::Dispatch(
         response.meta.cache_hits += row_meta.cache_hits;
         response.meta.cache_evictions += row_meta.cache_evictions;
       }
-      break;
-    }
-    case AdvisorRequestKind::kComparePolicies: {
-      if (request.policies.empty()) {
-        return Status::InvalidArgument(
-            "compare-policies needs a non-empty policies list");
-      }
-      CV_ASSIGN_OR_RETURN(WorkloadTimeline timeline,
-                          ResolveTimeline(request, workload));
-      CV_ASSIGN_OR_RETURN(
-          TemporalPlanner planner,
-          TemporalPlanner::Create(*lattice_, *simulator_, cluster_,
-                                  *cost_model_, std::move(timeline),
-                                  config_.candidates,
-                                  config_.maintenance_cycles));
-      CV_ASSIGN_OR_RETURN(
-          response.policies,
-          planner.ComparePolicies(request.objective, request.policies,
-                                  solver));
       break;
     }
   }

@@ -587,13 +587,6 @@ class EvaluationCache {
 
   size_t size() const { return size_ + (has_empty_ ? 1 : 0); }
   size_t max_entries() const { return max_entries_; }
-  uint64_t lookups() const { return lookups_; }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return lookups_ - hits_; }
-  /// \brief Epoch evictions performed (full-cache drops). Nonzero means
-  /// the solve's distinct-subset working set exceeded max_entries —
-  /// surfaced in the BENCH_JSON cache columns.
-  uint64_t evictions() const { return evictions_; }
 
  private:
   /// SubsetHash({}) == 0; the zero key marks empty slots instead and the

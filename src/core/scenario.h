@@ -82,9 +82,9 @@ class CloudScenario {
   /// "arch-sweep" (this deployment must bill under the identity
   /// architecture). kCompareProviders re-solves on every registered
   /// sheet with its native billing semantics (paper Section 8), one
-  /// pool task per sheet, rows in sorted provider order at any thread
-  /// count; under "pareto-sweep" each row's run.selection.frontier is
-  /// that sheet's whole frontier. kTimeline / kComparePolicies walk a
+  /// sheet after another, rows in sorted provider order; under
+  /// "pareto-sweep" each row's run.selection.frontier is that sheet's
+  /// whole frontier. kTimeline / kComparePolicies walk a
   /// TemporalPlanner, billing storage on the timeline's own period
   /// clock (DESIGN.md §8). `warm` (optional) is a session's warm-start
   /// slot — a matching slot skips candidate generation and evaluator
@@ -153,20 +153,6 @@ class CloudScenario {
                              const ObjectiveSpec& spec,
                              std::string_view solver,
                              const ClusterSpec* cluster_override,
-                             AdvisorWarmSlot* warm,
-                             ResponseMeta* meta) const;
-  /// The kFrontier body: SolveImpl under a multi-objective strategy,
-  /// repackaged as frontier + best.
-  Result<FrontierRun> FrontierImpl(const Workload& workload,
-                                   const ObjectiveSpec& spec,
-                                   std::string_view solver,
-                                   AdvisorWarmSlot* warm,
-                                   ResponseMeta* meta) const;
-  /// The kSolveJoint body: SolveImpl under "arch-sweep", repackaged as
-  /// the four-axis frontier + winning (architecture, view set) pair.
-  Result<JointRun> JointImpl(const Workload& workload,
-                             const ObjectiveSpec& spec,
-                             std::string_view solver,
                              AdvisorWarmSlot* warm,
                              ResponseMeta* meta) const;
 

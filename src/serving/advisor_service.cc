@@ -9,9 +9,9 @@
 namespace cloudview {
 
 ServeOutcome PendingResponse::Wait() {
-  // Help the pool along while blocked: on small machines (or a
-  // zero-worker pool) the waiting thread itself runs queued tasks, so
-  // SubmitAsync + Wait can never deadlock on pool capacity.
+  // Help the pool along while blocked: when every worker is busy the
+  // waiting thread itself runs queued tasks, so SubmitAsync + Wait can
+  // never deadlock on pool capacity.
   while (true) {
     {
       MutexLock lock(&mu_);

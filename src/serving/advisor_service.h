@@ -2,7 +2,7 @@
 // (DESIGN.md §14). Owns the SessionManager and a default (sessionless)
 // scenario, arms per-request deadlines as CancelTokens threaded
 // through ObjectiveSpec::cancel, and runs an async solve queue on the
-// global work-stealing ThreadPool with same-session batching.
+// global ThreadPool with same-session batching.
 //
 // Cancellation contract: a deadline never makes a solve error out
 // mid-flight — solvers treat an observed token like a node-budget

@@ -334,7 +334,7 @@ TEST_F(BranchAndBoundTest, WalkLeavesTheCallersCacheAlone) {
   ASSERT_TRUE(SolveBranchAndBound(context, options).ok());
   EXPECT_GT(stats.nodes_expanded, 1'000u);
   EXPECT_EQ(cache.size(), warm_cache.size());
-  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.aggregate().evictions, 0u);
   EXPECT_TRUE(context.use_cache());
 }
 

@@ -11,11 +11,15 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "core/scenario.h"
+#include "serving/advisor_codec.h"
 #include "serving/advisor_service.h"
+#include "serving/json.h"
 
 namespace cloudview {
 namespace {
@@ -243,6 +247,72 @@ TEST(Cancellation, AsyncSolvesCompleteThroughTheQueue) {
             outcome_b.response.solve.selection.evaluation.selected);
   EXPECT_GE(service->stats().served, 2u);
   EXPECT_GE(service->stats().batches, 1u);
+}
+
+// Four sessions' async queues race each other on a 3-worker pool (the
+// TSan leg runs this); every reply must still equal the reply the same
+// request gets from a synchronous Serve in the same per-session order,
+// down to the warm-slot cache counts (only wall_ms may differ).
+TEST(Cancellation, AsyncMultiSessionRepliesMatchSynchronousServe) {
+  constexpr int kSessions = 4;
+  constexpr int kRequestsPerSession = 8;
+  const char* const kSolvers[] = {"greedy", "knapsack-dp", "local-search",
+                                  "branch-and-bound"};
+
+  auto make_service = [&]() {
+    AdvisorService::Options options;
+    options.default_config = SmallConfig();
+    std::unique_ptr<AdvisorService> service =
+        AdvisorService::Create(std::move(options)).MoveValue();
+    for (int s = 0; s < kSessions; ++s) {
+      EXPECT_TRUE(service->sessions()
+                      .Create("s" + std::to_string(s), SmallConfig())
+                      .ok());
+    }
+    return service;
+  };
+  auto make_request = [&](int s, int i) {
+    AdvisorRequest request;
+    request.kind = AdvisorRequestKind::kSolve;
+    request.session = "s" + std::to_string(s);
+    request.solver = kSolvers[(s + i) % 4];
+    request.objective = LooseBudgetSpec();
+    request.objective.budget_limit =
+        Money::FromMicros(5'000'000 * (1 + (i % 4)));
+    return request;
+  };
+  auto encode = [](ServeOutcome outcome) {
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status;
+    EXPECT_TRUE(outcome.has_response);
+    outcome.response.meta.wall_ms = 0;
+    return WriteJson(AdvisorResponseToJson(outcome.response));
+  };
+
+  std::unique_ptr<AdvisorService> sync_service = make_service();
+  std::vector<std::string> expected;
+  for (int s = 0; s < kSessions; ++s) {
+    for (int i = 0; i < kRequestsPerSession; ++i) {
+      expected.push_back(encode(sync_service->Serve(make_request(s, i))));
+    }
+  }
+
+  ThreadPool::SetGlobalConcurrency(4);
+  std::unique_ptr<AdvisorService> async_service = make_service();
+  // Interleaved submission: each session's queue keeps its own order.
+  std::vector<std::shared_ptr<PendingResponse>> pending(
+      kSessions * kRequestsPerSession);
+  for (int i = 0; i < kRequestsPerSession; ++i) {
+    for (int s = 0; s < kSessions; ++s) {
+      pending[s * kRequestsPerSession + i] =
+          async_service->SubmitAsync(make_request(s, i));
+    }
+  }
+  for (size_t k = 0; k < pending.size(); ++k) {
+    EXPECT_EQ(encode(pending[k]->Wait()), expected[k]) << "reply " << k;
+  }
+  ThreadPool::SetGlobalConcurrency(1);
+  EXPECT_EQ(async_service->stats().served,
+            static_cast<uint64_t>(kSessions * kRequestsPerSession));
 }
 
 }  // namespace

@@ -249,7 +249,7 @@ TEST(EvaluationCacheTest, FillingPastTheCapEvictsInsteadOfStalling) {
 
   // The cap held and the overflow was an epoch drop, not a refusal.
   EXPECT_LE(cache.size(), kCap + 1);
-  EXPECT_GE(cache.evictions(), 1u);
+  EXPECT_GE(cache.aggregate().evictions, 1u);
 
   // Post-eviction inserts land and are findable — the old bug was that
   // nothing inserted after the wall could ever hit.
@@ -259,19 +259,20 @@ TEST(EvaluationCacheTest, FillingPastTheCapEvictsInsteadOfStalling) {
   EXPECT_EQ(entry->view_bytes.bytes(), static_cast<int64_t>(total * 64));
 
   // Counter coherence for the BENCH_JSON surfacing.
-  uint64_t lookups_before = cache.lookups();
-  EXPECT_EQ(cache.misses(), cache.lookups() - cache.hits());
+  EvaluationCache::AggregateCounts before = cache.aggregate();
+  EXPECT_EQ(before.misses(), before.lookups - before.hits);
   cache.Find(total);      // hit
   cache.Find(total + 1);  // miss (never inserted)
-  EXPECT_EQ(cache.lookups(), lookups_before + 2);
-  EXPECT_EQ(cache.misses(), cache.lookups() - cache.hits());
+  EvaluationCache::AggregateCounts after = cache.aggregate();
+  EXPECT_EQ(after.lookups, before.lookups + 2);
+  EXPECT_EQ(after.misses(), after.lookups - after.hits);
 }
 
 TEST(EvaluationCacheTest, EmptySubsetSideEntrySurvivesEviction) {
   EvaluationCache cache(/*max_entries=*/8);
   cache.Insert(0, CacheEntry(7));  // SubsetHash({}) == 0.
   for (uint64_t i = 1; i <= 64; ++i) cache.Insert(i, CacheEntry(i));
-  EXPECT_GE(cache.evictions(), 1u);
+  EXPECT_GE(cache.aggregate().evictions, 1u);
   // The empty-subset entry lives outside the slot array and outside the
   // eviction policy — the baseline probe never pays a re-miss.
   const EvaluationCache::Entry* entry = cache.Find(0);
@@ -282,12 +283,12 @@ TEST(EvaluationCacheTest, EmptySubsetSideEntrySurvivesEviction) {
 TEST(EvaluationCacheTest, DefaultsAreBoundedAndZeroCapIsClamped) {
   EvaluationCache cache;
   EXPECT_EQ(cache.max_entries(), size_t{1} << 20);
-  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.aggregate().evictions, 0u);
   EvaluationCache degenerate(/*max_entries=*/0);
   EXPECT_EQ(degenerate.max_entries(), 1u);
   degenerate.Insert(1, CacheEntry(1));
   degenerate.Insert(2, CacheEntry(2));
-  EXPECT_GE(degenerate.evictions(), 1u);
+  EXPECT_GE(degenerate.aggregate().evictions, 1u);
   ASSERT_NE(degenerate.Find(2), nullptr);
 }
 

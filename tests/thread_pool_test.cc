@@ -1,7 +1,7 @@
 // ThreadPool / ParallelFor contract tests: degenerate sizes, full index
-// coverage, result ordering, nesting, submit-from-worker stealing, the
-// exception contract, and the CLOUDVIEW_THREADS parsing the global pool
-// is sized from.
+// coverage, result ordering, nesting, submit-from-worker, FIFO task
+// order, the destruction drain, the exception contract, and the
+// CLOUDVIEW_THREADS parsing the global pool is sized from.
 
 #include "common/thread_pool.h"
 
@@ -127,8 +127,8 @@ TEST(ThreadPool, ExceptionSkipsRemainingIterations) {
 }
 
 TEST(ThreadPool, SubmitFromWorkerIsStealable) {
-  // Tasks submitted from inside a worker land on that worker's own
-  // deque; siblings must still be able to steal them.
+  // Tasks submitted from inside a running iteration join the pool's
+  // one queue; any worker, or the caller's TryRunOne, may run them.
   ThreadPool pool(2);
   std::atomic<int> done{0};
   std::atomic<int> follow_ups{0};
@@ -144,6 +144,46 @@ TEST(ThreadPool, SubmitFromWorkerIsStealable) {
   // worker or were just drained.
   while (follow_ups.load() < 4) std::this_thread::yield();
   EXPECT_EQ(follow_ups.load(), 4);
+}
+
+// Parks `pool`'s only worker on a task that spins until `release` is
+// set, and returns once that task has started.
+void ParkOnlyWorker(ThreadPool& pool, std::atomic<bool>& release) {
+  std::atomic<bool> started{false};
+  pool.Submit([&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+}
+
+TEST(ThreadPool, SubmittedTasksRunInFifoOrder) {
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  ParkOnlyWorker(pool, release);
+  // The worker is busy, so only this thread runs the queued tasks.
+  std::vector<int> order;
+  for (int i = 0; i < 10; ++i) {
+    pool.Submit([&order, i] { order.push_back(i); });
+  }
+  while (pool.TryRunOne()) {
+  }
+  release.store(true);
+  ASSERT_EQ(order.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ThreadPool, DestructionRunsQueuedTasks) {
+  std::atomic<bool> release{false};
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(1);
+    ParkOnlyWorker(pool, release);
+    for (int i = 0; i < 8; ++i) pool.Submit([&] { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 0);
+    release.store(true);
+  }  // ~ThreadPool: the worker finishes the queue, then joins.
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPool, GlobalConcurrencyIsAdjustable) {
