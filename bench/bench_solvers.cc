@@ -307,6 +307,34 @@ void PrintIncrementalAblation() {
       .Emit();
 }
 
+// perfbench's served SSB session: the scenario's default SSB config
+// (its workload, deployment and price sheet) with `max_candidates`
+// candidates.
+struct ServedInstance {
+  CloudScenario scenario;
+  std::unique_ptr<SelectionEvaluator> evaluator;
+};
+
+ServedInstance MakeServedSsbInstance(size_t max_candidates) {
+  ScenarioConfig config;
+  config.schema = "ssb";
+  config.candidates.max_candidates = max_candidates;
+  CloudScenario scenario = Unwrap(CloudScenario::Create(config), "scenario");
+  Workload workload = Unwrap(scenario.DefaultWorkload(), "workload");
+  DeploymentSpec deployment = Unwrap(
+      scenario.MakeDeployment(workload, scenario.cluster()), "deployment");
+  auto evaluator = std::make_unique<SelectionEvaluator>(Unwrap(
+      SelectionEvaluator::Create(
+          scenario.lattice(), workload, scenario.simulator(),
+          scenario.cluster(), scenario.cost_model(), deployment,
+          Unwrap(GenerateCandidates(scenario.lattice(), workload,
+                                    scenario.simulator(), scenario.cluster(),
+                                    config.candidates),
+                 "candidates")),
+      "evaluator"));
+  return ServedInstance{std::move(scenario), std::move(evaluator)};
+}
+
 // --- Part 3: branch-and-bound past the enumeration wall ---------------------
 
 // The exact-search headline (DESIGN.md §13): branch-and-bound on SSB
@@ -375,10 +403,81 @@ void PrintBranchAndBoundScaling() {
         .Num("gap_fraction", stats.gap_fraction)
         .Num("cache_hit_rate", hit_rate)
         .Int("nodes_expanded", static_cast<int64_t>(stats.nodes_expanded))
+        .Int("bound_evaluations",
+             static_cast<int64_t>(stats.bound_evaluations))
         .Int("pruned_by_bound",
              static_cast<int64_t>(stats.pruned_by_bound))
         .Int("proven_optimal", stats.proven_optimal ? 1 : 0)
         .Int("cache_evictions", static_cast<int64_t>(cache_evictions))
+        .Int("views", static_cast<int64_t>(selection.size()))
+        .Emit();
+  }
+  table.Print(std::cout);
+  std::cout << "\n";
+}
+
+// The walks where cost binds, on the served 100-candidate session: an
+// MV1 budget below the cheapest reachable selection's cost, a slack MV2
+// limit, and MV3 at a low alpha. These are the
+// expensive branch-and-bound solves of perfbench's whatif-warm, so
+// their nodes_expanded and bound_evaluations are gated exactly.
+void PrintCostBindingWalks() {
+  ServedInstance inst = MakeServedSsbInstance(100);
+  const SelectionEvaluator& evaluator = *inst.evaluator;
+  const SubsetEvaluation& baseline = evaluator.baseline();
+  struct Walk {
+    const char* label;
+    ObjectiveSpec spec;
+  };
+  std::vector<Walk> walks(3);
+  walks[0].label = "mv1_budget_0.42";
+  walks[0].spec.scenario = Scenario::kMV1BudgetLimit;
+  walks[0].spec.budget_limit = baseline.cost.total().ScaleBy(42, 100);
+  walks[1].label = "mv2_limit_0.75";
+  walks[1].spec.scenario = Scenario::kMV2TimeLimit;
+  walks[1].spec.time_limit =
+      Duration::FromMillis(baseline.makespan.millis() * 75 / 100);
+  walks[2].label = "mv3_alpha_0.1";
+  walks[2].spec.scenario = Scenario::kMV3Tradeoff;
+  walks[2].spec.alpha = 0.1;
+
+  TablePrinter table({"walk", "wall/solve", "nodes", "bounds", "proven",
+                      "views"});
+  table.SetTitle(StrFormat(
+      "Branch-and-bound where cost binds (served SSB, %zu candidates)",
+      evaluator.num_candidates()));
+  for (const Walk& walk : walks) {
+    SearchStats stats;
+    std::vector<size_t> selection;
+    int reps = 0;
+    auto start = std::chrono::steady_clock::now();
+    do {
+      EvaluationCache cache;
+      SolverContext context(evaluator, walk.spec, &cache);
+      stats = SearchStats();
+      BranchAndBoundOptions options;
+      options.stats = &stats;
+      selection = Unwrap(SolveBranchAndBound(context, options), "bnb")
+                      .evaluation.selected;
+      ++reps;
+    } while (MillisSince(start) < bench::MeasureBudgetMs(300.0) &&
+             reps < 10);
+    double wall_ms = MillisSince(start) / reps;
+    table.AddRow({walk.label, StrFormat("%.2f ms", wall_ms),
+                  std::to_string(stats.nodes_expanded),
+                  std::to_string(stats.bound_evaluations),
+                  stats.proven_optimal ? "yes" : "NO",
+                  std::to_string(selection.size())});
+    JsonLine("solvers")
+        .Str("sweep", "branch_and_bound_cost_binding")
+        .Str("walk", walk.label)
+        .Num("wall_ms_per_solve", wall_ms)
+        .Int("nodes_expanded", static_cast<int64_t>(stats.nodes_expanded))
+        .Int("bound_evaluations",
+             static_cast<int64_t>(stats.bound_evaluations))
+        .Int("pruned_by_bound",
+             static_cast<int64_t>(stats.pruned_by_bound))
+        .Int("proven_optimal", stats.proven_optimal ? 1 : 0)
         .Int("views", static_cast<int64_t>(selection.size()))
         .Emit();
   }
@@ -398,31 +497,6 @@ void PrintBranchAndBoundScaling() {
 // specs it solves to the optimum's lexicographic score, the specs where
 // it misses feasibility the optimum reaches, its largest objective gap,
 // and its median wall time per solve (one fresh-cache solve per spec).
-
-struct ServedInstance {
-  CloudScenario scenario;
-  std::unique_ptr<SelectionEvaluator> evaluator;
-};
-
-ServedInstance MakeServedSsbInstance(size_t max_candidates) {
-  ScenarioConfig config;
-  config.schema = "ssb";
-  config.candidates.max_candidates = max_candidates;
-  CloudScenario scenario = Unwrap(CloudScenario::Create(config), "scenario");
-  Workload workload = Unwrap(scenario.DefaultWorkload(), "workload");
-  DeploymentSpec deployment = Unwrap(
-      scenario.MakeDeployment(workload, scenario.cluster()), "deployment");
-  auto evaluator = std::make_unique<SelectionEvaluator>(Unwrap(
-      SelectionEvaluator::Create(
-          scenario.lattice(), workload, scenario.simulator(),
-          scenario.cluster(), scenario.cost_model(), deployment,
-          Unwrap(GenerateCandidates(scenario.lattice(), workload,
-                                    scenario.simulator(), scenario.cluster(),
-                                    config.candidates),
-                 "candidates")),
-      "evaluator"));
-  return ServedInstance{std::move(scenario), std::move(evaluator)};
-}
 
 std::vector<ObjectiveSpec> CensusGrid(const SelectionEvaluator& evaluator) {
   std::vector<ObjectiveSpec> specs;
@@ -577,6 +651,7 @@ int main(int argc, char** argv) {
   PrintSolverComparison();
   PrintIncrementalAblation();
   PrintBranchAndBoundScaling();
+  PrintCostBindingWalks();
   PrintSolverCensus();
   bench::RunMicrobenchmarks(argc, argv);
   return 0;

@@ -21,9 +21,10 @@ baseline is a silent way to lose coverage). New rows that the baseline
 does not know are reported but never fail the gate.
 
 A second, exact gate covers deterministic work: any row whose
-`nodes_expanded` (branch-and-bound search nodes), `evaluations`
-(probes a fresh cache did not answer) or `fresh_solves` (re-selection
-solves a temporal policy comparison ran that its memo could not answer)
+`nodes_expanded` (branch-and-bound search nodes), `bound_evaluations`
+(branch-and-bound node lower bounds computed), `evaluations` (probes a
+fresh cache did not answer) or `fresh_solves` (re-selection solves a
+temporal policy comparison ran that its memo could not answer)
 exceeds the value stored for it under the baseline's "work_rows" fails,
 with no threshold and no derate — these counts are a pure function of
 the instance and the search, not of the machine, so they must never
@@ -63,7 +64,8 @@ import sys
 
 PREFIX = "BENCH_JSON "
 # Deterministic work counters gated exactly (see the module docstring).
-WORK_METRICS = ("nodes_expanded", "evaluations", "fresh_solves")
+WORK_METRICS = ("nodes_expanded", "bound_evaluations", "evaluations",
+                "fresh_solves")
 
 
 def parse_rows(stream):

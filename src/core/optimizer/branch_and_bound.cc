@@ -112,7 +112,10 @@ Result<SolverContext::Probe> SearchNode::LowerBound(
   Duration makespan =
       std::max(totals.makespan(),
                totals.materialization + Duration::FromMillis(served_ms));
-  CV_ASSIGN_OR_RETURN(Money cost, evaluator_->FastTotalCost(totals));
+  // Every completion stores between C's bytes and R's.
+  DataSize max_bytes = relaxed_.view_bytes();
+  CV_ASSIGN_OR_RETURN(Money cost,
+                      evaluator_->FastTotalCostFloor(totals, max_bytes));
   return SolverContext::Probe{
       context.TimeMetric(totals.processing, makespan), makespan, cost,
       totals.view_bytes};
@@ -189,11 +192,14 @@ class Walker {
     }
     ++stats_.nodes_expanded;
     size_t c = order_[depth];
-    // c leaves R\C on both branches.
+    // c leaves R\C on both branches. The include edge backs out by
+    // undo (no ranking rescan); the exclude edge needs Remove's rescan,
+    // because R really loses c and each query it served falls to the
+    // next member of R.
     node_.Decide(c);
-    node_.committed().Add(c);
+    node_.committed().AddUndoable(c);
     Status include = Visit(depth + 1, /*committed_changed=*/true);
-    node_.committed().Remove(c);
+    node_.committed().UndoAdd();
     CV_RETURN_IF_ERROR(include);
     node_.relaxed().Remove(c);
     Status exclude = Visit(depth + 1, /*committed_changed=*/false);

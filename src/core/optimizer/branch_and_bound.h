@@ -15,8 +15,11 @@
 // processing from R (adding views never slows a query), maintenance and
 // duplicated bytes from C, and makespan by C's materialization plus a
 // facility-location charge that amortizes each undecided view's build
-// time over the queries it can serve. Pushed through the monetary fast
-// path (FastTotalCost is monotone in every total) and ScoreOf, that is a
+// time over the queries it can serve. Cost is the monetary fast path
+// over those totals, except that storage takes its minimum over every
+// byte total a completion can store: compute bills never fall as time
+// grows, but a flat-bracket storage bill falls at a bracket edge
+// (FastTotalCostFloor). Pushed through ScoreOf, that is a
 // lexicographic lower bound on every completion, so pruning
 // `bound > incumbent` never discards an optimum — ties survive the
 // strict compare, which is what makes the lex-smallest tie-break exact.
@@ -100,7 +103,8 @@ class SearchNode {
   ///    v (DESIGN.md §13.2);
   ///  * time: the makespan bound when the metric includes
   ///    materialization, R's processing otherwise;
-  ///  * cost: FastTotalCost of R's processing with C's other totals;
+  ///  * cost: FastTotalCostFloor of R's processing with C's other
+  ///    totals, storage minimized over byte totals from C's to R's;
   ///  * storage: C's duplicated bytes.
   Result<SolverContext::Probe> LowerBound(
       const SolverContext& context) const;

@@ -76,6 +76,36 @@ SelectionEvaluator::SelectionEvaluator(
            deployment_.storage_period)) {
     base_storage_events_.push_back(StorageEvent{at, delta});
   }
+
+  // Where the storage bill can fall (see storage_drops_): a flat-bracket
+  // bill drops just past an edge whose next bracket is cheaper. Each
+  // interval of the base timeline holds its own base volume, so each
+  // edge yields one drop point per distinct interval volume.
+  const PricingModel& pricing = cost_model_->pricing();
+  if (pricing.storage_billing() == StorageBilling::kFlatBracket) {
+    const std::vector<RateTier>& tiers = pricing.storage_schedule().tiers();
+    auto add_drops = [&](DataSize base) {
+      for (size_t k = 0; k + 1 < tiers.size(); ++k) {
+        if (tiers[k + 1].rate_per_gb >= tiers[k].rate_per_gb) continue;
+        int64_t past_edge = tiers[k].upper_bound.bytes() + 1 - base.bytes();
+        if (past_edge > 0) storage_drops_.push_back(past_edge);
+      }
+    };
+    DataSize size = DataSize::Zero();
+    Months cursor = Months::Zero();
+    for (const StorageEvent& event : base_storage_events_) {
+      if (event.at > cursor) {
+        add_drops(size);
+        cursor = event.at;
+      }
+      size += event.delta;
+    }
+    if (cursor < deployment_.storage_period) add_drops(size);
+    std::sort(storage_drops_.begin(), storage_drops_.end());
+    storage_drops_.erase(
+        std::unique(storage_drops_.begin(), storage_drops_.end()),
+        storage_drops_.end());
+  }
 }
 
 Result<SelectionEvaluator> SelectionEvaluator::CloneWithSunkBuilds(
@@ -304,6 +334,28 @@ Result<Money> SelectionEvaluator::FastTotalCost(
   return compute + storage + transfer_cost() + request_cost();
 }
 
+Result<Money> SelectionEvaluator::FastTotalCostFloor(
+    const SubsetTotals& totals, DataSize max_view_bytes) const {
+  // Between two drop points the storage bill never falls as bytes grow,
+  // so its minimum over the range sits at the range's start or at one
+  // of the drop points inside it. The time totals are the same at every
+  // byte total tried, so comparing whole bills compares storage.
+  auto drop = std::upper_bound(storage_drops_.begin(), storage_drops_.end(),
+                               totals.view_bytes.bytes());
+  if (drop == storage_drops_.end() || *drop > max_view_bytes.bytes()) {
+    return FastTotalCost(totals);
+  }
+  CV_ASSIGN_OR_RETURN(Money floor, FastTotalCost(totals));
+  SubsetTotals at = totals;
+  for (; drop != storage_drops_.end() && *drop <= max_view_bytes.bytes();
+       ++drop) {
+    at.view_bytes = DataSize::FromBytes(*drop);
+    CV_ASSIGN_OR_RETURN(Money cost, FastTotalCost(at));
+    floor = std::min(floor, cost);
+  }
+  return floor;
+}
+
 Result<Money> SelectionEvaluator::FastTotalCost(
     const SubsetState& state) const {
   CV_CHECK(&state.evaluator() == this) << "state built on another evaluator";
@@ -350,6 +402,8 @@ SubsetState::SubsetState(const SelectionEvaluator& evaluator)
 }
 
 void SubsetState::Reset() {
+  undo_size_ = 0;
+  undo_frames_.clear();
   std::fill(member_.begin(), member_.end(), uint8_t{0});
   count_ = 0;
   hash_ = 0;
@@ -370,6 +424,7 @@ void SubsetState::Reset() {
 void SubsetState::Add(size_t c) {
   CV_CHECK(c < member_.size()) << "candidate index out of range";
   CV_CHECK(!member_[c]) << "candidate " << c << " already selected";
+  CV_CHECK(undo_frames_.empty()) << "Add inside an open undo frame";
   member_[c] = 1;
   ++count_;
   hash_ ^= CandidateToken(c);
@@ -399,6 +454,7 @@ void SubsetState::Add(size_t c) {
 void SubsetState::Remove(size_t c) {
   CV_CHECK(c < member_.size()) << "candidate index out of range";
   CV_CHECK(member_[c]) << "candidate " << c << " not selected";
+  CV_CHECK(undo_frames_.empty()) << "Remove inside an open undo frame";
   member_[c] = 0;
   --count_;
   hash_ ^= CandidateToken(c);
@@ -433,6 +489,67 @@ void SubsetState::Remove(size_t c) {
     best_view_[q] = argmin;
   }
   processing_ += Duration::FromMillis(delta_ms);
+}
+
+void SubsetState::AddUndoable(size_t c) {
+  CV_CHECK(c < member_.size()) << "candidate index out of range";
+  CV_CHECK(!member_[c]) << "candidate " << c << " already selected";
+  size_t m = best_time_ms_.size();
+  undo_frames_.push_back(
+      UndoFrame{static_cast<uint32_t>(c), undo_size_, totals()});
+  // Room for one entry per query up front, so the loop below writes
+  // without capacity checks; the buffer only grows (to the deepest
+  // nesting seen), never shrinks.
+  if (undo_entries_.size() < undo_size_ + m) {
+    undo_entries_.resize(undo_size_ + m);
+  }
+  member_[c] = 1;
+  ++count_;
+  hash_ ^= CandidateToken(c);
+
+  const ViewCandidate& candidate = evaluator_->candidates()[c];
+  materialization_ += candidate.materialization_time;
+  maintenance_ += candidate.maintenance_time;
+  view_bytes_ += candidate.size;
+
+  // Add's loop, journaling each argmin entry before overwriting it.
+  const int64_t* column = evaluator_->view_time_ms_of(c);
+  const int64_t* freq = evaluator_->frequency_data();
+  int64_t* best = best_time_ms_.data();
+  uint32_t* view = best_view_.data();
+  ArgminEntry* journal = undo_entries_.data() + undo_size_;
+  size_t journaled = 0;
+  int64_t delta_ms = 0;
+  for (size_t q = 0; q < m; ++q) {
+    if (column[q] < best[q]) {
+      journal[journaled++] =
+          ArgminEntry{static_cast<uint32_t>(q), view[q], best[q]};
+      delta_ms += (column[q] - best[q]) * freq[q];
+      best[q] = column[q];
+      view[q] = static_cast<uint32_t>(c);
+    }
+  }
+  undo_size_ += journaled;
+  processing_ += Duration::FromMillis(delta_ms);
+}
+
+void SubsetState::UndoAdd() {
+  CV_CHECK(!undo_frames_.empty()) << "UndoAdd without an open frame";
+  const UndoFrame& frame = undo_frames_.back();
+  for (size_t i = frame.first_entry; i < undo_size_; ++i) {
+    const ArgminEntry& entry = undo_entries_[i];
+    best_view_[entry.query] = entry.view;
+    best_time_ms_[entry.query] = entry.time_ms;
+  }
+  undo_size_ = frame.first_entry;
+  member_[frame.candidate] = 0;
+  --count_;
+  processing_ = frame.totals.processing;
+  materialization_ = frame.totals.materialization;
+  maintenance_ = frame.totals.maintenance;
+  view_bytes_ = frame.totals.view_bytes;
+  hash_ = frame.totals.hash;
+  undo_frames_.pop_back();
 }
 
 SubsetTotals SubsetState::PeekToggle(size_t c) const {

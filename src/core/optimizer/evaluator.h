@@ -184,6 +184,17 @@ class SelectionEvaluator {
   Result<Money> FastTotalCost(const SubsetTotals& totals) const;
   Result<Money> FastTotalCost(const SubsetState& state) const;
 
+  /// \brief A lower bound on FastTotalCost over every subset whose three
+  /// time totals are at least `totals`' and whose duplicated bytes lie
+  /// in [totals.view_bytes, max_view_bytes] — branch-and-bound's cost
+  /// bound. Compute charges never fall as time grows, but a
+  /// flat-bracket storage bill falls where a volume crosses into a
+  /// cheaper bracket, so the storage term is the bill's minimum over
+  /// that byte range (DESIGN.md §13.2). Equals FastTotalCost(totals)
+  /// when no such drop lies in the range.
+  Result<Money> FastTotalCostFloor(const SubsetTotals& totals,
+                                   DataSize max_view_bytes) const;
+
   /// \brief Transfer cost, constant across subsets (cached).
   Money transfer_cost() const { return baseline_.cost.transfer; }
 
@@ -329,7 +340,8 @@ class SelectionEvaluator {
         candidates_(other.candidates_),
         timing_(other.timing_),
         baseline_(other.baseline_),
-        base_storage_events_(other.base_storage_events_) {}
+        base_storage_events_(other.base_storage_events_),
+        storage_drops_(other.storage_drops_) {}
 
   const CubeLattice* lattice_;
   Workload workload_;
@@ -355,6 +367,14 @@ class SelectionEvaluator {
   /// month 0 — the identical interval walk and StorageCost calls, minus
   /// the per-probe std::map copy and interval-vector allocation.
   std::vector<StorageEvent> base_storage_events_;
+
+  /// Duplicated-byte totals, ascending, at which the storage bill may
+  /// fall: for each base-timeline interval and each flat-bracket edge
+  /// followed by a cheaper rate, the smallest total that carries that
+  /// interval's volume past the edge. Between two neighbours the bill
+  /// never falls as bytes grow (empty under marginal tiers, which never
+  /// fall anywhere). What FastTotalCostFloor minimizes over.
+  std::vector<int64_t> storage_drops_;
 
   /// Compute bill for `busy` time, memoized by the billed (granularity-
   /// rounded) duration — rounding collapses the ~2^n distinct raw time
@@ -391,6 +411,12 @@ class SelectionEvaluator {
 /// the remaining members for the queries that lose their best view. All
 /// totals are integer arithmetic, so they equal a from-scratch
 /// Evaluate() exactly, not just approximately.
+///
+/// Searches that back out of an add in last-in-first-out order (the
+/// branch-and-bound include edge, a probe-and-revert) use
+/// AddUndoable()/UndoAdd() instead of Add()/Remove(): the undo restores
+/// the journaled pre-add entries in O(queries the add improved) and
+/// never rescans a ranking (DESIGN.md §13.1).
 class SubsetState {
  public:
   /// \brief The empty selection. Keeps a reference; `evaluator` must
@@ -400,13 +426,27 @@ class SubsetState {
   /// \brief Back to the empty selection — equivalent to a freshly
   /// constructed state but without reallocating, for callers that score
   /// many subsets from scratch (the genetic solver's per-individual
-  /// rebuild).
+  /// rebuild). Drops any open undo frames.
   void Reset();
 
-  /// \brief Adds candidate `c` (must not be a member).
+  /// \brief Adds candidate `c` (must not be a member). No undo frame
+  /// may be open.
   void Add(size_t c);
-  /// \brief Removes candidate `c` (must be a member).
+  /// \brief Removes candidate `c` (must be a member). No undo frame
+  /// may be open.
   void Remove(size_t c);
+
+  /// \brief Adds candidate `c` (must not be a member) and opens an undo
+  /// frame journaling every (query, previous best time, previous argmin)
+  /// entry the add overwrites plus the previous totals. Frames nest:
+  /// until the matching UndoAdd(), the state may change only through
+  /// further AddUndoable()/UndoAdd() pairs.
+  void AddUndoable(size_t c);
+  /// \brief Closes the newest undo frame, restoring the state exactly
+  /// as it was before that frame's AddUndoable(): totals, hash,
+  /// membership and every per-query argmin.
+  void UndoAdd();
+
   /// \brief Adds or removes `c`, whichever applies.
   void Toggle(size_t c) { contains(c) ? Remove(c) : Add(c); }
 
@@ -463,6 +503,25 @@ class SubsetState {
   Duration maintenance_;
   DataSize view_bytes_;
   uint64_t hash_ = 0;
+
+  /// One argmin entry an undoable add overwrote.
+  struct ArgminEntry {
+    uint32_t query;
+    uint32_t view;
+    int64_t time_ms;
+  };
+  /// One open AddUndoable(): the candidate, the totals before it, and
+  /// where its entries start in undo_entries_.
+  struct UndoFrame {
+    uint32_t candidate;
+    size_t first_entry;
+    SubsetTotals totals;
+  };
+  // The open frames' entries are undo_entries_[0, undo_size_); the
+  // buffer past undo_size_ is scratch the next AddUndoable writes.
+  std::vector<ArgminEntry> undo_entries_;
+  size_t undo_size_ = 0;
+  std::vector<UndoFrame> undo_frames_;
 };
 
 /// \brief Memo of compact subset evaluations keyed by SubsetHash.

@@ -115,10 +115,10 @@ class KnapsackDpSolver : public Solver {
     std::vector<size_t> seed;
     SubsetState state(context.evaluator());
     for (size_t c = 0; c < context.num_candidates(); ++c) {
-      state.Add(c);
+      state.AddUndoable(c);
       CV_ASSIGN_OR_RETURN(SolverContext::Probe solo,
                           context.ProbeState(state));
-      state.Remove(c);
+      state.UndoAdd();
       if (context.TradeoffObjective(solo.time, solo.cost) <
           base_objective) {
         seed.push_back(c);

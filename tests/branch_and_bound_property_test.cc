@@ -22,6 +22,7 @@
 #include "core/optimizer/solver.h"
 #include "engine/sales_generator.h"
 #include "exhaustive_oracle.h"
+#include "pricing/price_sheet_spec.h"
 #include "pricing/providers.h"
 #include "workload/generator.h"
 #include "workload/workload.h"
@@ -226,14 +227,14 @@ TEST(BranchAndBoundPropertyTest, LowerBoundNeverExceedsAnyCompletion) {
         include[d] = rng.Bernoulli(0.5);
         node.Decide(order[d]);
         if (include[d]) {
-          node.committed().Add(order[d]);
+          node.committed().AddUndoable(order[d]);
         } else {
           node.relaxed().Remove(order[d]);
         }
       };
       auto undo = [&](size_t d) {
         if (include[d]) {
-          node.committed().Remove(order[d]);
+          node.committed().UndoAdd();
         } else {
           node.relaxed().Add(order[d]);
         }
@@ -270,6 +271,76 @@ TEST(BranchAndBoundPropertyTest, LowerBoundNeverExceedsAnyCompletion) {
         ASSERT_LE(context.ScoreOf(bound), context.ScoreOf(exact))
             << "mask=" << mask;
       }
+    }
+  }
+}
+
+TEST(BranchAndBoundPropertyTest, LowerBoundSurvivesAFlatBracketDrop) {
+  // A flat-bracket storage bill falls at a tier edge: a volume just past
+  // the edge bills the whole volume at the cheaper next rate. Put the
+  // edge exactly at C's stored volume (C's bracket ends there) under a
+  // steep drop, so every completion that stores one byte more pays far
+  // less storage than C alone. The bound must still sit under each of
+  // them.
+  Fixture fixture(10);
+  const SelectionEvaluator& base = *fixture.evaluator;
+  const size_t n = base.num_candidates();
+  ASSERT_GT(n, 2u);
+  DeploymentSpec deployment = fixture.deployment;
+  deployment.storage_period = Months::FromMonths(12);
+  ObjectiveSpec spec;
+  spec.scenario = Scenario::kMV3Tradeoff;
+  spec.alpha = 0.0;  // Cost only: the storage term decides the score.
+
+  // Committed sets: the root and each single candidate.
+  for (size_t first = 0; first <= n; ++first) {
+    const bool root = first == n;
+    SCOPED_TRACE(root ? std::string("C={}")
+                      : StrFormat("C={%zu}", first));
+    DataSize committed_bytes =
+        root ? DataSize::Zero() : base.candidates()[first].size;
+    InstanceSpec small;
+    small.name = "small";
+    small.price_per_hour = Money::FromCents(12);
+    PriceSheetSpec sheet;
+    sheet.name = "bracket-drop";
+    sheet.instances = {small};
+    sheet.storage_per_gb_month = {
+        {fixture.lattice->fact_scan_size() + committed_bytes,
+         Money::FromDollars(50)},
+        {DataSize::Zero(), Money::FromMicros(10)},
+    };
+    sheet.compute_granularity = BillingGranularity::kSecond;
+    sheet.storage_billing = StorageBilling::kFlatBracket;
+    PricingModel pricing = sheet.Lower().MoveValue();
+    CloudCostModel cost_model(pricing);
+    ClusterSpec cluster{pricing.instances().Find("small").value(), 5};
+    deployment.instance = cluster.instance;
+    SelectionEvaluator evaluator =
+        SelectionEvaluator::Create(*fixture.lattice, base.workload(),
+                                   *fixture.simulator, cluster, cost_model,
+                                   deployment, base.candidates())
+            .MoveValue();
+    SolverContext context(evaluator, spec);
+
+    SearchNode node(evaluator);
+    std::vector<size_t> free_candidates;
+    for (size_t c = 0; c < n; ++c) {
+      if (c == first) {
+        node.Decide(c);
+        node.committed().Add(c);
+      } else {
+        free_candidates.push_back(c);
+      }
+    }
+    SolverContext::Probe bound = node.LowerBound(context).MoveValue();
+    for (size_t c : free_candidates) {
+      std::vector<size_t> subset = node.committed().Selected();
+      subset.push_back(c);
+      SubsetEvaluation exact = evaluator.Evaluate(subset).MoveValue();
+      ASSERT_LE(bound.cost, exact.cost.total()) << "adding " << c;
+      ASSERT_LE(context.ScoreOf(bound), context.ScoreOf(exact))
+          << "adding " << c;
     }
   }
 }

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
+#include "common/random.h"
 #include "core/cost/cloud_cost_model.h"
 #include "pricing/providers.h"
 
@@ -156,6 +158,44 @@ TEST_P(CostModelPropertyTest, ZeroMaintenanceCyclesZeroesMaintenance) {
       model_.CostWithViews(MakeWorkload(1.0), MakeViews(2), spec)
           .MoveValue();
   EXPECT_EQ(breakdown.maintenance, Money::Zero());
+}
+
+// The precondition a split-billing cost bound for branch-and-bound
+// needs (DESIGN.md §13.2): billing two busy spans separately never
+// costs less than billing their sum, up to one micro-dollar per
+// instance from the exact-rational scaling's floor. Rounding up to the
+// granularity is subadditive, so is min(on-demand, upfront + reserved
+// rate) with a non-negative upfront, and no free tier waives compute.
+TEST(ComputeBillProperty, ComputeBillIsSubadditive) {
+  Rng rng(0x5AB);
+  for (const std::string& name : ProviderRegistry::Global().Names()) {
+    PricingModel sheet = ProviderRegistry::Global().Model(name).value();
+    for (BillingGranularity granularity :
+         {BillingGranularity::kHour, BillingGranularity::kMinute,
+          BillingGranularity::kSecond}) {
+      PricingModel pricing = sheet.WithComputeGranularity(granularity);
+      for (const InstanceType& type : pricing.instances().types()) {
+        for (int64_t count : {1, 3, 5}) {
+          SCOPED_TRACE(name + "/" + ToString(granularity) + "/" +
+                       type.name + " x" + std::to_string(count));
+          for (int sample = 0; sample < 200; ++sample) {
+            // Mostly spans of a few billing units, sometimes long ones,
+            // so both the rounding and the reserved crossover show up.
+            int64_t scale_ms = rng.Bernoulli(0.2)
+                                   ? 400 * Duration::kMillisPerHour
+                                   : 3 * Duration::kMillisPerHour;
+            Duration a = Duration::FromMillis(rng.UniformInt(0, scale_ms));
+            Duration b = Duration::FromMillis(rng.UniformInt(0, scale_ms));
+            Money separate = pricing.ComputeCost(type, a, count) +
+                             pricing.ComputeCost(type, b, count);
+            Money joint = pricing.ComputeCost(type, a + b, count);
+            ASSERT_GE(separate + Money::FromMicros(count), joint)
+                << "a=" << a.millis() << "ms b=" << b.millis() << "ms";
+          }
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/str_format.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/optimizer/solver.h"
 #include "engine/sales_generator.h"
@@ -229,6 +230,90 @@ TEST_P(SubsetStatePropertyTest, ContextProbeBatchMatchesSequential) {
   EXPECT_EQ(batched.counters().incremental_probes,
             sequential.counters().incremental_probes);
   EXPECT_GT(batched.counters().cache_hits, 0u);
+}
+
+/// Everything observable about a state: what an undo must restore.
+struct StateSnapshot {
+  SubsetTotals totals;
+  std::vector<size_t> selected;
+  std::vector<int64_t> best_time_ms;
+  std::vector<SubsetTotals> peeks;
+
+  explicit StateSnapshot(const SubsetState& state)
+      : totals(state.totals()), selected(state.Selected()) {
+    const SelectionEvaluator& evaluator = state.evaluator();
+    for (size_t q = 0; q < evaluator.num_queries(); ++q) {
+      best_time_ms.push_back(state.best_time_ms(q));
+    }
+    for (size_t c = 0; c < evaluator.num_candidates(); ++c) {
+      peeks.push_back(state.PeekToggle(c));
+    }
+  }
+};
+
+void ExpectSameTotals(const SubsetTotals& a, const SubsetTotals& b) {
+  EXPECT_EQ(a.processing, b.processing);
+  EXPECT_EQ(a.materialization, b.materialization);
+  EXPECT_EQ(a.maintenance, b.maintenance);
+  EXPECT_EQ(a.view_bytes, b.view_bytes);
+  EXPECT_EQ(a.hash, b.hash);
+}
+
+TEST_P(SubsetStatePropertyTest, UndoAddRestoresThePreAddState) {
+  // Random nested AddUndoable/UndoAdd interleavings over a random plainly
+  // added base: each undo must hand back exactly the state its add
+  // started from — totals, hash, members, every per-query best time, and
+  // every read-only toggle probe (which reads the per-query argmin, so a
+  // stale argmin shows up here).
+  size_t n = evaluator_->num_candidates();
+  Rng rng(23);
+  for (int trial = 0; trial < 6; ++trial) {
+    SubsetState state(*evaluator_);
+    for (size_t c = 0; c < n; ++c) {
+      if (rng.Bernoulli(0.25)) state.Add(c);
+    }
+    std::vector<StateSnapshot> before_add;
+    for (int step = 0; step < 40; ++step) {
+      bool can_add = state.size() < n;
+      if (can_add && (before_add.empty() || rng.Bernoulli(0.55))) {
+        size_t c = static_cast<size_t>(rng.Uniform(n));
+        while (state.contains(c)) c = (c + 1) % n;
+        before_add.emplace_back(state);
+        state.AddUndoable(c);
+        ASSERT_TRUE(state.contains(c));
+        continue;
+      }
+      if (before_add.empty()) break;
+      state.UndoAdd();
+      const StateSnapshot& expected = before_add.back();
+      SCOPED_TRACE(StrFormat("trial=%d step=%d depth=%zu", trial, step,
+                             before_add.size()));
+      ExpectSameTotals(state.totals(), expected.totals);
+      EXPECT_EQ(state.hash(), expected.totals.hash);
+      EXPECT_EQ(state.Selected(), expected.selected);
+      EXPECT_EQ(state.size(), expected.selected.size());
+      for (size_t q = 0; q < evaluator_->num_queries(); ++q) {
+        EXPECT_EQ(state.best_time_ms(q), expected.best_time_ms[q])
+            << "query " << q;
+      }
+      for (size_t c = 0; c < n; ++c) {
+        SCOPED_TRACE(StrFormat("peek %zu", c));
+        ExpectSameTotals(state.PeekToggle(c), expected.peeks[c]);
+      }
+      ExpectMatchesFullEvaluation(state);
+      if (HasFailure()) return;
+      before_add.pop_back();
+    }
+    // Unwinding every open frame lands on the plainly added base, which
+    // plain moves may change again.
+    while (!before_add.empty()) {
+      state.UndoAdd();
+      before_add.pop_back();
+    }
+    ExpectMatchesFullEvaluation(state);
+    state.Toggle(static_cast<size_t>(rng.Uniform(n)));
+    ExpectMatchesFullEvaluation(state);
+  }
 }
 
 TEST_P(SubsetStatePropertyTest, HashIsOrderIndependent) {
