@@ -20,12 +20,18 @@ row disappears entirely (renaming a solver without regenerating the
 baseline is a silent way to lose coverage). New rows that the baseline
 does not know are reported but never fail the gate.
 
+A failing throughput row names how many rounds observed it, and the
+gate warns when it was fed fewer rounds than CI's 3: the pass/fail
+rule is the same, but a single round of a wall-clock row can read as a
+regression that is noise.
+
 A second, exact gate covers deterministic work: any row whose
 `nodes_expanded` (branch-and-bound search nodes), `bound_evaluations`
 (branch-and-bound node lower bounds computed), `evaluations` (probes a
-fresh cache did not answer) or `fresh_solves` (re-selection solves a
-temporal policy comparison ran that its memo could not answer)
-exceeds the value stored for it under the baseline's "work_rows" fails,
+fresh cache did not answer), `fresh_solves` (re-selection solves a
+temporal policy comparison ran that its memo could not answer) or
+`fresh_tasks` (frontier-sweep tasks the cache's pick memo could not
+answer) exceeds the value stored for it under the baseline's "work_rows" fails,
 with no threshold and no derate — these counts are a pure function of
 the instance and the search, not of the machine, so they must never
 grow silently. A row that carries one of them in the baseline but
@@ -65,7 +71,9 @@ import sys
 PREFIX = "BENCH_JSON "
 # Deterministic work counters gated exactly (see the module docstring).
 WORK_METRICS = ("nodes_expanded", "bound_evaluations", "evaluations",
-                "fresh_solves")
+                "fresh_solves", "fresh_tasks")
+# Rounds CI's full job feeds the gate (the loop in the docstring).
+CI_ROUNDS = 3
 
 
 def parse_rows(stream):
@@ -103,6 +111,17 @@ def collect(rows, metric, merge):
             value = float(value)
             into[key] = merge(into[key], value) if key in into else value
     return into
+
+
+def count_rounds(rows, metric):
+    """Row key -> how many rounds observed the gated metric for it."""
+    counts = {}
+    for row in rows:
+        value = row.get(metric)
+        if isinstance(value, (int, float)) and value > 0:
+            key = row_key(row)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def collect_work(rows):
@@ -284,6 +303,7 @@ def main():
 
     failures, missing = [], []
     floor = 1.0 - args.threshold
+    rounds = count_rounds(all_rows, args.metric)
     for key, base_value in sorted(rows.items()):
         if key not in current:
             missing.append(key)
@@ -293,7 +313,17 @@ def main():
             failures.append(
                 f"  {key}\n    {args.metric}: {value:,.0f} < "
                 f"{floor:.0%} of baseline {base_value:,.0f} "
-                f"({value / base_value:.0%})")
+                f"({value / base_value:.0%}; best of {rounds[key]} "
+                "round(s))")
+    # The floor is gated against the best of CI's rounds; one wall-clock
+    # round can read far below it on an unchanged path (a single
+    # `bench_serving` async_sessions round was seen at 62%).
+    fewest = min(rounds.values())
+    if fewest < CI_ROUNDS:
+        print(f"WARNING: some rows were observed in only {fewest} "
+              f"round(s), fewer than CI's {CI_ROUNDS}; a throughput "
+              "failure below may be noise — rerun with more rounds "
+              "before reading it as a regression")
     work_rows = baseline.get("work_rows", {})
     work = collect_work(all_rows)
     for key, base_counts in sorted(work_rows.items()):

@@ -21,6 +21,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/lattice.h"
@@ -544,6 +546,15 @@ class SubsetState {
 /// at the millions-of-entries scale a selector can accumulate, the
 /// collision probability is ~n^2/2^65 (< 1e-6), and final results are
 /// immune because Finalize() re-scores through exact Evaluate().
+///
+/// A second, much smaller table memoizes whole solver picks (DESIGN.md
+/// §10.3): a single-objective solver's pick is a pure function of
+/// (evaluator, solver, spec) — caches change speed, never a pick (§9.3
+/// rule 4) — so "pareto-sweep" stores each roster task it ran to
+/// completion under SolvePickKey() and answers the same task on a later
+/// sweep from here. Pick keys are exact byte strings, never hashes: a
+/// collision would return another task's pick. Like the entries, picks
+/// are only valid for the one evaluator the cache serves.
 class EvaluationCache {
  public:
   /// \brief The cache's lookup, hit and eviction counts as one value.
@@ -647,6 +658,30 @@ class EvaluationCache {
   size_t size() const { return size_ + (has_empty_ ? 1 : 0); }
   size_t max_entries() const { return max_entries_; }
 
+  /// Pick-memo cap: about eleven distinct caller constraint sets of the
+  /// sweep's 92 roster tasks. Reaching it drops every pick, like the
+  /// entry table's epoch, so callers that vary their hard caps cannot
+  /// grow the memo without bound.
+  static constexpr size_t kMaxPicks = 1024;
+
+  /// \brief The stored pick for `key` (a SolvePickKey()), or nullptr.
+  const std::vector<size_t>* FindPick(const std::string& key) const {
+    auto it = picks_.find(key);
+    return it != picks_.end() ? &it->second : nullptr;
+  }
+
+  /// \brief Stores a completed solve's pick; clears the memo first when
+  /// it is full. Invalidates pointers FindPick() returned.
+  void InsertPick(std::string key, std::vector<size_t> selected) {
+    if (picks_.size() >= kMaxPicks) picks_.clear();
+    picks_.emplace(std::move(key), std::move(selected));
+  }
+
+  /// \brief Every stored pick by key.
+  const std::unordered_map<std::string, std::vector<size_t>>& picks() const {
+    return picks_;
+  }
+
  private:
   /// SubsetHash({}) == 0; the zero key marks empty slots instead and the
   /// empty subset gets a dedicated side entry.
@@ -683,6 +718,7 @@ class EvaluationCache {
   // run, per DESIGN.md §9.2.
   mutable uint64_t lookups_ = 0;
   mutable uint64_t hits_ = 0;
+  std::unordered_map<std::string, std::vector<size_t>> picks_;
 };
 
 }  // namespace cloudview

@@ -342,6 +342,29 @@ Result<SelectionResult> SolverContext::Finalize(
   return result;
 }
 
+std::string SolvePickKey(std::string_view solver, const ObjectiveSpec& spec) {
+  // A new ObjectiveSpec field changes this size (LP64, libstdc++): decide
+  // whether it changes a single-objective pick, and append it if so.
+  static_assert(sizeof(ObjectiveSpec) == 152,
+                "ObjectiveSpec changed: review SolvePickKey");
+  std::string key(solver);
+  key.push_back('\0');  // Registry names hold no NUL.
+  auto append = [&key](auto value) {
+    key.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(spec.scenario);
+  append(spec.budget_limit.micros());
+  append(spec.time_limit.millis());
+  append(spec.alpha);
+  append(spec.time_includes_materialization);
+  append(spec.mv3_reference_time.millis());
+  append(spec.mv3_reference_cost.micros());
+  append(spec.max_monthly_cost.micros());
+  append(spec.max_storage.bytes());
+  append(spec.max_makespan.millis());
+  return key;
+}
+
 // ---------------------------------------------------------------------------
 // SolverRegistry
 

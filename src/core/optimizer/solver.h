@@ -78,6 +78,9 @@ class SolverContext {
     uint64_t incremental_probes = 0;
     /// Probes answered from the shared evaluation memo.
     uint64_t cache_hits = 0;
+    /// Tasks a frontier sweep solved rather than read from the cache's
+    /// pick memo ("pareto-sweep"; zero for every other strategy).
+    uint64_t fresh_tasks = 0;
     uint64_t subsets_scored() const {
       return full_evaluations + incremental_probes + cache_hits;
     }
@@ -255,6 +258,7 @@ class SolverContext {
     counters_.full_evaluations += other.full_evaluations;
     counters_.incremental_probes += other.incremental_probes;
     counters_.cache_hits += other.cache_hits;
+    counters_.fresh_tasks += other.fresh_tasks;
   }
 
  private:
@@ -296,6 +300,14 @@ class SolverContext {
   std::vector<size_t> scratch_miss_;
   std::vector<Probe> scratch_probes_;
 };
+
+/// \brief The exact EvaluationCache pick-memo key of running `solver`
+/// on `spec`: the name, then every ObjectiveSpec field a
+/// single-objective solver's pick reads, as fixed-width bytes. Leaves
+/// out `cancel` (a completed solve's pick does not depend on it) and the
+/// fields only multi-objective strategies read (`frontier_epsilon`,
+/// `architectures`, `architecture_inner_solver`).
+std::string SolvePickKey(std::string_view solver, const ObjectiveSpec& spec);
 
 /// \brief One search strategy over the subset space.
 ///

@@ -21,13 +21,17 @@
 // cache (one local cache when the caller runs uncached). Cache entries
 // are spec-independent subset totals and the tasks' searches converge
 // heavily, so a probe one task paid for is a hit for every later task —
-// and, on a session cache, for the session's next request. The task
-// list is a pure function of the registry contents and the spec, and
-// each pick is reduced into the ParetoFront as its task finishes, so
-// the frontier is bit-identical at any thread count (pinned by
-// pareto_property_test). The sweep polls the spec's CancelToken between
-// tasks: a fired token stops launching tasks, and what already ran is
-// still reduced and finalized.
+// and, on a session cache, for the session's next request. The roster
+// tasks never read the caller's alpha, so a session's frontiers share
+// them: each one that ran to completion is stored in the cache's pick
+// memo, and a later sweep on the same cache reduces the stored pick
+// instead of solving the task again (DESIGN.md §10.3). The task list is
+// a pure function of the registry contents and the spec, and each pick
+// is reduced into the ParetoFront in task order, so the frontier is
+// bit-identical at any thread count (pinned by pareto_property_test)
+// and with or without memo hits. The sweep polls the spec's CancelToken
+// between tasks: a fired token stops launching tasks, and what already
+// ran is still reduced and finalized.
 
 #include <set>
 #include <string>
@@ -62,6 +66,10 @@ struct SweepTask {
   std::string solver;
   ObjectiveSpec spec;
   std::string origin;
+  /// Roster tasks go through the pick memo. Anchors run on the caller's
+  /// own spec, whose alpha varies request to request, so storing them
+  /// would only churn the memo.
+  bool memoized = true;
 };
 
 class ParetoSweepSolver : public Solver {
@@ -119,14 +127,28 @@ class ParetoSweepSolver : public Solver {
     CV_RETURN_IF_ERROR(consider({}, "baseline"));
     for (const SweepTask& task : tasks) {
       if (context.Cancelled()) break;
+      std::string key;
+      if (task.memoized) {
+        key = SolvePickKey(task.solver, task.spec);
+        if (const std::vector<size_t>* pick = cache->FindPick(key)) {
+          CV_RETURN_IF_ERROR(consider(*pick, task.origin));
+          continue;
+        }
+      }
       CV_ASSIGN_OR_RETURN(const Solver* solver,
                           SolverRegistry::Global().Find(task.solver));
       SolverContext local(context.evaluator(), task.spec, cache);
       Result<SelectionResult> result = solver->Solve(task.spec, local);
-      context.MergeCounters(local.counters());
+      SolverContext::Counters counters = local.counters();
+      ++counters.fresh_tasks;
+      context.MergeCounters(counters);
       CV_RETURN_IF_ERROR(result.status());
-      CV_RETURN_IF_ERROR(
-          consider(result.value().evaluation.selected, task.origin));
+      const std::vector<size_t>& selected = result.value().evaluation.selected;
+      CV_RETURN_IF_ERROR(consider(selected, task.origin));
+      // A truncated search's pick is not the task's pick.
+      if (task.memoized && !local.Cancelled() && !result.value().cancelled) {
+        cache->InsertPick(std::move(key), selected);
+      }
     }
 
     CV_ASSIGN_OR_RETURN(SelectionResult result,
@@ -144,7 +166,9 @@ class ParetoSweepSolver : public Solver {
     std::vector<SweepTask> tasks;
     std::vector<std::string> names = SolverRegistry::Global().Names();
     for (const std::string& name : names) {
-      if (IsSweepAnchor(name)) tasks.push_back(SweepTask{name, spec, name});
+      if (IsSweepAnchor(name)) {
+        tasks.push_back(SweepTask{name, spec, name, /*memoized=*/false});
+      }
     }
     for (const std::string& name : names) {
       if (!IsSweepRosterMember(name)) continue;

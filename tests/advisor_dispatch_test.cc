@@ -7,6 +7,8 @@
 // comparison; doubles compare through their shortest round-trip form).
 // Timeline requests are bounded at kMaxTimelinePeriods, and two replies
 // on the served SSB session are pinned, cache telemetry included.
+// Frontiers that reuse a session's earlier sweeps through its pick memo
+// reply exactly what a fresh session does.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/hash.h"
 #include "core/optimizer/solver.h"
 #include "core/scenario.h"
@@ -293,6 +296,104 @@ TEST(ServedSsbSession, JointAndProviderRepliesArePinned) {
             ProviderRegistry::Global().Names().size());
   expect_pinned(pinned(providers),
                 {4902, 8990748280192531478u, 21605, 516, 0});
+}
+
+// A session's frontiers share their roster tasks through the session
+// cache's pick memo (DESIGN.md §10.3). Each reply must equal the one a
+// fresh session gives the same request, apart from the wall time and
+// the cache counts the memo lowers; a sweep cut short by its token
+// must store no truncated task.
+TEST(ServedSsbSession, MemoizedFrontiersMatchFreshSessions) {
+  const char* kConfig =
+      R"({"schema":"ssb","candidates":{"max_candidates":100}})";
+  ScenarioConfig config =
+      ParseScenarioConfig(ParseJson(kConfig).MoveValue()).MoveValue();
+  SessionManager manager;
+  std::shared_ptr<AdvisorSession> session =
+      manager.Create("tenant", config).MoveValue();
+  const AdvisorRequest prime =
+      ParseAdvisorRequestText(R"({"kind":"solve"})").MoveValue();
+  const uint64_t primed = session->Serve(prime).MoveValue().meta.cache_lookups;
+
+  auto masked = [](AdvisorResponse response) {
+    response.meta.wall_ms = 0;
+    response.meta.cache_lookups = 0;
+    response.meta.cache_hits = 0;
+    response.meta.cache_evictions = 0;
+    return WriteJson(AdvisorResponseToJson(response));
+  };
+  // The same request on a fresh, primed warm slot of the same scenario.
+  auto fresh_reply = [&](const AdvisorRequest& request) {
+    AdvisorWarmSlot slot;
+    EXPECT_TRUE(session->scenario().Dispatch(prime, &slot).ok());
+    return masked(session->scenario().Dispatch(request, &slot).MoveValue());
+  };
+  // Serves `request` on the session, compares, and returns the
+  // session-long cache lookups after it.
+  auto expect_fresh = [&](const AdvisorRequest& request) {
+    AdvisorResponse reply = session->Serve(request).MoveValue();
+    EXPECT_FALSE(reply.meta.cancelled);
+    const uint64_t lookups = reply.meta.cache_lookups;
+    EXPECT_EQ(masked(std::move(reply)), fresh_reply(request));
+    return lookups;
+  };
+
+  AdvisorRequest base =
+      ParseAdvisorRequestText(R"({"kind":"frontier"})").MoveValue();
+  auto frontier = [&](double alpha) {
+    AdvisorRequest request = base;
+    request.objective.alpha = alpha;
+    return request;
+  };
+  const uint64_t after_cold = expect_fresh(frontier(0.3));
+  const uint64_t after_warm = expect_fresh(frontier(0.7));
+  // The repeat runs only the anchors, so it probes far less.
+  EXPECT_LT((expect_fresh(frontier(0.3)) - after_warm) * 2,
+            after_cold - primed);
+
+  // Caps taken from a frontier point in the middle bind the roster.
+  const std::vector<ParetoPoint> points =
+      session->Serve(frontier(0.5)).MoveValue().frontier.frontier;
+  ASSERT_GE(points.size(), 3u);
+  const MultiScore& middle = points[points.size() / 2].score;
+  AdvisorRequest storage = frontier(0.7);
+  storage.objective.max_storage = middle.storage;
+  AdvisorRequest cost = frontier(0.2);
+  cost.objective.max_monthly_cost = middle.monthly_cost;
+  AdvisorRequest processing = frontier(0.2);
+  processing.objective.time_includes_materialization = false;
+  AdvisorRequest all = frontier(0.55);
+  all.objective.max_storage = middle.storage;
+  all.objective.max_monthly_cost = middle.monthly_cost;
+  all.objective.time_includes_materialization = false;
+  for (const AdvisorRequest& request :
+       {storage, cost, processing, all, storage, frontier(0.45)}) {
+    expect_fresh(request);
+  }
+
+  // A pre-fired token runs no task; deadlines cut the sweep at varying
+  // points, anchors or roster. Each cut request carries its own cost
+  // cap, so its roster tasks are not in the memo before it runs, and
+  // its uncut repeat must still reply what a fresh session does.
+  CancelToken fired;
+  fired.Cancel();
+  AdvisorRequest cut = frontier(0.6);
+  cut.objective.cancel = &fired;
+  EXPECT_TRUE(session->Serve(cut).MoveValue().meta.cancelled);
+  cut.objective.cancel = nullptr;
+  expect_fresh(cut);
+  int64_t cap_scale = 2;
+  for (int64_t budget_ms : {3, 10, 20, 40}) {
+    CancelToken deadline;
+    deadline.ArmDeadlineAfterMillis(budget_ms);
+    AdvisorRequest timed = frontier(0.6);
+    timed.objective.max_monthly_cost =
+        middle.monthly_cost.ScaleBy(cap_scale++, 1);
+    timed.objective.cancel = &deadline;
+    ASSERT_TRUE(session->Serve(timed).ok());
+    timed.objective.cancel = nullptr;
+    expect_fresh(timed);
+  }
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 // non-dominated and cover the single-objective optima; every registered
 // solver honors max_monthly_cost / max_storage / max_makespan; frontier
 // and pareto-sweep provider-comparison requests round-trip through
-// CloudScenario::Dispatch.
+// CloudScenario::Dispatch. The sweep's pick memo keys every
+// solve-relevant spec field and keeps frontiers exact across its cap.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -422,9 +425,10 @@ TEST(ParetoSweepServedInstance, RegressionPin) {
     EXPECT_EQ(Describe(result), expected);
   }
 
-  // A second identical frontier on the same cache: every task's probes
-  // are hits except the branch-and-bound walk's, which bypasses the
-  // cache, so the rerun evaluates no more than that anchor alone.
+  // A second identical frontier on the same cache: the roster tasks'
+  // picks come from the pick memo and the anchors' probes are hits
+  // except the branch-and-bound walk's, which bypasses the cache, so the
+  // rerun evaluates no more than that anchor alone.
   auto evaluations = [](const SolverContext& context) {
     return context.counters().full_evaluations +
            context.counters().incremental_probes;
@@ -446,6 +450,115 @@ TEST(ParetoSweepServedInstance, RegressionPin) {
                   .ok());
   EXPECT_LE(evaluations(second), evaluations(anchor));
   EXPECT_LT(evaluations(second), evaluations(first));
+}
+
+// --- The pick memo ----------------------------------------------------------
+
+TEST(SolvePickKey, EverySolveRelevantFieldChangesTheKey) {
+  using Edit = void (*)(ObjectiveSpec&);
+  const std::vector<Edit> edits = {
+      [](ObjectiveSpec& s) { s.scenario = Scenario::kMV1BudgetLimit; },
+      [](ObjectiveSpec& s) { s.budget_limit = Money::FromDollars(7); },
+      [](ObjectiveSpec& s) { s.time_limit = Duration::FromSeconds(7); },
+      [](ObjectiveSpec& s) { s.alpha = 0.25; },
+      [](ObjectiveSpec& s) { s.time_includes_materialization = false; },
+      [](ObjectiveSpec& s) { s.mv3_reference_time = Duration::FromMillis(7); },
+      [](ObjectiveSpec& s) { s.mv3_reference_cost = Money::FromDollars(7); },
+      [](ObjectiveSpec& s) { s.max_monthly_cost = Money::FromDollars(7); },
+      [](ObjectiveSpec& s) { s.max_storage = DataSize::FromBytes(7); },
+      [](ObjectiveSpec& s) { s.max_makespan = Duration::FromSeconds(7); },
+  };
+  const ObjectiveSpec base;
+  std::set<std::string> keys = {SolvePickKey("greedy", base),
+                                SolvePickKey("annealing", base)};
+  for (Edit edit : edits) {
+    ObjectiveSpec spec = base;
+    edit(spec);
+    keys.insert(SolvePickKey("greedy", spec));
+  }
+  EXPECT_EQ(keys.size(), edits.size() + 2);
+
+  // What no single-objective pick reads leaves the key alone.
+  CancelToken token;
+  ObjectiveSpec unkeyed = base;
+  unkeyed.cancel = &token;
+  unkeyed.frontier_epsilon = 0.5;
+  unkeyed.architecture_inner_solver = "annealing";
+  unkeyed.architectures.push_back(ArchitectureSpec{});
+  EXPECT_EQ(SolvePickKey("greedy", unkeyed), SolvePickKey("greedy", base));
+}
+
+TEST_F(ParetoSolverTest, PickMemoClearsAtItsCapAndKeepsPicksExact) {
+  const Solver& sweep =
+      *SolverRegistry::Global().Find("pareto-sweep").value();
+  ObjectiveSpec spec;
+  spec.scenario = Scenario::kMV3Tradeoff;
+  spec.alpha = 0.5;
+  EvaluationCache fresh_cache;
+  SolverContext fresh(*evaluator_, spec, &fresh_cache);
+  const std::string expected = Describe(sweep.Solve(spec, fresh).MoveValue());
+  const uint64_t all_tasks = fresh.counters().fresh_tasks;
+  const size_t roster = fresh_cache.picks().size();
+  ASSERT_GT(roster, 3u);
+  ASSERT_LT(roster, all_tasks);
+
+  // Three slots short of the cap: the sweep's fourth stored pick finds
+  // the memo full and clears it, fillers and all.
+  EvaluationCache cache;
+  for (size_t i = 0; cache.picks().size() + 3 < EvaluationCache::kMaxPicks;
+       ++i) {
+    cache.InsertPick("filler " + std::to_string(i), {i});
+  }
+  SolverContext first(*evaluator_, spec, &cache);
+  EXPECT_EQ(Describe(sweep.Solve(spec, first).MoveValue()), expected);
+  EXPECT_EQ(first.counters().fresh_tasks, all_tasks);
+  EXPECT_EQ(cache.FindPick("filler 0"), nullptr);
+  EXPECT_EQ(cache.picks().size(), roster - 3);
+
+  // The rerun solves the anchors and the three picks the clear dropped,
+  // and reads the rest from the memo.
+  SolverContext second(*evaluator_, spec, &cache);
+  EXPECT_EQ(Describe(sweep.Solve(spec, second).MoveValue()), expected);
+  EXPECT_EQ(second.counters().fresh_tasks, all_tasks - (roster - 3));
+  EXPECT_EQ(cache.picks().size(), roster);
+}
+
+// A sweep cut short stores only the picks of the tasks that ran to the
+// end. Deadlines spread over a complete sweep's wall time cut it in the
+// anchors and in the roster; every pick a cut sweep stored must equal
+// the one the complete sweep stored under the same key.
+TEST(ParetoSweepServedInstance, CutSweepStoresOnlyCompletedPicks) {
+  ServedInstance served = MakeServedInstance();
+  const Solver& sweep =
+      *SolverRegistry::Global().Find("pareto-sweep").value();
+  ObjectiveSpec spec;
+  spec.scenario = Scenario::kMV3Tradeoff;
+  spec.alpha = 0.5;
+  EvaluationCache complete;
+  SolverContext full(*served.evaluator, spec, &complete);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(sweep.Solve(spec, full).ok());
+  const int64_t full_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+
+  int cut = 0;
+  for (int64_t eighth = 1; eighth < 8; ++eighth) {
+    CancelToken deadline;
+    deadline.ArmDeadlineAfterMillis(full_ms * eighth / 8);
+    ObjectiveSpec timed = spec;
+    timed.cancel = &deadline;
+    EvaluationCache cache;
+    SolverContext context(*served.evaluator, timed, &cache);
+    cut += sweep.Solve(timed, context).MoveValue().cancelled ? 1 : 0;
+    for (const auto& [key, pick] : cache.picks()) {
+      const std::vector<size_t>* want = complete.FindPick(key);
+      ASSERT_NE(want, nullptr);
+      EXPECT_EQ(pick, *want);
+    }
+  }
+  EXPECT_GT(cut, 0);
 }
 
 // --- Scenario requests ------------------------------------------------------
