@@ -1,10 +1,10 @@
 // Solver-strategy comparison: every registered solver on shared
 // workloads — wall time per solve, objective gap vs branch-and-bound's
-// certified optimum, and subsets scored per second — plus the ablation
-// the incremental evaluation layer exists for (the same local search
-// run with incremental SubsetState probes vs full Evaluate() rebuilds
-// on a 20-candidate SSB instance), branch-and-bound's scaling, and a
-// solver census on SSB instances hard enough to rank the heuristics.
+// certified optimum, and subsets scored per second — plus
+// branch-and-bound's scaling and a solver census on SSB instances hard
+// enough to rank the heuristics. (What the incremental evaluation layer
+// buys over exact Evaluate() rebuilds is bench_evaluator's
+// op=full_evaluate vs op=peek_toggle rows.)
 // Rows are emitted in the bench_util.h BENCH_JSON format for the perf
 // trajectory.
 
@@ -104,7 +104,7 @@ Instance MakeSalesInstance(size_t workload_size, size_t max_candidates) {
 
 // The 4-dimensional SSB cube with a dashboard-style query mix (every
 // SSB query shape recurring at several frequencies): the larger
-// instance the incremental-evaluation ablation runs on.
+// instance branch-and-bound's scaling and the census run on.
 Instance MakeSsbInstance(size_t max_candidates, int workload_repeats) {
   Instance inst;
   SsbConfig config;
@@ -161,16 +161,14 @@ struct Measured {
 // Times repeated fresh solves (fresh memo per repetition, so caching
 // across repetitions cannot flatter a solver).
 Measured MeasureSolver(const Solver& solver, const Instance& inst,
-                       const ObjectiveSpec& spec, bool incremental) {
+                       const ObjectiveSpec& spec) {
   Measured out;
   uint64_t scored = 0;
   int reps = 0;
   auto start = std::chrono::steady_clock::now();
   do {
     EvaluationCache cache;
-    SolverContext context(*inst.evaluator, spec,
-                          incremental ? &cache : nullptr);
-    context.set_use_incremental(incremental);
+    SolverContext context(*inst.evaluator, spec, &cache);
     out.result = Unwrap(solver.Solve(spec, context), "solve");
     scored += context.counters().subsets_scored();
     ++reps;
@@ -221,14 +219,14 @@ void PrintSolverComparison() {
   table.SetTitle("Registered solver strategies on the paper workload");
 
   for (const ObjectiveSpec& spec : {mv1, mv2, mv3}) {
-    Measured exact = MeasureSolver(bnb, inst, spec, /*incremental=*/true);
+    Measured exact = MeasureSolver(bnb, inst, spec);
     double best = ObjectiveOf(spec, exact.result);
     for (const std::string& name : SolverRegistry::Global().Names()) {
       const Solver& solver =
           *Unwrap(SolverRegistry::Global().Find(name), "solver");
       Measured m = name == "branch-and-bound"
                        ? exact
-                       : MeasureSolver(solver, inst, spec, true);
+                       : MeasureSolver(solver, inst, spec);
       double objective = ObjectiveOf(spec, m.result);
       double gap = best > 0 ? (objective - best) / best : 0.0;
       table.AddRow(
@@ -251,60 +249,6 @@ void PrintSolverComparison() {
   }
   table.Print(std::cout);
   std::cout << "\n";
-}
-
-// --- Part 2: incremental vs full evaluation ---------------------------------
-
-void PrintIncrementalAblation() {
-  Instance inst = MakeSsbInstance(/*max_candidates=*/20,
-                                  /*workload_repeats=*/3);
-  size_t n = inst.evaluator->num_candidates();
-  std::cout << "Ablation instance: " << inst.workload.size()
-            << " queries, " << n << " candidates\n";
-
-  ObjectiveSpec spec;
-  spec.scenario = Scenario::kMV3Tradeoff;
-  spec.alpha = 0.5;
-
-  const Solver& local_search = *Unwrap(
-      SolverRegistry::Global().Find("local-search"), "local-search");
-  Measured incremental =
-      MeasureSolver(local_search, inst, spec, /*incremental=*/true);
-  Measured full =
-      MeasureSolver(local_search, inst, spec, /*incremental=*/false);
-
-  double speedup = full.subsets_per_sec > 0
-                       ? incremental.subsets_per_sec / full.subsets_per_sec
-                       : 0.0;
-
-  TablePrinter table({"evaluation path", "objective", "wall/solve",
-                      "subsets/sec"});
-  table.SetTitle(
-      "Local search: incremental SubsetState vs full Evaluate()");
-  table.AddRow({"incremental (SubsetState)",
-                StrFormat("%.4f", incremental.result.objective_value),
-                StrFormat("%.2f ms", incremental.wall_ms_per_solve),
-                StrFormat("%.0f", incremental.subsets_per_sec)});
-  table.AddRow({"full re-evaluation",
-                StrFormat("%.4f", full.result.objective_value),
-                StrFormat("%.2f ms", full.wall_ms_per_solve),
-                StrFormat("%.0f", full.subsets_per_sec)});
-  table.Print(std::cout);
-  std::cout << "Incremental speedup: " << StrFormat("%.1fx", speedup)
-            << " more subsets/sec (identical objective: "
-            << (incremental.result.evaluation.selected ==
-                        full.result.evaluation.selected
-                    ? "yes"
-                    : "NO")
-            << ")\n\n";
-
-  JsonLine("solvers")
-      .Str("ablation", "incremental_vs_full")
-      .Int("candidates", static_cast<int64_t>(n))
-      .Num("incremental_subsets_per_sec", incremental.subsets_per_sec)
-      .Num("full_subsets_per_sec", full.subsets_per_sec)
-      .Num("speedup", speedup)
-      .Emit();
 }
 
 // perfbench's served SSB session: the scenario's default SSB config
@@ -335,7 +279,7 @@ ServedInstance MakeServedSsbInstance(size_t max_candidates) {
   return ServedInstance{std::move(scenario), std::move(evaluator)};
 }
 
-// --- Part 3: branch-and-bound past the enumeration wall ---------------------
+// --- Part 2: branch-and-bound past the enumeration wall ---------------------
 
 // The exact-search headline (DESIGN.md §13): branch-and-bound on SSB
 // rosters of 20, 50 and 100 candidates — sizes where enumerating 2^n
@@ -485,7 +429,7 @@ void PrintCostBindingWalks() {
   std::cout << "\n";
 }
 
-// --- Part 4: solver census on hard instances --------------------------------
+// --- Part 3: solver census on hard instances --------------------------------
 
 // Ranks every single-objective solver on quality against time (the
 // framing of arXiv 2606.03772 and arXiv 2403.19906) where the
@@ -649,7 +593,6 @@ BENCHMARK(BM_IncrementalToggleAndCost);
 int main(int argc, char** argv) {
   bench::ParseSmoke(argc, argv);
   PrintSolverComparison();
-  PrintIncrementalAblation();
   PrintBranchAndBoundScaling();
   PrintCostBindingWalks();
   PrintSolverCensus();

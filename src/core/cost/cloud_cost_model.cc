@@ -4,15 +4,22 @@ namespace cloudview {
 
 namespace {
 
-/// The architecture extension, applied identically here and in
-/// SelectionEvaluator::FastTotalCost (which reproduces these exact
-/// ScaleBy chains on memoized bills — keep the two in lockstep, the
-/// property suite pins their bit-equality). `breakdown` arrives with
-/// the identity-architecture bill already itemized.
-void ApplyArchitecture(const ArchitectureModel& arch,
-                       const PricingModel& pricing,
-                       const DeploymentSpec& spec, DataSize view_bytes,
-                       CostBreakdown& breakdown) {
+Status RejectSingleSessionArchitecture(const DeploymentSpec& spec) {
+  if (spec.single_compute_session && !spec.architecture.is_identity()) {
+    return Status::InvalidArgument(
+        "single_compute_session cannot be billed under a non-identity "
+        "deployment architecture ('" +
+        spec.architecture.name +
+        "'): a replicated or spot fleet is not one rental session");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+void CloudCostModel::ApplyArchitecture(const ArchitectureModel& arch,
+                                       DataSize replicated_write_bytes,
+                                       CostBreakdown& breakdown) const {
   if (arch.is_identity()) return;
   breakdown.processing =
       breakdown.processing.ScaleBy(arch.compute_num, arch.compute_den);
@@ -26,25 +33,10 @@ void ApplyArchitecture(const ArchitectureModel& arch,
   breakdown.storage =
       breakdown.storage.ScaleBy(arch.storage_num, arch.storage_den);
   if (arch.cross_az_copies > 0) {
-    DataSize written = ReplicatedWriteBytes(
-        spec.ingress.initial_dataset, view_bytes, spec.maintenance_cycles);
-    breakdown.inter_az = pricing.InterAzCost(
-        DataSize::FromBytes(written.bytes() * arch.cross_az_copies));
+    breakdown.inter_az = pricing_->InterAzCost(DataSize::FromBytes(
+        replicated_write_bytes.bytes() * arch.cross_az_copies));
   }
 }
-
-Status RejectSingleSessionArchitecture(const DeploymentSpec& spec) {
-  if (spec.single_compute_session && !spec.architecture.is_identity()) {
-    return Status::InvalidArgument(
-        "single_compute_session cannot be billed under a non-identity "
-        "deployment architecture ('" +
-        spec.architecture.name +
-        "'): a replicated or spot fleet is not one rental session");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<CostBreakdown> CloudCostModel::CostWithoutViews(
     const WorkloadCostInput& workload, const DeploymentSpec& spec) const {
@@ -68,7 +60,10 @@ Result<CostBreakdown> CloudCostModel::CostWithoutViews(
   CV_ASSIGN_OR_RETURN(
       breakdown.storage,
       storage_.Cost(spec.base_storage, spec.storage_period));
-  ApplyArchitecture(spec.architecture, *pricing_, spec, DataSize::Zero(),
+  ApplyArchitecture(spec.architecture,
+                    ReplicatedWriteBytes(spec.ingress.initial_dataset,
+                                         DataSize::Zero(),
+                                         spec.maintenance_cycles),
                     breakdown);
   return breakdown;
 }
@@ -123,7 +118,10 @@ Result<CostBreakdown> CloudCostModel::CostWithViews(
       with_views.AddDelta(Months::Zero(), views.TotalSize()));
   CV_ASSIGN_OR_RETURN(breakdown.storage,
                       storage_.Cost(with_views, spec.storage_period));
-  ApplyArchitecture(spec.architecture, *pricing_, spec, views.TotalSize(),
+  ApplyArchitecture(spec.architecture,
+                    ReplicatedWriteBytes(spec.ingress.initial_dataset,
+                                         views.TotalSize(),
+                                         spec.maintenance_cycles),
                     breakdown);
   return breakdown;
 }

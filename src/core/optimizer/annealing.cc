@@ -138,7 +138,6 @@ class AnnealingSolver : public Solver {
     // for itself even though nothing outlives the solve.
     EvaluationCache local_cache;
     SolverContext local(context.evaluator(), context.spec(), &local_cache);
-    local.set_use_incremental(context.use_incremental());
     Result<SelectionResult> result = Anneal(local);
     context.MergeCounters(local.counters());
     return result;

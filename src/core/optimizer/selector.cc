@@ -18,12 +18,6 @@ const char* ToString(Scenario scenario) {
   return "?";
 }
 
-double ViewSelector::TradeoffObjective(const ObjectiveSpec& spec,
-                                       const SubsetEvaluation& eval) const {
-  SolverContext context(*evaluator_, spec);
-  return context.TradeoffObjective(eval);
-}
-
 Result<SelectionResult> ViewSelector::Solve(const ObjectiveSpec& spec,
                                             std::string_view solver) const {
   if (spec.scenario == Scenario::kMV3Tradeoff &&
@@ -32,9 +26,12 @@ Result<SelectionResult> ViewSelector::Solve(const ObjectiveSpec& spec,
   }
   CV_ASSIGN_OR_RETURN(const Solver* strategy,
                       SolverRegistry::Global().Find(solver));
-  SolverContext context(
-      *evaluator_, spec,
-      external_cache_ != nullptr ? external_cache_ : &cache_);
+  EvaluationCache* cache = external_cache_;
+  if (cache == nullptr) {
+    if (!own_cache_.has_value()) own_cache_.emplace();
+    cache = &*own_cache_;
+  }
+  SolverContext context(*evaluator_, spec, cache);
   CV_ASSIGN_OR_RETURN(SelectionResult result,
                       strategy->Solve(spec, context));
   result.solver = std::string(solver);

@@ -21,6 +21,7 @@
 
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -154,7 +155,7 @@ struct SelectionResult {
 ///
 /// Concurrency contract (DESIGN.md §9): one selector per task. Solve()
 /// is const but memoizing — subset evaluations accumulate in the
-/// per-selector EvaluationCache across calls — so two threads must not
+/// selector's EvaluationCache across calls — so two threads must not
 /// share one selector (or its evaluator). The "arch-sweep" solver
 /// scores each architecture on its own SolverContext + EvaluationCache
 /// over a SelectionEvaluator::CloneWithArchitecture(), which shares
@@ -163,12 +164,12 @@ struct SelectionResult {
 class ViewSelector {
  public:
   /// \brief Keeps a reference; `evaluator` must outlive the selector.
-  /// `external_cache` (optional) replaces the selector's own memo — the
-  /// serving layer's cross-request warm-start seam: a session hands the
-  /// same cache to every solve on a workload, so repeat tenants hit
-  /// entries earlier requests paid for (DESIGN.md §14). The cache must
-  /// outlive the selector and obeys the same one-task-at-a-time
-  /// contract as the selector itself.
+  /// `external_cache` (optional) replaces the selector's own memo, which
+  /// is then never built — the serving layer's cross-request warm-start
+  /// seam: a session hands the same cache to every solve on a workload,
+  /// so repeat tenants hit entries earlier requests paid for (DESIGN.md
+  /// §14). The cache must outlive the selector and obeys the same
+  /// one-task-at-a-time contract as the selector itself.
   explicit ViewSelector(const SelectionEvaluator& evaluator,
                         EvaluationCache* external_cache = nullptr)
       : evaluator_(&evaluator), external_cache_(external_cache) {}
@@ -181,17 +182,22 @@ class ViewSelector {
       const ObjectiveSpec& spec,
       std::string_view solver = kDefaultSolverName) const;
 
-  /// \brief MV3's normalized blend for a given evaluation.
-  double TradeoffObjective(const ObjectiveSpec& spec,
-                           const SubsetEvaluation& eval) const;
+  /// \brief The memo Solve() probes: the external cache when one was
+  /// passed, else the selector's own — nullptr until the first Solve()
+  /// builds it.
+  const EvaluationCache* cache() const {
+    if (external_cache_ != nullptr) return external_cache_;
+    return own_cache_.has_value() ? &*own_cache_ : nullptr;
+  }
 
  private:
   const SelectionEvaluator* evaluator_;
   EvaluationCache* external_cache_ = nullptr;
   /// Subset evaluations are spec-independent; share them across runs.
+  /// Built on the first Solve() without an external cache.
   /// thread-compat: unsynchronized memo — one selector per thread
   /// (DESIGN.md §9.2).
-  mutable EvaluationCache cache_;
+  mutable std::optional<EvaluationCache> own_cache_;
 };
 
 }  // namespace cloudview

@@ -179,29 +179,11 @@ Result<SolverContext::Probe> SolverContext::ProbeTotalsMiss(
 
 Result<SolverContext::Probe> SolverContext::ProbeState(
     const SubsetState& state) {
-  if (!use_incremental_) {
-    ++counters_.full_evaluations;
-    CV_ASSIGN_OR_RETURN(SubsetEvaluation eval,
-                        evaluator_->Evaluate(state.Selected()));
-    return ProbeOf(eval);
-  }
   return ProbeTotals(state.totals());
 }
 
 Result<SolverContext::Probe> SolverContext::ProbeToggle(
     const SubsetState& state, size_t c) {
-  if (!use_incremental_) {
-    ++counters_.full_evaluations;
-    std::vector<size_t> selected = state.Selected();
-    if (state.contains(c)) {
-      selected.erase(std::find(selected.begin(), selected.end(), c));
-    } else {
-      selected.push_back(c);
-    }
-    CV_ASSIGN_OR_RETURN(SubsetEvaluation eval,
-                        evaluator_->Evaluate(selected));
-    return ProbeOf(eval);
-  }
   // Hash-first: the toggled subset's memo key is one XOR away, so a
   // cache hit never pays the O(queries) peek.
   if (const EvaluationCache::Entry* entry =
@@ -216,12 +198,6 @@ Status SolverContext::ProbeToggleBatch(const SubsetState& state,
                                        std::span<const size_t> candidates,
                                        std::vector<Probe>& out) {
   out.resize(candidates.size());
-  if (!use_incremental_) {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      CV_ASSIGN_OR_RETURN(out[i], ProbeToggle(state, candidates[i]));
-    }
-    return Status::OK();
-  }
   // Split the batch by memo state: every hit resolves in one tight
   // pass, then each miss pays its O(queries) peek. Every candidate has
   // its own memo key, so answering the hits first changes no count.

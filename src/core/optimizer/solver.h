@@ -48,9 +48,9 @@ namespace cloudview {
 /// violation term sums the scenario's own constraint with the spec's
 /// hard constraints (max_monthly_cost / max_storage / max_makespan), so
 /// every registered strategy honors them without strategy-specific code.
-/// Probes go through the memo cache and the incremental fast path by
-/// default; set_use_incremental(false) forces every probe through the
-/// exact Evaluate() ground truth (the ablation bench_solvers measures).
+/// Probes go through the memo cache and the incremental fast path
+/// (FastTotalCost, pinned bit-for-bit to the exact Evaluate() by the
+/// property suite); Finalize re-evaluates the pick exactly.
 class SolverContext {
  public:
   /// Lexicographic move score; lower is better.
@@ -186,8 +186,8 @@ class SolverContext {
 
   // --- Evaluation paths ------------------------------------------------
 
-  /// \brief Scores the state via memo -> incremental fast path (or the
-  /// exact path when use_incremental() is off). Bumps the counters.
+  /// \brief Scores the state via memo -> incremental fast path. Bumps
+  /// the counters.
   Result<Probe> ProbeState(const SubsetState& state);
   Result<Score> ScoreState(const SubsetState& state) {
     CV_ASSIGN_OR_RETURN(Probe probe, ProbeState(state));
@@ -201,10 +201,6 @@ class SolverContext {
   /// state.hash(), so a cache hit costs O(1) and skips the O(queries)
   /// peek entirely.
   Result<Probe> ProbeToggle(const SubsetState& state, size_t c);
-  Result<Score> ScoreToggle(const SubsetState& state, size_t c) {
-    CV_ASSIGN_OR_RETURN(Probe probe, ProbeToggle(state, c));
-    return ScoreOf(probe);
-  }
 
   /// \brief ProbeToggle over many candidates — the neighborhood-scan
   /// primitive (DESIGN.md §11.2). One tight pass answers every memo hit
@@ -236,11 +232,6 @@ class SolverContext {
   }
 
   // --- Knobs and telemetry ---------------------------------------------
-
-  /// \brief When off, every probe routes through exact Evaluate() — the
-  /// incremental-vs-full ablation switch.
-  void set_use_incremental(bool on) { use_incremental_ = on; }
-  bool use_incremental() const { return use_incremental_; }
 
   /// \brief When off, probes skip the shared memo entirely. Walks that
   /// rarely revisit a subset (branch-and-bound's node expansion) turn
@@ -289,7 +280,6 @@ class SolverContext {
   /// MV3 normalization denominators (baseline or spec overrides).
   double t0_millis_ = 0.0;
   double c0_micros_ = 0.0;
-  bool use_incremental_ = true;
   bool use_cache_ = true;
   Counters counters_;
 

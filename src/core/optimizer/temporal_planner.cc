@@ -312,43 +312,20 @@ Result<TemporalRunResult> TemporalPlanner::Walk(
     storage_billed = storage_to_here;
 
     // --- Architecture lowering of the period bill --------------------
-    // Mirrors ApplyArchitecture in the cost model (same ScaleBy order:
-    // cycles multiplied in before the rational scale), so the ledger
-    // agrees with the architecture-adjusted evaluator the solver just
-    // scored against.
-    if (!architecture_.is_identity()) {
-      const ArchitectureModel& arch = architecture_;
-      row.cost.processing = row.cost.processing.ScaleBy(
-          arch.compute_num, arch.compute_den);
-      row.cost.materialization = row.cost.materialization.ScaleBy(
-          arch.fanout_num, arch.fanout_den);
-      row.cost.maintenance = row.cost.maintenance.ScaleBy(
-          arch.fanout_num, arch.fanout_den);
-      // Spot-interruption transition surcharge: an interruption
-      // mid-build loses the in-flight materialization (and maintenance
-      // rewrite) work, which must be redone on a fresh node. The
-      // expectation is re-run compute proportional to the transition
-      // bill — billed here, so a spot horizon pays for its churn on
-      // exactly the periods that transition.
-      row.cost.interruption =
-          (row.cost.materialization + row.cost.maintenance)
-              .ScaleBy(arch.interruption_num, arch.interruption_den);
-      row.cost.storage = row.cost.storage.ScaleBy(
-          arch.storage_num, arch.storage_den);
-      if (arch.cross_az_copies > 0) {
-        // Bytes written this period and replicated across AZ
-        // boundaries: the initial upload (period 0), base growth plus
-        // new-view builds (both in inserted_data), and maintenance
-        // rewrites of the resident set.
-        DataSize resident;
-        for (size_t c : row.selected) resident += candidates_[c].size;
-        int64_t written = ingress.initial_dataset.bytes() +
-                          ingress.inserted_data.bytes() +
-                          resident.bytes() * maintenance_cycles_;
-        row.cost.inter_az = cost_model_->pricing().InterAzCost(
-            DataSize::FromBytes(written * arch.cross_az_copies));
-      }
-    }
+    // The cost model's one ApplyArchitecture, so the ledger agrees with
+    // the architecture-adjusted evaluator the solver just scored
+    // against. Only this period's builds sit in materialization, so a
+    // spot horizon pays its interruption surcharge on exactly the
+    // periods that transition. Replicated writes are this period's: the
+    // initial upload (period 0), base growth plus new-view builds (both
+    // in inserted_data), and maintenance rewrites of the resident set.
+    DataSize resident;
+    for (size_t c : row.selected) resident += candidates_[c].size;
+    cost_model_->ApplyArchitecture(
+        architecture_,
+        ingress.initial_dataset + ingress.inserted_data +
+            resident * maintenance_cycles_,
+        row.cost);
 
     result.total += row.cost;
     prev_selected = row.selected;

@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "core/optimizer/candidate_generation.h"
+#include "core/optimizer/solver.h"
 #include "core/scenario.h"
 #include "engine/sales_generator.h"
 #include "exhaustive_oracle.h"
@@ -159,25 +160,67 @@ TEST_F(SelectorTest, MV3RejectsBadAlpha) {
 
 TEST_F(SelectorTest, TradeoffObjectiveNormalizesBaselineToOne) {
   auto evaluator = fixture_.MakeEvaluator(fixture_.PaperWorkload(5));
-  ViewSelector selector(*evaluator);
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.4;
-  EXPECT_NEAR(selector.TradeoffObjective(spec, evaluator->baseline()),
-              1.0, 1e-12);
+  SolverContext context(*evaluator, spec);
+  EXPECT_NEAR(context.TradeoffObjective(evaluator->baseline()), 1.0,
+              1e-12);
 }
 
 TEST_F(SelectorTest, ExternalReferenceNormalization) {
   auto evaluator = fixture_.MakeEvaluator(fixture_.PaperWorkload(3));
-  ViewSelector selector(*evaluator);
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   spec.alpha = 0.5;
   spec.mv3_reference_time = evaluator->baseline().makespan * 2;
   spec.mv3_reference_cost = evaluator->baseline().cost.total() * 2;
   // Against a twice-as-bad reference, the baseline scores 0.5.
-  EXPECT_NEAR(selector.TradeoffObjective(spec, evaluator->baseline()),
-              0.5, 1e-12);
+  SolverContext context(*evaluator, spec);
+  EXPECT_NEAR(context.TradeoffObjective(evaluator->baseline()), 0.5,
+              1e-12);
+}
+
+TEST_F(SelectorTest, CachelessSelectorMemoizesAcrossSolves) {
+  auto evaluator = fixture_.MakeEvaluator(fixture_.PaperWorkload(5));
+  ViewSelector selector(*evaluator);
+  // The selector's own memo is built by its first Solve, not before.
+  EXPECT_EQ(selector.cache(), nullptr);
+  ObjectiveSpec spec;
+  spec.scenario = Scenario::kMV3Tradeoff;
+  spec.alpha = 0.5;
+  SelectionResult first = selector.Solve(spec, "greedy").MoveValue();
+  const EvaluationCache* memo = selector.cache();
+  ASSERT_NE(memo, nullptr);
+  EvaluationCache::AggregateCounts after_first = memo->aggregate();
+  EXPECT_GT(after_first.lookups, 0u);
+
+  SelectionResult second = selector.Solve(spec, "greedy").MoveValue();
+  // The second solve probes the same memo and hits what the first paid
+  // for.
+  EXPECT_EQ(selector.cache(), memo);
+  EXPECT_GT(memo->aggregate().hits, after_first.hits);
+  EXPECT_EQ(second.evaluation.selected, first.evaluation.selected);
+}
+
+TEST_F(SelectorTest, ExternalCacheTakesEveryLookup) {
+  auto evaluator = fixture_.MakeEvaluator(fixture_.PaperWorkload(5));
+  ObjectiveSpec spec;
+  spec.scenario = Scenario::kMV3Tradeoff;
+  spec.alpha = 0.5;
+  EvaluationCache external;
+  ViewSelector shared(*evaluator, &external);
+  ViewSelector own(*evaluator);
+  SelectionResult a = shared.Solve(spec, "local-search").MoveValue();
+  SelectionResult b = own.Solve(spec, "local-search").MoveValue();
+  EXPECT_EQ(shared.cache(), &external);
+  EXPECT_EQ(a.evaluation.selected, b.evaluation.selected);
+  // The same solve from an empty memo makes the same lookups, so the
+  // external cache saw every lookup the shared selector made.
+  ASSERT_NE(own.cache(), nullptr);
+  EXPECT_GT(external.aggregate().lookups, 0u);
+  EXPECT_EQ(external.aggregate().lookups, own.cache()->aggregate().lookups);
+  EXPECT_EQ(external.aggregate().hits, own.cache()->aggregate().hits);
 }
 
 TEST_F(SelectorTest, ExhaustiveRefusesTooManyCandidates) {

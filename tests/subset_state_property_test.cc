@@ -333,44 +333,45 @@ TEST_P(SubsetStatePropertyTest, HashIsOrderIndependent) {
 }
 
 TEST_P(SubsetStatePropertyTest, ContextProbeMatchesExactPath) {
-  // SolverContext::ProbeState — memo on and off, incremental on and
-  // off — always reduces a subset to the same (time, cost) pair.
+  // SolverContext's incremental probes — memo on and off, read-only
+  // toggle and committed state — always reduce a subset to the probe
+  // exact Evaluate() does.
   size_t n = evaluator_->num_candidates();
   ObjectiveSpec spec;
   spec.scenario = Scenario::kMV3Tradeoff;
   EvaluationCache cache;
   SolverContext cached(*evaluator_, spec, &cache);
   SolverContext uncached(*evaluator_, spec);
-  SolverContext exact(*evaluator_, spec);
-  exact.set_use_incremental(false);
+  auto expect_same = [](const SolverContext::Probe& probe,
+                        const SolverContext::Probe& exact) {
+    EXPECT_EQ(probe.time, exact.time);
+    EXPECT_EQ(probe.makespan, exact.makespan);
+    EXPECT_EQ(probe.cost, exact.cost);
+    EXPECT_EQ(probe.storage, exact.storage);
+  };
 
   Rng rng(11);
   SubsetState state(*evaluator_);
   for (int move = 0; move < 40; ++move) {
+    SCOPED_TRACE(StrFormat("move %d", move));
     size_t flip = static_cast<size_t>(rng.Uniform(n));
-    // The read-only toggle probe agrees with the exact path...
     SolverContext::Probe peek = cached.ProbeToggle(state, flip).MoveValue();
-    SolverContext::Probe peek_exact =
-        exact.ProbeToggle(state, flip).MoveValue();
-    EXPECT_EQ(peek.time, peek_exact.time);
-    EXPECT_EQ(peek.cost, peek_exact.cost);
-    // ...and so does the committed-state probe.
+    SolverContext::Probe peek_uncached =
+        uncached.ProbeToggle(state, flip).MoveValue();
     state.Toggle(flip);
-    SolverContext::Probe a = cached.ProbeState(state).MoveValue();
-    SolverContext::Probe b = uncached.ProbeState(state).MoveValue();
-    SolverContext::Probe c = exact.ProbeState(state).MoveValue();
-    EXPECT_EQ(a.time, c.time);
-    EXPECT_EQ(a.cost, c.cost);
-    EXPECT_EQ(b.time, c.time);
-    EXPECT_EQ(b.cost, c.cost);
-    EXPECT_EQ(peek.time, c.time);
-    EXPECT_EQ(peek.cost, c.cost);
+    SolverContext::Probe exact = cached.ProbeOf(
+        evaluator_->Evaluate(state.Selected()).MoveValue());
+    expect_same(peek, exact);
+    expect_same(peek_uncached, exact);
+    expect_same(cached.ProbeState(state).MoveValue(), exact);
+    expect_same(uncached.ProbeState(state).MoveValue(), exact);
   }
-  // The exact context went through Evaluate() every time (one toggle
-  // probe plus one state probe per move); the cached one answered
-  // repeats from the memo.
-  EXPECT_EQ(exact.counters().full_evaluations, 80u);
-  EXPECT_EQ(exact.counters().incremental_probes, 0u);
+  // Neither context evaluated exactly: the uncached one took the
+  // incremental path for every probe (one toggle plus one state probe
+  // per move); the cached one answered repeats from the memo.
+  EXPECT_EQ(uncached.counters().full_evaluations, 0u);
+  EXPECT_EQ(uncached.counters().incremental_probes, 80u);
+  EXPECT_EQ(cached.counters().full_evaluations, 0u);
   EXPECT_GT(cached.counters().cache_hits, 0u);
 }
 

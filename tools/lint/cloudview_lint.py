@@ -80,7 +80,7 @@ H1_FILE_PATTERNS = [r"^eval_kernels\.(h|cc)$"]
 H1_METHOD_RE = re.compile(
     r"\b(?:SubsetState::\w+"
     r"|SelectionEvaluator::(?:FastTotalCost|ComputeBill)"
-    r"|SolverContext::(?:Probe\w*|HillClimb|ScoreState|ScoreToggle))"
+    r"|SolverContext::(?:Probe\w*|HillClimb|ScoreState))"
     r"\s*\("
 )
 
