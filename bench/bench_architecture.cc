@@ -232,8 +232,7 @@ void BM_FastTotalCostSpot(benchmark::State& state) {
   subset.Add(0);
   subset.Add(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        Unwrap(spot.FastTotalCost(subset), "cost").micros());
+    benchmark::DoNotOptimize(spot.FastTotalCost(subset).micros());
   }
 }
 BENCHMARK(BM_FastTotalCostSpot);

@@ -232,8 +232,7 @@ std::vector<Row> RunOps(const Instance& inst) {
     rows.push_back({"context_probe_cached", MeasureOp([&](uint64_t) {
       int64_t sum = 0;
       for (size_t c = 0; c < n; ++c) {
-        sum += Unwrap(context.ProbeToggle(state, c), "probe")
-                   .cost.micros();
+        sum += context.ProbeToggle(state, c).cost.micros();
       }
       return std::pair<uint64_t, int64_t>(n, sum);
     })});

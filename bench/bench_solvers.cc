@@ -583,7 +583,7 @@ void BM_IncrementalToggleAndCost(benchmark::State& state) {
   for (auto _ : state) {
     subset_state.Toggle(static_cast<size_t>(rng.Uniform(n)));
     benchmark::DoNotOptimize(
-        inst.evaluator->FastTotalCost(subset_state).value().micros());
+        inst.evaluator->FastTotalCost(subset_state).micros());
   }
 }
 BENCHMARK(BM_IncrementalToggleAndCost);

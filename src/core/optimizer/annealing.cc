@@ -91,9 +91,7 @@ Result<SelectionResult> Anneal(SolverContext& context) {
 
   SubsetState current(context.evaluator());
   Norms norms = NormsOf(context);
-  CV_ASSIGN_OR_RETURN(SolverContext::Probe probe,
-                      context.ProbeState(current));
-  double current_score = Scalarize(context, norms, probe);
+  double current_score = Scalarize(context, norms, context.ProbeState(current));
   std::vector<size_t> best = current.Selected();
   double best_score = current_score;
 
@@ -104,8 +102,8 @@ Result<SelectionResult> Anneal(SolverContext& context) {
     // with the best subset seen; Finalize flags the truncation.
     if ((it & 63) == 0 && context.Cancelled()) break;
     size_t flip = static_cast<size_t>(rng.Uniform(n));
-    CV_ASSIGN_OR_RETURN(probe, context.ProbeToggle(current, flip));
-    double trial_score = Scalarize(context, norms, probe);
+    double trial_score =
+        Scalarize(context, norms, context.ProbeToggle(current, flip));
     double delta = trial_score - current_score;
     if (delta <= 0.0 ||
         rng.UniformDouble() < std::exp(-delta / std::max(1e-12,

@@ -91,7 +91,7 @@ void SearchNode::Undecide(size_t c) {
   }
 }
 
-Result<SolverContext::Probe> SearchNode::LowerBound(
+SolverContext::Probe SearchNode::LowerBound(
     const SolverContext& context) const {
   // Each query is served either from C (or the base table) or by one
   // undecided view, paying that view's amortized build share.
@@ -114,8 +114,7 @@ Result<SolverContext::Probe> SearchNode::LowerBound(
                totals.materialization + Duration::FromMillis(served_ms));
   // Every completion stores between C's bytes and R's.
   DataSize max_bytes = relaxed_.view_bytes();
-  CV_ASSIGN_OR_RETURN(Money cost,
-                      evaluator_->FastTotalCostFloor(totals, max_bytes));
+  Money cost = evaluator_->FastTotalCostFloor(totals, max_bytes);
   return SolverContext::Probe{
       context.TimeMetric(totals.processing, makespan), makespan, cost,
       totals.view_bytes};
@@ -160,25 +159,22 @@ class Walker {
   /// `committed_changed` marks edges that grew the committed set (the
   /// include branch and the root), whose subset is the one new complete
   /// solution this node contributes.
-  Status Visit(size_t depth, bool committed_changed) {
+  void Visit(size_t depth, bool committed_changed) {
     ++stats_.bound_evaluations;
-    CV_ASSIGN_OR_RETURN(SolverContext::Probe lb_probe,
-                        node_.LowerBound(context_));
-    Score lb = context_.ScoreOf(lb_probe);
+    Score lb = context_.ScoreOf(node_.LowerBound(context_));
     // Bound pruning: lb underestimates every completion in this
     // subtree, so a strictly worse bound proves the subtree cannot beat
     // the incumbent. Strict — equal-scoring subsets survive so the
     // lex-smallest tie-break stays exact.
     if (lb > incumbent_.score) {
       ++stats_.pruned_by_bound;
-      return Status::OK();
+      return;
     }
     if (committed_changed) {
-      CV_ASSIGN_OR_RETURN(Score score,
-                          context_.ScoreState(node_.committed()));
-      incumbent_.Offer(score, node_.committed());
+      incumbent_.Offer(context_.ScoreState(node_.committed()),
+                       node_.committed());
     }
-    if (depth == order_.size()) return Status::OK();
+    if (depth == order_.size()) return;
     if (stats_.nodes_expanded >= max_nodes_ ||
         ((stats_.nodes_expanded & 255) == 0 && context_.Cancelled())) {
       // Budget cutoff — or a cancellation/deadline observed at the
@@ -188,7 +184,7 @@ class Walker {
       // function of the node count.
       if (!truncated_ || lb < min_unexplored_) min_unexplored_ = lb;
       truncated_ = true;
-      return Status::OK();
+      return;
     }
     ++stats_.nodes_expanded;
     size_t c = order_[depth];
@@ -198,14 +194,12 @@ class Walker {
     // next member of R.
     node_.Decide(c);
     node_.committed().AddUndoable(c);
-    Status include = Visit(depth + 1, /*committed_changed=*/true);
+    Visit(depth + 1, /*committed_changed=*/true);
     node_.committed().UndoAdd();
-    CV_RETURN_IF_ERROR(include);
     node_.relaxed().Remove(c);
-    Status exclude = Visit(depth + 1, /*committed_changed=*/false);
+    Visit(depth + 1, /*committed_changed=*/false);
     node_.relaxed().Add(c);
     node_.Undecide(c);
-    return exclude;
   }
 
   const Incumbent& incumbent() const { return incumbent_; }
@@ -274,10 +268,8 @@ Result<SelectionResult> SolveBranchAndBound(
   // Warm upper bound: the greedy swap climb from the empty set. It
   // revisits neighborhoods, so it keeps the context's evaluation cache.
   SubsetState warm_state(context.evaluator());
-  CV_RETURN_IF_ERROR(context.HillClimb(warm_state, /*with_swaps=*/true));
-  Incumbent warm;
-  CV_ASSIGN_OR_RETURN(warm.score, context.ScoreState(warm_state));
-  warm.selected = warm_state.Selected();
+  context.HillClimb(warm_state, /*with_swaps=*/true);
+  Incumbent warm{context.ScoreState(warm_state), warm_state.Selected()};
 
   if (context.num_candidates() == 0) {
     stats.proven_optimal = true;
@@ -290,9 +282,8 @@ Result<SelectionResult> SolveBranchAndBound(
   context.set_use_cache(false);
   const std::vector<uint32_t> order = BranchOrder(context.evaluator());
   Walker walker(context, order, std::move(warm), options.max_nodes);
-  Status walked = walker.Visit(0, /*committed_changed=*/true);
+  walker.Visit(0, /*committed_changed=*/true);
   context.set_use_cache(use_cache);
-  CV_RETURN_IF_ERROR(walked);
 
   stats = walker.stats();
   context.MergeCounters({0, stats.bound_evaluations, 0});

@@ -106,8 +106,7 @@ class SearchNode {
   ///  * cost: FastTotalCostFloor of R's processing with C's other
   ///    totals, storage minimized over byte totals from C's to R's;
   ///  * storage: C's duplicated bytes.
-  Result<SolverContext::Probe> LowerBound(
-      const SolverContext& context) const;
+  SolverContext::Probe LowerBound(const SolverContext& context) const;
 
  private:
   /// One undecided view's amortized charge for a query it can serve:

@@ -1,48 +1,17 @@
 #include "core/optimizer/candidate_generation.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <set>
 #include <vector>
 
 namespace cloudview {
 namespace {
 
-/// One scored candidate plus its query-coverage bitset (bit q set when
-/// the view answers query q faster than the fact table) — what the
-/// clustering pass measures similarity on.
+/// One candidate with its HRU benefit (the ranking key).
 struct Scored {
   ViewCandidate candidate;
   double benefit = 0.0;
-  std::vector<uint64_t> coverage;
 };
-
-/// Whether `a` and `b` are near-duplicates under the clustering knobs:
-/// query-coverage Jaccard >= cluster_similarity and sizes within
-/// cluster_size_ratio. Division-free (and float-==-free): the Jaccard
-/// threshold is checked as |A∩B| >= s·|A∪B|.
-bool NearDuplicate(const Scored& a, const Scored& b,
-                   const CandidateGenOptions& options) {
-  int64_t size_a = a.candidate.size.bytes();
-  int64_t size_b = b.candidate.size.bytes();
-  int64_t size_min = std::min(size_a, size_b);
-  int64_t size_max = std::max(size_a, size_b);
-  if (static_cast<double>(size_max) >
-      options.cluster_size_ratio * static_cast<double>(size_min)) {
-    return false;
-  }
-  uint64_t intersection = 0;
-  uint64_t unions = 0;
-  for (size_t w = 0; w < a.coverage.size(); ++w) {
-    intersection +=
-        static_cast<uint64_t>(__builtin_popcountll(a.coverage[w] &
-                                                   b.coverage[w]));
-    unions += static_cast<uint64_t>(
-        __builtin_popcountll(a.coverage[w] | b.coverage[w]));
-  }
-  return static_cast<double>(intersection) >=
-         options.cluster_similarity * static_cast<double>(unions);
-}
 
 }  // namespace
 
@@ -62,15 +31,6 @@ Result<std::vector<ViewCandidate>> GenerateCandidates(
   }
   if (options.max_rows_fraction <= 0.0) {
     return Status::InvalidArgument("max_rows_fraction must be positive");
-  }
-  if (options.cluster_similarity < 0.0 ||
-      options.cluster_similarity > 1.0) {
-    return Status::InvalidArgument(
-        "cluster_similarity must be within [0, 1]");
-  }
-  if (options.cluster_similarity > 0.0 &&
-      options.cluster_size_ratio < 1.0) {
-    return Status::InvalidArgument("cluster_size_ratio must be >= 1");
   }
 
   double fact_bytes =
@@ -92,7 +52,6 @@ Result<std::vector<ViewCandidate>> GenerateCandidates(
   // the candidate is materialized alone.
   double fact_rows =
       static_cast<double>(lattice.schema().stats().fact_rows);
-  const size_t coverage_words = (workload.size() + 63) / 64;
   std::vector<Scored> scored;
   for (CuboidId id : pool) {
     double size_fraction =
@@ -110,10 +69,7 @@ Result<std::vector<ViewCandidate>> GenerateCandidates(
         simulator.MaterializationTimeFromFact(id, cluster);
     entry.candidate.maintenance_time =
         simulator.MaintenanceTime(id, options.maintenance_delta, cluster);
-    entry.coverage.assign(coverage_words, 0);
-    size_t query_index = 0;
     for (const QuerySpec& q : workload.queries()) {
-      size_t qi = query_index++;
       if (!lattice.CanAnswer(id, q.target)) continue;
       Duration from_fact = simulator.QueryTimeFromFact(q.target, cluster);
       Duration from_view =
@@ -121,7 +77,6 @@ Result<std::vector<ViewCandidate>> GenerateCandidates(
       if (from_view < from_fact) {
         entry.benefit += static_cast<double>(q.frequency) *
                          static_cast<double>((from_fact - from_view).millis());
-        entry.coverage[qi / 64] |= uint64_t{1} << (qi % 64);
       }
     }
     if (entry.benefit > 0.0) scored.push_back(std::move(entry));
@@ -137,26 +92,7 @@ Result<std::vector<ViewCandidate>> GenerateCandidates(
               return a.candidate.view < b.candidate.view;
             });
 
-  if (options.cluster_similarity > 0.0) {
-    // Near-duplicate merge (DESIGN.md §13.5): walk the ranked roster,
-    // fold candidates into the first kept near-duplicate; stop once the
-    // budget is full. The representative is the best-benefit member of
-    // its cluster because the scan order is the total benefit order.
-    std::vector<Scored> kept;
-    kept.reserve(options.max_candidates);
-    for (Scored& entry : scored) {
-      if (kept.size() >= options.max_candidates) break;
-      bool merged = false;
-      for (const Scored& representative : kept) {
-        if (NearDuplicate(representative, entry, options)) {
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) kept.push_back(std::move(entry));
-    }
-    scored.swap(kept);
-  } else if (scored.size() > options.max_candidates) {
+  if (scored.size() > options.max_candidates) {
     scored.resize(options.max_candidates);
   }
 

@@ -36,28 +36,6 @@ struct CandidateGenOptions {
   /// Restrict candidates to the workload's own cuboids when true
   /// (exact-match views only; no shared ancestors).
   bool queries_only = false;
-
-  // --- Near-duplicate clustering (DESIGN.md §13.5) ---------------------
-  // Large lattices rank many cuboids that answer (nearly) the same
-  // queries at similar sizes; keeping them all burns the max_candidates
-  // budget on redundancy. The clustering pass — in the spirit of
-  // Aouiche et al.'s query-clustering selection (arXiv cs/0703114) —
-  // walks the benefit-ranked roster and folds a candidate into an
-  // already-kept representative when their query-coverage sets are
-  // near-identical and their sizes comparable, so the kept roster
-  // spends its budget on genuinely distinct views. Deterministic: scan
-  // order is the total benefit order, the representative is always the
-  // best-benefit member.
-
-  /// Jaccard similarity of two candidates' query-coverage sets at or
-  /// above which they cluster (1.0 = only exact same coverage merges).
-  /// 0 (the default) disables the pass — pinned rosters stay
-  /// byte-identical.
-  double cluster_similarity = 0.0;
-  /// Candidates only cluster when their sizes are within this factor
-  /// (max/min <= ratio): equal coverage at wildly different sizes is a
-  /// real tradeoff, not a duplicate.
-  double cluster_size_ratio = 4.0;
 };
 
 /// \brief Generates Vcand for `workload` on `cluster`. Candidate

@@ -221,8 +221,7 @@ Money SelectionEvaluator::ComputeBill(Duration busy) const {
   return Money::FromMicros(micros);
 }
 
-Result<Money> SelectionEvaluator::FastTotalCost(
-    const SubsetTotals& totals) const {
+Money SelectionEvaluator::FastTotalCost(const SubsetTotals& totals) const {
   // Compute charges (Formula 6): functions of the three time totals only.
   // Mirrors CloudCostModel::CostWithViews — in the single-session mode
   // the per-activity exact charges cancel against the rounding surcharge,
@@ -285,10 +284,14 @@ Result<Money> SelectionEvaluator::FastTotalCost(
     // events with the subset's bytes folded in at month 0: identical
     // walk, identical StorageCost calls in the same order, but no
     // per-probe timeline copy or interval vector.
+    // Neither check below can fire on a built evaluator: Create() and
+    // CloneWithArchitecture() bill the baseline through
+    // StorageTimeline::Intervals(), which rejects a negative period and
+    // a timeline that dips below zero; a probe only adds non-negative
+    // view bytes at month 0, and CloneWithSunkBuilds() changes build
+    // times only.
     Months end = deployment_.storage_period;
-    if (end.is_negative()) {
-      return Status::InvalidArgument("storage period end before month 0");
-    }
+    CV_DCHECK(!end.is_negative()) << "storage period end before month 0";
     Money sum = Money::Zero();
     DataSize size = totals.view_bytes;
     Months cursor = Months::Zero();
@@ -301,10 +304,8 @@ Result<Money> SelectionEvaluator::FastTotalCost(
         cursor = event.at;
       }
       size += event.delta;
-      if (size.is_negative()) {
-        return Status::FailedPrecondition(
-            "storage timeline deletes more data than it holds");
-      }
+      CV_DCHECK(!size.is_negative())
+          << "storage timeline deletes more data than it holds";
     }
     if (cursor < end && !size.is_zero()) {
       sum += cost_model_->storage().ConstantCost(size, end - cursor);
@@ -334,8 +335,8 @@ Result<Money> SelectionEvaluator::FastTotalCost(
   return compute + storage + transfer_cost() + request_cost();
 }
 
-Result<Money> SelectionEvaluator::FastTotalCostFloor(
-    const SubsetTotals& totals, DataSize max_view_bytes) const {
+Money SelectionEvaluator::FastTotalCostFloor(const SubsetTotals& totals,
+                                             DataSize max_view_bytes) const {
   // Between two drop points the storage bill never falls as bytes grow,
   // so its minimum over the range sits at the range's start or at one
   // of the drop points inside it. The time totals are the same at every
@@ -345,19 +346,17 @@ Result<Money> SelectionEvaluator::FastTotalCostFloor(
   if (drop == storage_drops_.end() || *drop > max_view_bytes.bytes()) {
     return FastTotalCost(totals);
   }
-  CV_ASSIGN_OR_RETURN(Money floor, FastTotalCost(totals));
+  Money floor = FastTotalCost(totals);
   SubsetTotals at = totals;
   for (; drop != storage_drops_.end() && *drop <= max_view_bytes.bytes();
        ++drop) {
     at.view_bytes = DataSize::FromBytes(*drop);
-    CV_ASSIGN_OR_RETURN(Money cost, FastTotalCost(at));
-    floor = std::min(floor, cost);
+    floor = std::min(floor, FastTotalCost(at));
   }
   return floor;
 }
 
-Result<Money> SelectionEvaluator::FastTotalCost(
-    const SubsetState& state) const {
+Money SelectionEvaluator::FastTotalCost(const SubsetState& state) const {
   CV_CHECK(&state.evaluator() == this) << "state built on another evaluator";
   return FastTotalCost(state.totals());
 }

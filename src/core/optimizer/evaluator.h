@@ -182,9 +182,11 @@ class SelectionEvaluator {
   /// no per-query rebuild. Matches Evaluate(...).cost.total() exactly:
   /// compute charges are functions of the three time totals, transfer is
   /// subset-independent (Section 4.1), and storage depends only on the
-  /// duplicated view bytes (memoized per distinct total).
-  Result<Money> FastTotalCost(const SubsetTotals& totals) const;
-  Result<Money> FastTotalCost(const SubsetState& state) const;
+  /// duplicated view bytes (memoized per distinct total). Cannot fail:
+  /// Create() and the clones already billed the baseline, which
+  /// validates everything a probe's totals can reach.
+  Money FastTotalCost(const SubsetTotals& totals) const;
+  Money FastTotalCost(const SubsetState& state) const;
 
   /// \brief A lower bound on FastTotalCost over every subset whose three
   /// time totals are at least `totals`' and whose duplicated bytes lie
@@ -194,8 +196,8 @@ class SelectionEvaluator {
   /// cheaper bracket, so the storage term is the bill's minimum over
   /// that byte range (DESIGN.md §13.2). Equals FastTotalCost(totals)
   /// when no such drop lies in the range.
-  Result<Money> FastTotalCostFloor(const SubsetTotals& totals,
-                                   DataSize max_view_bytes) const;
+  Money FastTotalCostFloor(const SubsetTotals& totals,
+                           DataSize max_view_bytes) const;
 
   /// \brief Transfer cost, constant across subsets (cached).
   Money transfer_cost() const { return baseline_.cost.transfer; }

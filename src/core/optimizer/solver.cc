@@ -156,7 +156,7 @@ SolverContext::Score SolverContext::ScenarioScore(Duration time,
   return {0, 0, 0};
 }
 
-Result<SolverContext::Probe> SolverContext::ProbeTotals(
+SolverContext::Probe SolverContext::ProbeTotals(
     const SubsetTotals& totals) {
   if (const EvaluationCache::Entry* entry = CachedEntry(totals.hash)) {
     ++counters_.cache_hits;
@@ -165,10 +165,10 @@ Result<SolverContext::Probe> SolverContext::ProbeTotals(
   return ProbeTotalsMiss(totals);
 }
 
-Result<SolverContext::Probe> SolverContext::ProbeTotalsMiss(
+SolverContext::Probe SolverContext::ProbeTotalsMiss(
     const SubsetTotals& totals) {
   ++counters_.incremental_probes;
-  CV_ASSIGN_OR_RETURN(Money cost, evaluator_->FastTotalCost(totals));
+  Money cost = evaluator_->FastTotalCost(totals);
   if (cache_ != nullptr && use_cache_) {
     cache_->Insert(totals.hash, {totals.processing, totals.makespan(),
                                  cost, totals.view_bytes});
@@ -177,13 +177,16 @@ Result<SolverContext::Probe> SolverContext::ProbeTotalsMiss(
                totals.makespan(), cost, totals.view_bytes};
 }
 
-Result<SolverContext::Probe> SolverContext::ProbeState(
-    const SubsetState& state) {
+SolverContext::Probe SolverContext::ProbeState(const SubsetState& state) {
   return ProbeTotals(state.totals());
 }
 
-Result<SolverContext::Probe> SolverContext::ProbeToggle(
-    const SubsetState& state, size_t c) {
+SolverContext::Score SolverContext::ScoreState(const SubsetState& state) {
+  return ScoreOf(ProbeState(state));
+}
+
+SolverContext::Probe SolverContext::ProbeToggle(const SubsetState& state,
+                                               size_t c) {
   // Hash-first: the toggled subset's memo key is one XOR away, so a
   // cache hit never pays the O(queries) peek.
   if (const EvaluationCache::Entry* entry =
@@ -194,9 +197,9 @@ Result<SolverContext::Probe> SolverContext::ProbeToggle(
   return ProbeTotalsMiss(state.PeekToggle(c));
 }
 
-Status SolverContext::ProbeToggleBatch(const SubsetState& state,
-                                       std::span<const size_t> candidates,
-                                       std::vector<Probe>& out) {
+void SolverContext::ProbeToggleBatch(const SubsetState& state,
+                                     std::span<const size_t> candidates,
+                                     std::vector<Probe>& out) {
   out.resize(candidates.size());
   // Split the batch by memo state: every hit resolves in one tight
   // pass, then each miss pays its O(queries) peek. Every candidate has
@@ -212,10 +215,8 @@ Status SolverContext::ProbeToggleBatch(const SubsetState& state,
     }
   }
   for (size_t i : scratch_miss_) {
-    CV_ASSIGN_OR_RETURN(out[i],
-                        ProbeTotalsMiss(state.PeekToggle(candidates[i])));
+    out[i] = ProbeTotalsMiss(state.PeekToggle(candidates[i]));
   }
-  return Status::OK();
 }
 
 Result<SubsetEvaluation> SolverContext::Evaluate(
@@ -224,10 +225,8 @@ Result<SubsetEvaluation> SolverContext::Evaluate(
   return evaluator_->Evaluate(selected);
 }
 
-Status SolverContext::HillClimb(SubsetState& state, bool with_swaps) {
-  Result<Score> current = ScoreState(state);
-  CV_RETURN_IF_ERROR(current.status());
-  Score current_score = current.value();
+void SolverContext::HillClimb(SubsetState& state, bool with_swaps) {
+  Score current_score = ScoreState(state);
 
   if (scratch_iota_.size() != num_candidates()) {
     scratch_iota_.resize(num_candidates());
@@ -238,7 +237,7 @@ Status SolverContext::HillClimb(SubsetState& state, bool with_swaps) {
   while (improved) {
     // Cancellation poll (DESIGN.md §14): stop improving, keep the state
     // where it stands — the caller finalizes the incumbent.
-    if (Cancelled()) return Status::OK();
+    if (Cancelled()) return;
     improved = false;
     Score best_score = current_score;
     size_t best_add = kNoMove;
@@ -247,8 +246,7 @@ Status SolverContext::HillClimb(SubsetState& state, bool with_swaps) {
     // Single add/remove moves, probed read-only in one batched pass.
     // Scanning the probes in ascending candidate order with a strict <
     // keeps the chosen move identical to the old one-at-a-time loop.
-    CV_RETURN_IF_ERROR(
-        ProbeToggleBatch(state, scratch_iota_, scratch_probes_));
+    ProbeToggleBatch(state, scratch_iota_, scratch_probes_);
     for (size_t c = 0; c < num_candidates(); ++c) {
       Score trial = ScoreOf(scratch_probes_[c]);
       if (trial < best_score) {
@@ -272,12 +270,7 @@ Status SolverContext::HillClimb(SubsetState& state, bool with_swaps) {
           if (in == out || state.contains(in)) continue;
           scratch_swap_ins_.push_back(in);
         }
-        Status batch =
-            ProbeToggleBatch(state, scratch_swap_ins_, scratch_probes_);
-        if (!batch.ok()) {
-          state.Add(out);
-          return batch;
-        }
+        ProbeToggleBatch(state, scratch_swap_ins_, scratch_probes_);
         for (size_t j = 0; j < scratch_swap_ins_.size(); ++j) {
           Score trial = ScoreOf(scratch_probes_[j]);
           if (trial < best_score) {
@@ -297,7 +290,6 @@ Status SolverContext::HillClimb(SubsetState& state, bool with_swaps) {
       current_score = best_score;
     }
   }
-  return Status::OK();
 }
 
 Result<SelectionResult> SolverContext::Finalize(

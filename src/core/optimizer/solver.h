@@ -110,14 +110,6 @@ class SolverContext {
     return spec_->cancel != nullptr && spec_->cancel->cancelled();
   }
 
-  /// \brief The token's reason once fired (kCancelled or
-  /// kDeadlineExceeded), OK otherwise — for callers that propagate the
-  /// cutoff as a Status instead of finalizing an incumbent.
-  Status CheckCancelled() const {
-    return spec_->cancel != nullptr ? spec_->cancel->status()
-                                    : Status::OK();
-  }
-
   // --- Objective helpers -----------------------------------------------
 
   /// \brief The scenario's time metric for a pair of time totals.
@@ -187,12 +179,10 @@ class SolverContext {
   // --- Evaluation paths ------------------------------------------------
 
   /// \brief Scores the state via memo -> incremental fast path. Bumps
-  /// the counters.
-  Result<Probe> ProbeState(const SubsetState& state);
-  Result<Score> ScoreState(const SubsetState& state) {
-    CV_ASSIGN_OR_RETURN(Probe probe, ProbeState(state));
-    return ScoreOf(probe);
-  }
+  /// the counters. Probes cannot fail: the evaluator validated the
+  /// deployment when it billed the baseline (DESIGN.md §5.12).
+  Probe ProbeState(const SubsetState& state);
+  Score ScoreState(const SubsetState& state);
 
   /// \brief Scores the subset `state` would become after Toggle(c),
   /// WITHOUT mutating it (SubsetState::PeekToggle) — the move-probing
@@ -200,7 +190,7 @@ class SolverContext {
   /// Hash-first: the toggled subset's memo key is one XOR away from
   /// state.hash(), so a cache hit costs O(1) and skips the O(queries)
   /// peek entirely.
-  Result<Probe> ProbeToggle(const SubsetState& state, size_t c);
+  Probe ProbeToggle(const SubsetState& state, size_t c);
 
   /// \brief ProbeToggle over many candidates — the neighborhood-scan
   /// primitive (DESIGN.md §11.2). One tight pass answers every memo hit
@@ -209,9 +199,9 @@ class SolverContext {
   /// local-search solves as fast as they are (EXPERIMENTS.md, "One
   /// probe path"). `out` is resized to candidates.size(); out[i] equals
   /// ProbeToggle(state, candidates[i]) bit-for-bit, counters included.
-  Status ProbeToggleBatch(const SubsetState& state,
-                          std::span<const size_t> candidates,
-                          std::vector<Probe>& out);
+  void ProbeToggleBatch(const SubsetState& state,
+                        std::span<const size_t> candidates,
+                        std::vector<Probe>& out);
 
   /// \brief Exact ground-truth evaluation (counted as a full eval).
   Result<SubsetEvaluation> Evaluate(const std::vector<size_t>& selected);
@@ -222,7 +212,7 @@ class SolverContext {
   /// add/remove moves (plus remove+add swap moves when `with_swaps`)
   /// until no move improves the score. The exact repair pass every
   /// heuristic runs after seeding.
-  Status HillClimb(SubsetState& state, bool with_swaps = false);
+  void HillClimb(SubsetState& state, bool with_swaps = false);
 
   /// \brief Exact re-evaluation of the final pick, packaged with
   /// feasibility, the time metric, and the normalized blend.
@@ -260,9 +250,9 @@ class SolverContext {
   bool ScenarioFeasible(Duration time, Money cost) const;
 
   /// Memo-or-compute for a peeked/committed totals bundle.
-  Result<Probe> ProbeTotals(const SubsetTotals& totals);
+  Probe ProbeTotals(const SubsetTotals& totals);
   /// The compute leg of ProbeTotals, after the memo already missed.
-  Result<Probe> ProbeTotalsMiss(const SubsetTotals& totals);
+  Probe ProbeTotalsMiss(const SubsetTotals& totals);
   /// Memo entry for `hash`, or nullptr (also when the cache is off).
   /// Does not bump counters — callers count the hit.
   const EvaluationCache::Entry* CachedEntry(uint64_t hash) const {

@@ -21,7 +21,7 @@ class GreedySolver : public Solver {
                                 SolverContext& context) const override {
     (void)spec;
     SubsetState state(context.evaluator());
-    CV_RETURN_IF_ERROR(context.HillClimb(state));
+    context.HillClimb(state);
     return context.Finalize(state);
   }
 };

@@ -34,15 +34,14 @@ class KnapsackDpSolver : public Solver {
         CV_ASSIGN_OR_RETURN(seed, SeedMV2(spec, context));
         break;
       }
-      case Scenario::kMV3Tradeoff: {
-        CV_ASSIGN_OR_RETURN(seed, SeedMV3(context));
+      case Scenario::kMV3Tradeoff:
+        seed = SeedMV3(context);
         break;
-      }
     }
 
     SubsetState state(context.evaluator());
     for (size_t c : seed) state.Add(c);
-    CV_RETURN_IF_ERROR(context.HillClimb(state));
+    context.HillClimb(state);
     return context.Finalize(state);
   }
 
@@ -109,15 +108,14 @@ class KnapsackDpSolver : public Solver {
 
   /// MV3 (additive seeding): every candidate whose standalone blend
   /// improves on the baseline; the climb repairs interactions.
-  static Result<std::vector<size_t>> SeedMV3(SolverContext& context) {
+  static std::vector<size_t> SeedMV3(SolverContext& context) {
     const SubsetEvaluation& base = context.evaluator().baseline();
     double base_objective = context.TradeoffObjective(base);
     std::vector<size_t> seed;
     SubsetState state(context.evaluator());
     for (size_t c = 0; c < context.num_candidates(); ++c) {
       state.AddUndoable(c);
-      CV_ASSIGN_OR_RETURN(SolverContext::Probe solo,
-                          context.ProbeState(state));
+      SolverContext::Probe solo = context.ProbeState(state);
       state.UndoAdd();
       if (context.TradeoffObjective(solo.time, solo.cost) <
           base_objective) {

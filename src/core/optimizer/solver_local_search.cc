@@ -37,9 +37,8 @@ class LocalSearchSolver : public Solver {
                                 SolverContext& context) const override {
     (void)spec;
     SubsetState state(context.evaluator());
-    CV_RETURN_IF_ERROR(context.HillClimb(state, /*with_swaps=*/true));
-    CV_ASSIGN_OR_RETURN(SolverContext::Score best_score,
-                        context.ScoreState(state));
+    context.HillClimb(state, /*with_swaps=*/true);
+    SolverContext::Score best_score = context.ScoreState(state);
     std::vector<size_t> best = state.Selected();
 
     Rng rng(kSeed);
@@ -51,9 +50,8 @@ class LocalSearchSolver : public Solver {
       for (int t = 0; t < kPerturbToggles; ++t) {
         trial.Toggle(static_cast<size_t>(rng.Uniform(n)));
       }
-      CV_RETURN_IF_ERROR(context.HillClimb(trial, /*with_swaps=*/true));
-      CV_ASSIGN_OR_RETURN(SolverContext::Score score,
-                          context.ScoreState(trial));
+      context.HillClimb(trial, /*with_swaps=*/true);
+      SolverContext::Score score = context.ScoreState(trial);
       if (score < best_score) {
         best_score = score;
         best = trial.Selected();

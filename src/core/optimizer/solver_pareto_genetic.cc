@@ -180,13 +180,12 @@ class ParetoGeneticSolver : public Solver {
     // Reset() + the genes' Adds instead of a fresh allocation per
     // individual.
     SubsetState state(context.evaluator());
-    auto evaluate = [&](Individual& ind) -> Status {
+    auto evaluate = [&](Individual& ind) {
       state.Reset();
       for (size_t c = 0; c < ind.genes.size(); ++c) {
         if (ind.genes[c]) state.Add(c);
       }
-      CV_ASSIGN_OR_RETURN(SolverContext::Probe probe,
-                          context.ProbeState(state));
+      SolverContext::Probe probe = context.ProbeState(state);
       ind.multi = context.MultiScoreOf(probe);
       ind.objectives = {ind.multi.monthly_cost.micros(),
                         ind.multi.time.millis(),
@@ -203,7 +202,6 @@ class ParetoGeneticSolver : public Solver {
         best_selected = ind.selected;
         have_best = true;
       }
-      return Status::OK();
     };
 
     if (n == 0) return context.Finalize(std::vector<size_t>{});
@@ -228,7 +226,7 @@ class ParetoGeneticSolver : public Solver {
       pop.push_back(std::move(ind));
     }
     RankScratch scratch;
-    for (Individual& ind : pop) CV_RETURN_IF_ERROR(evaluate(ind));
+    for (Individual& ind : pop) evaluate(ind);
     RankPopulation(pop, scratch);
 
     double mutation = 1.0 / static_cast<double>(n);
@@ -258,9 +256,7 @@ class ParetoGeneticSolver : public Solver {
         }
         offspring.push_back(std::move(child));
       }
-      for (Individual& ind : offspring) {
-        CV_RETURN_IF_ERROR(evaluate(ind));
-      }
+      for (Individual& ind : offspring) evaluate(ind);
 
       // (mu + lambda) environmental selection.
       for (Individual& ind : offspring) pop.push_back(std::move(ind));

@@ -234,7 +234,7 @@ Result<TemporalRunResult> TemporalPlanner::Walk(
         // closer to the carried selection. Ties prefer it — fewer
         // transitions at equal score.
         SubsetState climbed = state;
-        CV_RETURN_IF_ERROR(context.HillClimb(climbed));
+        context.HillClimb(climbed);
         CV_ASSIGN_OR_RETURN(SelectionResult warm,
                             context.Finalize(climbed));
         winner = context.ScoreOf(warm.evaluation) <=

@@ -152,7 +152,7 @@ TEST(ArchitectureProperty, FastPathMatchesExactUnderRandomArchitectures) {
         state.Toggle(rng.Uniform(evaluator.candidates().size()));
         SubsetEvaluation full =
             evaluator.Evaluate(state.Selected()).MoveValue();
-        ASSERT_EQ(evaluator.FastTotalCost(state).MoveValue(),
+        ASSERT_EQ(evaluator.FastTotalCost(state),
                   full.cost.total());
         // The architecture terms land in their own breakdown rows and
         // re-total exactly.

@@ -251,7 +251,7 @@ TEST(BranchAndBoundPropertyTest, LowerBoundNeverExceedsAnyCompletion) {
       for (size_t d = back; d < depth; ++d) decide(d);
       SCOPED_TRACE(StrFormat("sample=%d depth=%zu", sample, depth));
 
-      SolverContext::Probe bound = node.LowerBound(context).MoveValue();
+      SolverContext::Probe bound = node.LowerBound(context);
       // Never looser than the processing-only bound it replaces.
       EXPECT_GE(bound.makespan, node.relaxed().processing_time() +
                                     node.committed().materialization_time());
@@ -333,7 +333,7 @@ TEST(BranchAndBoundPropertyTest, LowerBoundSurvivesAFlatBracketDrop) {
         free_candidates.push_back(c);
       }
     }
-    SolverContext::Probe bound = node.LowerBound(context).MoveValue();
+    SolverContext::Probe bound = node.LowerBound(context);
     for (size_t c : free_candidates) {
       std::vector<size_t> subset = node.committed().Selected();
       subset.push_back(c);

@@ -157,26 +157,6 @@ TEST_F(CandidateGenTest, Validation) {
                                  cluster_, bad)
                   .status()
                   .IsInvalidArgument());
-  // Clustering knobs (DESIGN.md §13.5).
-  bad = CandidateGenOptions{};
-  bad.cluster_similarity = -0.1;
-  EXPECT_TRUE(GenerateCandidates(*lattice_, workload_, *simulator_,
-                                 cluster_, bad)
-                  .status()
-                  .IsInvalidArgument());
-  bad = CandidateGenOptions{};
-  bad.cluster_similarity = 1.5;
-  EXPECT_TRUE(GenerateCandidates(*lattice_, workload_, *simulator_,
-                                 cluster_, bad)
-                  .status()
-                  .IsInvalidArgument());
-  bad = CandidateGenOptions{};
-  bad.cluster_similarity = 0.5;
-  bad.cluster_size_ratio = 0.5;
-  EXPECT_TRUE(GenerateCandidates(*lattice_, workload_, *simulator_,
-                                 cluster_, bad)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 // --- Ranking is a total order; truncation is a deterministic prefix ---------
@@ -218,78 +198,6 @@ TEST_F(CandidateGenTest, TruncationKeepsADeterministicPrefix) {
       EXPECT_EQ(again[i].size.bytes(), full[i].size.bytes());
     }
   }
-}
-
-// --- Near-duplicate clustering (DESIGN.md §13.5) ----------------------------
-
-TEST_F(CandidateGenTest, ClusteringSelectsRepresentativesInRankOrder) {
-  CandidateGenOptions plain;
-  plain.max_candidates = 1000;
-  auto unclustered = GenerateCandidates(*lattice_, workload_, *simulator_,
-                                        cluster_, plain)
-                         .MoveValue();
-
-  CandidateGenOptions clustered = plain;
-  clustered.cluster_similarity = 0.8;
-  clustered.cluster_size_ratio = 1e9;  // Similarity alone decides.
-  auto kept = GenerateCandidates(*lattice_, workload_, *simulator_,
-                                 cluster_, clustered)
-                  .MoveValue();
-
-  // Merging only ever shrinks the roster, and every representative is
-  // drawn from the unclustered ranking in its original order (the scan
-  // walks the total benefit order, so representatives are each
-  // cluster's best-benefit member).
-  ASSERT_FALSE(kept.empty());
-  EXPECT_LE(kept.size(), unclustered.size());
-  size_t cursor = 0;
-  for (const ViewCandidate& candidate : kept) {
-    while (cursor < unclustered.size() &&
-           !(unclustered[cursor].view == candidate.view)) {
-      ++cursor;
-    }
-    ASSERT_LT(cursor, unclustered.size())
-        << "clustered roster is not a subsequence of the ranking";
-    ++cursor;
-  }
-  // The top-ranked candidate always survives as its own representative.
-  EXPECT_EQ(kept.front().view, unclustered.front().view);
-
-  // Deterministic: the pass is a pure function of the ranking.
-  auto again = GenerateCandidates(*lattice_, workload_, *simulator_,
-                                  cluster_, clustered)
-                   .MoveValue();
-  ASSERT_EQ(again.size(), kept.size());
-  for (size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(again[i].view, kept[i].view);
-  }
-}
-
-TEST_F(CandidateGenTest, ExactSimilarityMergesOnlyIdenticalCoverage) {
-  // similarity 1.0: |A∩B| >= |A∪B| holds only for identical coverage
-  // sets, so loosening to 0.8 can only merge more.
-  CandidateGenOptions exact;
-  exact.max_candidates = 1000;
-  exact.cluster_similarity = 1.0;
-  exact.cluster_size_ratio = 1e9;
-  auto strict = GenerateCandidates(*lattice_, workload_, *simulator_,
-                                   cluster_, exact)
-                    .MoveValue();
-  CandidateGenOptions loose = exact;
-  loose.cluster_similarity = 0.8;
-  auto merged = GenerateCandidates(*lattice_, workload_, *simulator_,
-                                   cluster_, loose)
-                    .MoveValue();
-  EXPECT_LE(merged.size(), strict.size());
-
-  // A size-ratio of 1 additionally requires (near-)equal sizes, which
-  // can only keep more candidates distinct.
-  CandidateGenOptions tight = loose;
-  tight.cluster_size_ratio = 1.0;
-  auto ratio_bound = GenerateCandidates(*lattice_, workload_, *simulator_,
-                                        cluster_, tight)
-                         .MoveValue();
-  EXPECT_GE(ratio_bound.size(), merged.size());
 }
 
 }  // namespace

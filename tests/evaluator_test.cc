@@ -164,6 +164,59 @@ TEST_F(EvaluatorTest, EmptyWorkloadRejected) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
+// --- The preconditions that make FastTotalCost infallible -------------------
+//
+// FastTotalCost returns a plain Money and only CV_DCHECKs the two storage
+// cases StorageTimeline::Intervals() rejects. That is sound because no
+// evaluator exists whose baseline failed to bill: these pin the rejections.
+
+TEST_F(EvaluatorTest, CreateRejectsANegativeStoragePeriod) {
+  DeploymentSpec deployment = deployment_;
+  deployment.storage_period = Months::FromMilli(-1);
+  auto result = SelectionEvaluator::Create(
+      *lattice_, workload_, *simulator_, cluster_, *cost_model_,
+      deployment, candidates_);
+  EXPECT_TRUE(result.status().IsInvalidArgument());
+}
+
+TEST_F(EvaluatorTest, CreateRejectsABaseTimelineThatDipsBelowZero) {
+  DataSize dip = DataSize::Zero() - lattice_->fact_scan_size();
+  dip -= DataSize::FromBytes(1);
+  DeploymentSpec deployment = deployment_;
+  ASSERT_TRUE(deployment.base_storage.AddDelta(Months::FromMilli(1), dip).ok());
+  auto result = SelectionEvaluator::Create(
+      *lattice_, workload_, *simulator_, cluster_, *cost_model_,
+      deployment, candidates_);
+  EXPECT_TRUE(result.status().IsFailedPrecondition());
+
+  // The same dip at the period's end is outside the billed window, for
+  // the baseline and for every probe alike.
+  deployment = deployment_;
+  Months end = deployment.storage_period;
+  ASSERT_TRUE(deployment.base_storage.AddDelta(end, dip).ok());
+  auto at_end = SelectionEvaluator::Create(
+      *lattice_, workload_, *simulator_, cluster_, *cost_model_,
+      deployment, candidates_);
+  EXPECT_TRUE(at_end.ok());
+}
+
+TEST_F(EvaluatorTest, CloneWithArchitectureRejectsASingleSessionFleet) {
+  DeploymentSpec deployment = deployment_;
+  deployment.single_compute_session = true;
+  auto single = SelectionEvaluator::Create(
+      *lattice_, workload_, *simulator_, cluster_, *cost_model_,
+      deployment, candidates_);
+  ASSERT_TRUE(single.ok());
+  ArchitectureModel replicated;
+  replicated.name = "replicated";
+  replicated.storage_num = 2;
+  ASSERT_FALSE(replicated.is_identity());
+  auto replicated_clone = single.value().CloneWithArchitecture(replicated);
+  EXPECT_TRUE(replicated_clone.status().IsInvalidArgument());
+  // The identity architecture is still one rental session.
+  EXPECT_TRUE(single.value().CloneWithArchitecture(ArchitectureModel{}).ok());
+}
+
 TEST_F(EvaluatorTest, CloneMatchesOriginalBitForBit) {
   // With nothing sunk, a variant is a plain copy: it shares the
   // immutable timing tables and reproduces every evaluation exactly,
@@ -188,7 +241,7 @@ TEST_F(EvaluatorTest, CloneMatchesOriginalBitForBit) {
   // on; states built on the clone probe the clone's memo.
   SubsetState state(clone);
   for (size_t c : subset) state.Add(c);
-  EXPECT_EQ(clone.FastTotalCost(state).value().micros(),
+  EXPECT_EQ(clone.FastTotalCost(state).micros(),
             original.cost.total().micros());
 }
 

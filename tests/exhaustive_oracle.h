@@ -43,16 +43,14 @@ inline Result<SelectionResult> ExhaustiveSolve(
   }
   SolverContext context(evaluator, spec);
   SubsetState state(evaluator);
-  CV_ASSIGN_OR_RETURN(SolverContext::Score best_score,
-                      context.ScoreState(state));
+  SolverContext::Score best_score = context.ScoreState(state);
   std::vector<size_t> best = state.Selected();
 
   // Gray-code walk: subset i is mask i ^ (i >> 1); stepping from i-1
   // to i toggles exactly bit ctz(i).
   for (uint64_t i = 1; i < (uint64_t{1} << n); ++i) {
     state.Toggle(static_cast<size_t>(__builtin_ctzll(i)));
-    CV_ASSIGN_OR_RETURN(SolverContext::Score score,
-                        context.ScoreState(state));
+    SolverContext::Score score = context.ScoreState(state);
     if (score > best_score) continue;
     if (score < best_score) {
       best_score = score;

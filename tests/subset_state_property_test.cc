@@ -124,7 +124,7 @@ class SubsetStatePropertyTest
     EXPECT_EQ(state.maintenance_time(),
               full.view_input.TotalMaintenanceTime());
     EXPECT_EQ(state.view_bytes(), full.view_input.TotalSize());
-    EXPECT_EQ(evaluator_->FastTotalCost(state).MoveValue(),
+    EXPECT_EQ(evaluator_->FastTotalCost(state),
               full.cost.total());
   }
 
@@ -144,7 +144,7 @@ TEST_P(SubsetStatePropertyTest, EmptyStateMatchesBaseline) {
   EXPECT_EQ(state.processing_time(),
             evaluator_->baseline().processing_time);
   EXPECT_EQ(state.makespan(), evaluator_->baseline().makespan);
-  EXPECT_EQ(evaluator_->FastTotalCost(state).MoveValue(),
+  EXPECT_EQ(evaluator_->FastTotalCost(state),
             evaluator_->baseline().cost.total());
 }
 
@@ -180,8 +180,8 @@ TEST_P(SubsetStatePropertyTest, PeekToggleMatchesCommittedToggle) {
                 committed.materialization_time());
       EXPECT_EQ(peeked.maintenance, committed.maintenance_time());
       EXPECT_EQ(peeked.view_bytes, committed.view_bytes());
-      EXPECT_EQ(evaluator_->FastTotalCost(peeked).MoveValue(),
-                evaluator_->FastTotalCost(committed).MoveValue());
+      EXPECT_EQ(evaluator_->FastTotalCost(peeked),
+                evaluator_->FastTotalCost(committed));
     }
   }
 }
@@ -207,14 +207,11 @@ TEST_P(SubsetStatePropertyTest, ContextProbeBatchMatchesSequential) {
   std::vector<SolverContext::Probe> probes;
   for (int move = 0; move < 25; ++move) {
     state.Toggle(static_cast<size_t>(rng.Uniform(n)));
-    ASSERT_TRUE(batched.ProbeToggleBatch(state, candidates, probes).ok());
+    batched.ProbeToggleBatch(state, candidates, probes);
     std::vector<SolverContext::Probe> no_cache_probes;
-    ASSERT_TRUE(
-        uncached.ProbeToggleBatch(state, candidates, no_cache_probes)
-            .ok());
+    uncached.ProbeToggleBatch(state, candidates, no_cache_probes);
     for (size_t c = 0; c < n; ++c) {
-      SolverContext::Probe one =
-          sequential.ProbeToggle(state, c).MoveValue();
+      SolverContext::Probe one = sequential.ProbeToggle(state, c);
       EXPECT_EQ(probes[c].time, one.time);
       EXPECT_EQ(probes[c].cost, one.cost);
       EXPECT_EQ(probes[c].makespan, one.makespan);
@@ -355,16 +352,15 @@ TEST_P(SubsetStatePropertyTest, ContextProbeMatchesExactPath) {
   for (int move = 0; move < 40; ++move) {
     SCOPED_TRACE(StrFormat("move %d", move));
     size_t flip = static_cast<size_t>(rng.Uniform(n));
-    SolverContext::Probe peek = cached.ProbeToggle(state, flip).MoveValue();
-    SolverContext::Probe peek_uncached =
-        uncached.ProbeToggle(state, flip).MoveValue();
+    SolverContext::Probe peek = cached.ProbeToggle(state, flip);
+    SolverContext::Probe peek_uncached = uncached.ProbeToggle(state, flip);
     state.Toggle(flip);
     SolverContext::Probe exact = cached.ProbeOf(
         evaluator_->Evaluate(state.Selected()).MoveValue());
     expect_same(peek, exact);
     expect_same(peek_uncached, exact);
-    expect_same(cached.ProbeState(state).MoveValue(), exact);
-    expect_same(uncached.ProbeState(state).MoveValue(), exact);
+    expect_same(cached.ProbeState(state), exact);
+    expect_same(uncached.ProbeState(state), exact);
   }
   // Neither context evaluated exactly: the uncached one took the
   // incremental path for every probe (one toggle plus one state probe

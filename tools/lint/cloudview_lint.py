@@ -19,10 +19,12 @@ comments (DESIGN.md SS12):
       declared double/float in the same file, or known double-returning
       calls). Money compares exactly; doubles compare by epsilon or
       sign tests.
-  H1  no new / malloc / std::map / std::function in the probe hot path:
-      eval_kernels.* in full, plus the SubsetState /
-      SelectionEvaluator::FastTotalCost|ComputeBill /
-      SolverContext::Probe*|HillClimb method bodies (DESIGN.md SS11).
+  H1  no new / malloc / std::map / std::function, and no Result / Status
+      (probes cannot fail), in the probe hot path: the SubsetState /
+      SelectionEvaluator::FastTotalCost|FastTotalCostFloor|ComputeBill /
+      SolverContext::Probe*|HillClimb|ScoreState /
+      SearchNode::LowerBound definitions, signature and body
+      (DESIGN.md SS11, SS12.2).
   S1  every `mutable` member must document its synchronization: either
       a CLOUDVIEW_GUARDED_BY annotation or a `thread-compat:` comment
       tag within the preceding lines (memoizing const methods are safe
@@ -56,7 +58,8 @@ RULES = {
     "D1": "nondeterministic seed source outside common/random.*",
     "D2": "unordered container in a determinism-critical file",
     "D3": "floating-point ==/!= comparison",
-    "H1": "allocation or node container in the probe hot path",
+    "H1": "allocation, node container or error plumbing in the probe "
+          "hot path",
     "S1": "mutable member without a synchronization contract",
 }
 
@@ -73,14 +76,14 @@ D2_FILE_PATTERNS = [
     r"^timeline\.(h|cc)$",
 ]
 
-# Rule H1 file scope: the kernels in full...
-H1_FILE_PATTERNS = [r"^eval_kernels\.(h|cc)$"]
-# ...plus these method bodies wherever they are defined (DESIGN.md SS11
-# hot path: the incremental probe layer and the monetary fast path).
+# Rule H1 scope: these method definitions wherever they are defined
+# (DESIGN.md SS11 hot path: the incremental probe layer, the monetary
+# fast path and the branch-and-bound node bound).
 H1_METHOD_RE = re.compile(
     r"\b(?:SubsetState::\w+"
-    r"|SelectionEvaluator::(?:FastTotalCost|ComputeBill)"
-    r"|SolverContext::(?:Probe\w*|HillClimb|ScoreState))"
+    r"|SelectionEvaluator::(?:FastTotalCost(?:Floor)?|ComputeBill)"
+    r"|SolverContext::(?:Probe\w*|HillClimb|ScoreState)"
+    r"|SearchNode::LowerBound)"
     r"\s*\("
 )
 
@@ -101,6 +104,7 @@ D2_TOKEN_RE = re.compile(r"std::unordered_(?:map|set|multimap|multiset)\b")
 H1_TOKEN_RE = re.compile(
     r"\bnew\b|\bmalloc\s*\(|\bcalloc\s*\(|std::map\b|std::multimap\b"
     r"|std::function\b"
+    r"|\bResult\s*<|\bStatus\b|\bCV_ASSIGN_OR_RETURN\b|\bCV_RETURN_IF_ERROR\b"
 )
 
 FLOAT_LITERAL = r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fF]?"
@@ -254,11 +258,17 @@ def matches_any(basename, patterns):
 
 
 def method_body_lines(code_lines, method_re):
-    """Line numbers (1-based) inside bodies of methods matching
-    method_re, via brace matching over comment-stripped code."""
+    """Line numbers (1-based) of the definitions of methods matching
+    method_re -- the signature (return type included, also when it sits
+    alone on the line above the name) through the closing brace -- via
+    brace matching over comment-stripped code."""
     text = "\n".join(code_lines)
     hot = set()
     for m in method_re.finditer(text):
+        line_start = text.rfind("\n", 0, m.start()) + 1
+        sig_line = text.count("\n", 0, m.start()) + 1
+        if not text[line_start:m.start()].strip() and sig_line > 1:
+            sig_line -= 1
         # Find the opening brace of the definition (skip declarations:
         # a ';' before '{' means no body here).
         i = m.end() - 1
@@ -288,9 +298,8 @@ def method_body_lines(code_lines, method_re):
                 if depth == 0:
                     break
             j += 1
-        start_line = text.count("\n", 0, body_start) + 1
         end_line = text.count("\n", 0, j) + 1
-        hot.update(range(start_line, end_line + 1))
+        hot.update(range(sig_line, end_line + 1))
     return hot
 
 
@@ -399,10 +408,7 @@ def lint_file(path, libclang_mode="auto", basename_override=None):
                 break  # one finding per line
 
     # --- H1 ---------------------------------------------------------
-    if matches_any(basename, H1_FILE_PATTERNS):
-        h1_lines = set(range(1, len(code_lines) + 1))
-    else:
-        h1_lines = method_body_lines(code_lines, H1_METHOD_RE)
+    h1_lines = method_body_lines(code_lines, H1_METHOD_RE)
     for idx in sorted(h1_lines):
         if idx > len(code_lines):
             continue
@@ -410,10 +416,11 @@ def lint_file(path, libclang_mode="auto", basename_override=None):
         m = H1_TOKEN_RE.search(line)
         if m:
             report(idx, "H1",
-                   "'%s' in the probe hot path — the probe kernels and "
-                   "SubsetState/FastTotalCost must stay allocation-free "
-                   "(DESIGN.md SS11); use flat scratch buffers"
-                   % m.group(0).strip())
+                   "'%s' in the probe hot path — SubsetState, "
+                   "FastTotalCost and the SolverContext probes must stay "
+                   "allocation-free and infallible (DESIGN.md SS11, "
+                   "SS12.2); use flat scratch buffers and return plain "
+                   "values" % m.group(0).strip())
 
     # --- S1 ---------------------------------------------------------
     for idx, line in enumerate(code_lines):
@@ -471,7 +478,7 @@ def run_self_test(libclang_mode):
     """Every <rule>_violation fixture must fire its rule; every
     <rule>_clean fixture must be silent. Fixture naming:
     <rule>_<violation|clean>__<effective-basename>.fixture — the part
-    after '__' is the basename the file-scoped rules (D2, H1, D1's
+    after '__' is the basename the file-scoped rules (D2, D1's
     exemption) see, so fixtures can impersonate in-scope files without
     colliding with the formatter (nothing here ends in .cc).
     Regression-tests the linter itself (ctest: cloudview_lint_selftest).
