@@ -105,12 +105,13 @@ struct Measured {
   SelectionResult result;
   double wall_ms_per_solve = 0.0;
   double subsets_per_sec = 0.0;
-  /// Probes one fresh-cache solve evaluated: full evaluations plus
-  /// incremental probes, summed over every architecture.
+  /// Probes one solve evaluated: full evaluations plus incremental
+  /// probes, summed over every architecture.
   uint64_t evaluations = 0;
 };
 
-// Times repeated fresh joint solves (fresh memo per repetition).
+// Times repeated joint solves. The per-architecture solves run
+// uncached, so every repetition does the same work.
 Measured MeasureJoint(const Instance& inst, const ObjectiveSpec& spec) {
   const Solver& sweep = *Unwrap(
       SolverRegistry::Global().Find("arch-sweep"), "arch-sweep");
@@ -119,8 +120,7 @@ Measured MeasureJoint(const Instance& inst, const ObjectiveSpec& spec) {
   int reps = 0;
   auto start = std::chrono::steady_clock::now();
   do {
-    EvaluationCache cache;
-    SolverContext context(*inst.evaluator, spec, &cache);
+    SolverContext context(*inst.evaluator, spec);
     out.result = Unwrap(sweep.Solve(spec, context), "solve");
     scored += context.counters().subsets_scored();
     out.evaluations = context.counters().full_evaluations +

@@ -204,10 +204,8 @@ Result<SolveRun> CloudScenario::SolveImpl(const Workload& workload,
                         warm->fingerprint == fingerprint;
 
   std::shared_ptr<const SelectionEvaluator> evaluator;
-  std::shared_ptr<EvaluationCache> cache;
   if (warm_hit) {
     evaluator = warm->evaluator;
-    cache = warm->cache;
     ++warm->warm_hits;
   } else {
     CV_ASSIGN_OR_RETURN(DeploymentSpec deployment,
@@ -223,24 +221,28 @@ Result<SolveRun> CloudScenario::SolveImpl(const Workload& workload,
                                    std::move(candidates)));
     evaluator =
         std::make_shared<const SelectionEvaluator>(std::move(built));
-    cache = std::make_shared<EvaluationCache>();
     if (warm_eligible) {
       warm->evaluator = evaluator;
-      warm->cache = cache;
+      warm->cache = std::make_shared<EvaluationCache>();
       warm->fingerprint = fingerprint;
       warm->warm_hits = 0;
     }
   }
 
-  ViewSelector selector(*evaluator, cache.get());
+  // The session slot's cache is the only memo shared between solves; a
+  // one-shot solve runs uncached (DESIGN.md §9.3 rule 4).
+  EvaluationCache* cache = warm_eligible ? warm->cache.get() : nullptr;
+  ViewSelector selector(*evaluator, cache);
   CV_ASSIGN_OR_RETURN(SelectionResult selection,
                       selector.Solve(spec, solver));
   if (meta != nullptr) {
     meta->warm = warm_hit;
-    EvaluationCache::AggregateCounts counts = cache->aggregate();
-    meta->cache_lookups = counts.lookups;
-    meta->cache_hits = counts.hits;
-    meta->cache_evictions = counts.evictions;
+    if (cache != nullptr) {
+      EvaluationCache::AggregateCounts counts = cache->aggregate();
+      meta->cache_lookups = counts.lookups;
+      meta->cache_hits = counts.hits;
+      meta->cache_evictions = counts.evictions;
+    }
   }
   SolveRun run;
   run.selection = std::move(selection);
@@ -341,22 +343,18 @@ Result<AdvisorResponse> CloudScenario::Dispatch(
     }
     case AdvisorRequestKind::kCompareProviders: {
       // One row per registered sheet, in name order: each rebuilds its
-      // own deployment (scenario, evaluator, selector) from scratch. The
-      // reply's cache counts are the sums over the rows' caches.
+      // own deployment (scenario, evaluator, selector) from scratch and
+      // solves uncached, so the reply's cache counts stay 0.
       for (const std::string& name : ProviderRegistry::Global().Names()) {
         ProviderComparisonRow& row = response.providers.emplace_back();
         row.provider = name;
         CV_ASSIGN_OR_RETURN(
             CloudScenario scenario,
             ForProvider(name, &row.instance, &row.granularity));
-        ResponseMeta row_meta;
         CV_ASSIGN_OR_RETURN(row.run,
                             scenario.SolveImpl(workload, request.objective,
                                                solver, nullptr, nullptr,
-                                               &row_meta));
-        response.meta.cache_lookups += row_meta.cache_lookups;
-        response.meta.cache_hits += row_meta.cache_hits;
-        response.meta.cache_evictions += row_meta.cache_evictions;
+                                               nullptr));
       }
       break;
     }

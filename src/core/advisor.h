@@ -146,11 +146,12 @@ struct ResponseMeta {
   std::string solver;
   /// Wall-clock time spent inside Dispatch.
   int64_t wall_ms = 0;
-  /// EvaluationCache counters summed over every cache the request
-  /// probed: the solve's cache, including the probes of arch-sweep's
-  /// per-architecture caches (EvaluationCache::aggregate), or each
-  /// compare-providers row's own cache. A warm session's cache is
-  /// cumulative across the session's requests.
+  /// Counters of the session cache the request probed
+  /// (EvaluationCache::aggregate), cumulative across the session's
+  /// requests; 0 when it probed none (a sessionless or
+  /// `cluster_override` solve, compare-providers, the timeline kinds).
+  /// arch-sweep's per-architecture solves run uncached, so a solve-joint
+  /// request leaves the counters where the session had them.
   uint64_t cache_lookups = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_evictions = 0;

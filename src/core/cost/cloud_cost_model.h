@@ -81,26 +81,26 @@ class CloudCostModel {
                                       const ViewSetCostInput& views,
                                       const DeploymentSpec& spec) const;
 
-  /// \brief Lowers an identity-architecture bill onto `arch`
-  /// (DESIGN.md §15.2): compute scales by the fleet rate, builds and
-  /// maintenance by the fan-out, the interruption expectation re-runs
-  /// that build-and-maintain work, storage scales by the replica ratio,
-  /// and `replicated_write_bytes` pay inter-AZ egress once per crossing.
-  /// The one architecture bill: both Cost* methods and the temporal
-  /// ledger call it, each with its own written bytes; a no-op under
-  /// the identity architecture. SelectionEvaluator::FastTotalCost folds
-  /// the same ScaleBy chains into its memoized bills — keep the two in
-  /// lockstep, the property suite pins their bit-equality.
-  void ApplyArchitecture(const ArchitectureModel& arch,
-                         DataSize replicated_write_bytes,
-                         CostBreakdown& breakdown) const;
-
   const TransferCostModel& transfer() const { return transfer_; }
   const ComputeCostModel& compute() const { return compute_; }
   const StorageCostModel& storage() const { return storage_; }
   const PricingModel& pricing() const { return *pricing_; }
 
  private:
+  /// Lowers an identity-architecture bill onto `arch` (DESIGN.md
+  /// §15.2): compute scales by the fleet rate, builds and maintenance
+  /// by the fan-out, the interruption expectation re-runs that
+  /// build-and-maintain work, storage scales by the replica ratio, and
+  /// `replicated_write_bytes` pay inter-AZ egress once per crossing.
+  /// The one architecture bill both Cost* methods call, each with its
+  /// own written bytes; a no-op under the identity architecture.
+  /// SelectionEvaluator::FastTotalCost folds the same ScaleBy chains
+  /// into its memoized bills — keep the two in lockstep, the property
+  /// suite pins their bit-equality.
+  void ApplyArchitecture(const ArchitectureModel& arch,
+                         DataSize replicated_write_bytes,
+                         CostBreakdown& breakdown) const;
+
   const PricingModel* pricing_;
   TransferCostModel transfer_;
   ComputeCostModel compute_;

@@ -532,10 +532,10 @@ class SubsetState {
 ///
 /// Stores only what the objectives score on — the two time metrics, the
 /// monetary total, and the view bytes — so repeated probes of the same
-/// subset (local
-/// search re-visiting a neighborhood, annealing re-proposing a toggle,
-/// different solvers probing the same region) skip even the fast
-/// incremental cost path. Shared by every solver run on one selector.
+/// subset (a serving session's requests probing the same region,
+/// annealing re-proposing a toggle) skip even the fast incremental cost
+/// path. Shared by every solve on one serving session's warm slot; a
+/// one-shot solve runs without one.
 ///
 /// Implementation: open-addressing with linear probing over a flat
 /// power-of-two slot array. Keys are Zobrist hashes (already avalanche
@@ -545,7 +545,7 @@ class SubsetState {
 ///
 /// Entries are keyed by the 64-bit hash alone — a colliding subset
 /// would silently read another subset's entry. The accepted tradeoff:
-/// at the millions-of-entries scale a selector can accumulate, the
+/// at the millions-of-entries scale a session can accumulate, the
 /// collision probability is ~n^2/2^65 (< 1e-6), and final results are
 /// immune because Finalize() re-scores through exact Evaluate().
 ///
@@ -582,27 +582,15 @@ class EvaluationCache {
   /// degradation is visible in telemetry instead of silent.
   static constexpr size_t kDefaultMaxEntries = size_t{1} << 20;
 
-  /// Starts small and doubles on load: solvers build one cache per run
-  /// (and arch-sweep one per architecture), so the initial footprint
-  /// is per-solve setup cost on the hot path — a 2^12-slot start cost
-  /// ~200KB of zeroing per solve, which dominated the short gate-row
-  /// solves (greedy, knapsack-dp) and every arch-sweep inner solve. 2^8
-  /// keeps that setup at ~8KB while skipping the first two growth
-  /// rehashes of the annealing/local-search runs (a few thousand
-  /// distinct subsets each).
+  /// Starts small and doubles on load: besides each serving session's
+  /// one cache, annealing and pareto-sweep build a solve-local memo
+  /// when their caller has none, so the initial footprint is per-solve
+  /// setup cost — a 2^12-slot start cost ~200KB of zeroing per solve.
+  /// 2^8 keeps that setup at ~8KB while skipping the first two growth
+  /// rehashes of an annealing run (a few thousand distinct subsets).
   explicit EvaluationCache(size_t max_entries = kDefaultMaxEntries)
       : max_entries_(max_entries > 0 ? max_entries : 1) {
     Rehash(1 << 8);
-  }
-
-  /// \brief Adds `other`'s lookup, hit and eviction counts to this
-  /// cache's own — how a solver that probes on a private cache (the
-  /// "arch-sweep"'s per-architecture solves) reports those probes to
-  /// the caller's cache. Entries are not copied.
-  void AddCounts(const EvaluationCache& other) {
-    lookups_ += other.lookups_;
-    hits_ += other.hits_;
-    evictions_ += other.evictions_;
   }
 
   /// \brief The counts as one value (what a session reports as

@@ -26,12 +26,7 @@ Result<SelectionResult> ViewSelector::Solve(const ObjectiveSpec& spec,
   }
   CV_ASSIGN_OR_RETURN(const Solver* strategy,
                       SolverRegistry::Global().Find(solver));
-  EvaluationCache* cache = external_cache_;
-  if (cache == nullptr) {
-    if (!own_cache_.has_value()) own_cache_.emplace();
-    cache = &*own_cache_;
-  }
-  SolverContext context(*evaluator_, spec, cache);
+  SolverContext context(*evaluator_, spec, cache_);
   CV_ASSIGN_OR_RETURN(SelectionResult result,
                       strategy->Solve(spec, context));
   result.solver = std::string(solver);

@@ -10,9 +10,9 @@
 // score over subsets of Vcand. How the subset space is *searched* is a
 // pluggable strategy: ViewSelector looks the solver up by name in the
 // SolverRegistry (see solver.h) and runs it against a SolverContext that
-// carries the scenario scoring plus the shared evaluation memo. The
-// built-in single-objective strategies are "knapsack-dp" (the paper's
-// DP + exact repair), "greedy", "annealing", "local-search" and
+// carries the scenario scoring plus the caller's evaluation memo, if
+// any. The built-in single-objective strategies are "knapsack-dp" (the
+// paper's DP + exact repair), "greedy", "annealing", "local-search" and
 // "branch-and-bound" (exact; DESIGN.md §13).
 //
 // MV3 mixes hours with dollars; we evaluate the blend on
@@ -21,7 +21,6 @@
 
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -153,51 +152,38 @@ struct SelectionResult {
 /// \brief Solves the three scenarios against a SelectionEvaluator by
 /// dispatching to a registered solver strategy.
 ///
-/// Concurrency contract (DESIGN.md §9): one selector per task. Solve()
-/// is const but memoizing — subset evaluations accumulate in the
-/// selector's EvaluationCache across calls — so two threads must not
-/// share one selector (or its evaluator). The "arch-sweep" solver
-/// scores each architecture on its own SolverContext + EvaluationCache
-/// over a SelectionEvaluator::CloneWithArchitecture(), which shares
-/// only the immutable timing tables. Memoization never changes results,
-/// only speed.
+/// Concurrency contract (DESIGN.md §9): one selector per task. The
+/// selector holds no state of its own; Solve() memoizes only into the
+/// cache it was given, so two threads must not share that cache (or
+/// the evaluator). The "arch-sweep" solver scores each architecture on
+/// its own uncached SolverContext over a
+/// SelectionEvaluator::CloneWithArchitecture(), which shares only the
+/// immutable timing tables. Memoization never changes results, only
+/// speed.
 class ViewSelector {
  public:
   /// \brief Keeps a reference; `evaluator` must outlive the selector.
-  /// `external_cache` (optional) replaces the selector's own memo, which
-  /// is then never built — the serving layer's cross-request warm-start
-  /// seam: a session hands the same cache to every solve on a workload,
-  /// so repeat tenants hit entries earlier requests paid for (DESIGN.md
-  /// §14). The cache must outlive the selector and obeys the same
+  /// `cache` (optional) is the memo every Solve() probes — the serving
+  /// layer's cross-request warm-start seam: a session hands the same
+  /// cache to every solve on a workload, so repeat tenants hit entries
+  /// earlier requests paid for (DESIGN.md §14). Without one, solves run
+  /// uncached (annealing and pareto-sweep keep a solve-local memo). The
+  /// cache must outlive the selector and obeys the same
   /// one-task-at-a-time contract as the selector itself.
   explicit ViewSelector(const SelectionEvaluator& evaluator,
-                        EvaluationCache* external_cache = nullptr)
-      : evaluator_(&evaluator), external_cache_(external_cache) {}
+                        EvaluationCache* cache = nullptr)
+      : evaluator_(&evaluator), cache_(cache) {}
 
   /// \brief Runs the scenario with the named solver (see
   /// SolverRegistry::Names() for what is available). NotFound for an
-  /// unregistered name. Evaluations are memoized across calls on the
-  /// same selector, so sweeping specs or comparing solvers is cheap.
+  /// unregistered name.
   Result<SelectionResult> Solve(
       const ObjectiveSpec& spec,
       std::string_view solver = kDefaultSolverName) const;
 
-  /// \brief The memo Solve() probes: the external cache when one was
-  /// passed, else the selector's own — nullptr until the first Solve()
-  /// builds it.
-  const EvaluationCache* cache() const {
-    if (external_cache_ != nullptr) return external_cache_;
-    return own_cache_.has_value() ? &*own_cache_ : nullptr;
-  }
-
  private:
   const SelectionEvaluator* evaluator_;
-  EvaluationCache* external_cache_ = nullptr;
-  /// Subset evaluations are spec-independent; share them across runs.
-  /// Built on the first Solve() without an external cache.
-  /// thread-compat: unsynchronized memo — one selector per thread
-  /// (DESIGN.md §9.2).
-  mutable std::optional<EvaluationCache> own_cache_;
+  EvaluationCache* cache_ = nullptr;
 };
 
 }  // namespace cloudview

@@ -14,10 +14,12 @@
 // lower against the deployment's sheet/instance (e.g. a reserved plan
 // on a sheet without reserved rates) are skipped up front. Each
 // architecture solves on its own SelectionEvaluator::CloneWithArchitecture
-// (the timing tables are shared, the bills differ) with a fresh
-// EvaluationCache, whose counts are folded into the caller's cache so
-// session telemetry sees every probe. The winner and the frontier are a
-// pure function of the roster order (pinned by
+// (the timing tables are shared, the bills differ) on a context with
+// no cache: a cache keyed by subset alone cannot serve two bills, and
+// one inner solve revisits too few subsets to repay its own (an
+// annealing inner solve still builds its solve-local memo). The
+// caller's cache sees no inner probe. The winner and the frontier are
+// a pure function of the roster order (pinned by
 // architecture_property_test).
 
 #include <string>
@@ -91,13 +93,9 @@ class ArchSweepSolver : public Solver {
     for (const auto& [arch_name, model] : lowered) {
       CV_ASSIGN_OR_RETURN(SelectionEvaluator evaluator,
                           shared.CloneWithArchitecture(model));
-      EvaluationCache cache;
-      SolverContext local(evaluator, spec, &cache);
-      Result<SelectionResult> solved = inner->Solve(spec, local);
-      if (context.cache() != nullptr) context.cache()->AddCounts(cache);
-      CV_RETURN_IF_ERROR(solved.status());
+      SolverContext local(evaluator, spec);
+      CV_ASSIGN_OR_RETURN(SelectionResult result, inner->Solve(spec, local));
       context.MergeCounters(local.counters());
-      SelectionResult result = std::move(solved).value();
 
       // The result is finalized by the local context: the parent bills
       // under the identity architecture and must never re-score another

@@ -14,9 +14,12 @@
 // Every feasible individual ever evaluated is offered to a ParetoFront
 // archive in evaluation order; the archive is the returned frontier and
 // the best archived subset under the caller's lexicographic score is
-// the returned selection. The walk is sequential by design — its probes
-// all hit the caller's context cache — as is the "pareto-sweep"
-// wrapper's pass over the single-objective solvers.
+// the returned selection. The walk is sequential by design, as is the
+// "pareto-sweep" wrapper's pass over the single-objective solvers. It
+// probes through the caller's context, memo or none: every individual
+// is built by SubsetState Adds before its probe, so a memo hit only
+// skips the cheap totals-to-score step and a solve-local memo does not
+// pay (EXPERIMENTS.md, "Memoize only where reuse pays").
 
 #include <algorithm>
 #include <array>
@@ -175,10 +178,10 @@ class ParetoGeneticSolver : public Solver {
     bool have_best = false;
 
     // Evaluates `genes`, archives it when feasible, tracks the
-    // lexicographic best. All probes run through the caller's context
-    // (memo hits make re-visited genomes free). One reused SubsetState:
-    // Reset() + the genes' Adds instead of a fresh allocation per
-    // individual.
+    // lexicographic best. All probes run through the caller's context;
+    // the totals come from the Adds, memo or not. One reused
+    // SubsetState: Reset() + the genes' Adds instead of a fresh
+    // allocation per individual.
     SubsetState state(context.evaluator());
     auto evaluate = [&](Individual& ind) {
       state.Reset();

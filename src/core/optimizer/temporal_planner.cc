@@ -61,13 +61,12 @@ Result<TemporalPlanner> TemporalPlanner::Create(
     const CubeLattice& lattice, const MapReduceSimulator& simulator,
     const ClusterSpec& cluster, const CloudCostModel& cost_model,
     WorkloadTimeline timeline, const CandidateGenOptions& options,
-    int64_t maintenance_cycles, ArchitectureModel architecture) {
+    int64_t maintenance_cycles) {
   if (maintenance_cycles < 0) {
     return Status::InvalidArgument("maintenance cycles must be >= 0");
   }
   TemporalPlanner planner(lattice, simulator, cluster, cost_model,
-                          std::move(timeline), maintenance_cycles,
-                          architecture);
+                          std::move(timeline), maintenance_cycles);
   CV_ASSIGN_OR_RETURN(
       planner.candidates_,
       GenerateCandidates(lattice, UnionWorkload(planner.timeline_),
@@ -135,9 +134,6 @@ DeploymentSpec TemporalPlanner::PeriodDeployment(size_t p) const {
       base_at_period_[p + 1] - base_at_period_[p];
   deployment.maintenance_cycles = maintenance_cycles_;
   deployment.single_compute_session = false;
-  // Re-selection scoring sees the architecture-adjusted bill, so the
-  // solver's trade-offs (e.g. cheap spot builds) match the ledger's.
-  deployment.architecture = architecture_;
   return deployment;
 }
 
@@ -310,22 +306,6 @@ Result<TemporalRunResult> TemporalPlanner::Walk(
         storage.Cost(horizon_storage, timeline_.PeriodStart(p + 1)));
     row.cost.storage = storage_to_here - storage_billed;
     storage_billed = storage_to_here;
-
-    // --- Architecture lowering of the period bill --------------------
-    // The cost model's one ApplyArchitecture, so the ledger agrees with
-    // the architecture-adjusted evaluator the solver just scored
-    // against. Only this period's builds sit in materialization, so a
-    // spot horizon pays its interruption surcharge on exactly the
-    // periods that transition. Replicated writes are this period's: the
-    // initial upload (period 0), base growth plus new-view builds (both
-    // in inserted_data), and maintenance rewrites of the resident set.
-    DataSize resident;
-    for (size_t c : row.selected) resident += candidates_[c].size;
-    cost_model_->ApplyArchitecture(
-        architecture_,
-        ingress.initial_dataset + ingress.inserted_data +
-            resident * maintenance_cycles_,
-        row.cost);
 
     result.total += row.cost;
     prev_selected = row.selected;

@@ -59,7 +59,6 @@
 #include <utility>
 #include <vector>
 
-#include "catalog/architecture.h"
 #include "catalog/lattice.h"
 #include "common/result.h"
 #include "core/cost/cloud_cost_model.h"
@@ -156,22 +155,13 @@ class TemporalPlanner {
   /// the union of all period mixes, precomputes per-period storage
   /// scaffolding, and pre-materializes each period's SelectionEvaluator
   /// (timing table + baseline).
-  /// `maintenance_cycles` is charged per period.
-  ///
-  /// `architecture` (default: identity, i.e. single-node on-demand)
-  /// deploys the whole horizon on one lowered ArchitectureModel: every
-  /// period's deployment carries it, so re-selection scoring sees the
-  /// architecture-adjusted bill, and the ledger applies the same
-  /// scaling — including the spot-interruption transition surcharge on
-  /// builds and maintenance (an interrupted spot node loses in-flight
-  /// materialization work and must redo it; the surcharge is that
-  /// expected redo compute, billed into CostBreakdown::interruption).
+  /// `maintenance_cycles` is charged per period. The horizon is
+  /// deployed under the identity architecture (single-node on-demand).
   static Result<TemporalPlanner> Create(
       const CubeLattice& lattice, const MapReduceSimulator& simulator,
       const ClusterSpec& cluster, const CloudCostModel& cost_model,
       WorkloadTimeline timeline, const CandidateGenOptions& options,
-      int64_t maintenance_cycles = 0,
-      ArchitectureModel architecture = {});
+      int64_t maintenance_cycles = 0);
 
   const std::vector<ViewCandidate>& candidates() const {
     return candidates_;
@@ -203,12 +193,10 @@ class TemporalPlanner {
                   const MapReduceSimulator& simulator,
                   const ClusterSpec& cluster,
                   const CloudCostModel& cost_model,
-                  WorkloadTimeline timeline, int64_t maintenance_cycles,
-                  ArchitectureModel architecture)
+                  WorkloadTimeline timeline, int64_t maintenance_cycles)
       : lattice_(&lattice), simulator_(&simulator), cluster_(cluster),
         cost_model_(&cost_model), timeline_(std::move(timeline)),
-        maintenance_cycles_(maintenance_cycles),
-        architecture_(architecture) {}
+        maintenance_cycles_(maintenance_cycles) {}
 
   /// Re-selection winners (ascending candidate indices) keyed by
   /// (period, ascending carried selection).
@@ -236,7 +224,6 @@ class TemporalPlanner {
   const CloudCostModel* cost_model_;
   WorkloadTimeline timeline_;
   int64_t maintenance_cycles_ = 0;
-  ArchitectureModel architecture_;
   std::vector<ViewCandidate> candidates_;
   /// Base-data volume at the start of each period (initial dataset plus
   /// accumulated growth); index num_periods() holds the end state.

@@ -2,22 +2,18 @@
 // §15): spec validation, price-sheet lowering into exact rational
 // multipliers, the identity contract (default model reproduces the
 // legacy bill bit-for-bit), the "arch-sweep" joint solver and its
-// SolveJoint facade, the solve-joint wire form, and the spot-aware
-// temporal ledger.
+// SolveJoint facade, and the solve-joint wire form.
 
 #include "catalog/architecture.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/str_format.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/optimizer/solver.h"
-#include "core/optimizer/temporal_planner.h"
 #include "core/scenario.h"
 #include "engine/sales_generator.h"
 #include "pricing/provider_registry.h"
@@ -408,175 +404,6 @@ TEST(ArchitectureCodec, BadArchitectureFieldsAreNamed) {
   EXPECT_TRUE(bad_key.status().IsInvalidArgument());
   EXPECT_NE(bad_key.status().message().find("zone_count"),
             std::string::npos);
-}
-
-// --- Temporal ledger --------------------------------------------------------
-
-TEST(TemporalArchitecture, SpotHorizonBillsTheInterruptionSurcharge) {
-  Fixture fixture;
-  Workload mix = MakePaperWorkload(*fixture.lattice).MoveValue().Prefix(6);
-  std::vector<std::unique_ptr<DriftModel>> drift;
-  drift.push_back(std::make_unique<QueryChurnDrift>(0.4));
-  TimelineOptions options;
-  options.num_periods = 4;
-  options.seed = 11;
-  WorkloadTimeline timeline =
-      WorkloadTimeline::Generate(*fixture.lattice, mix, std::move(drift),
-                                 options)
-          .MoveValue();
-
-  CandidateGenOptions candidate_options;
-  candidate_options.max_candidates = 8;
-  candidate_options.max_rows_fraction = 0.05;
-  ObjectiveSpec spec;
-  spec.scenario = Scenario::kMV3Tradeoff;
-  spec.alpha = 0.5;
-
-  TemporalPlanner identity =
-      TemporalPlanner::Create(*fixture.lattice, *fixture.simulator,
-                              fixture.cluster, *fixture.cost_model,
-                              timeline, candidate_options, 1)
-          .MoveValue();
-  ArchitectureModel spot = fixture.Lowered(2);
-  TemporalPlanner on_spot =
-      TemporalPlanner::Create(*fixture.lattice, *fixture.simulator,
-                              fixture.cluster, *fixture.cost_model,
-                              timeline, candidate_options, 1, spot)
-          .MoveValue();
-
-  TemporalRunResult base =
-      identity.Run(spec, ReselectPolicy::EveryK(2)).MoveValue();
-  TemporalRunResult run =
-      on_spot.Run(spec, ReselectPolicy::EveryK(2)).MoveValue();
-  ASSERT_EQ(run.ledger.size(), base.ledger.size());
-
-  bool charged_interruption = false;
-  for (const TemporalPeriodRow& row : run.ledger) {
-    // The surcharge is the exact published rational of the (already
-    // fanned-out) transition bill — nonzero exactly when work moved.
-    EXPECT_EQ(row.cost.interruption,
-              (row.cost.materialization + row.cost.maintenance)
-                  .ScaleBy(spot.interruption_num, spot.interruption_den));
-    charged_interruption |= !row.cost.interruption.is_zero();
-  }
-  EXPECT_TRUE(charged_interruption);
-  for (const TemporalPeriodRow& row : base.ledger) {
-    EXPECT_TRUE(row.cost.interruption.is_zero());
-    EXPECT_TRUE(row.cost.inter_az.is_zero());
-  }
-  // Ledger totals stay internally consistent under the architecture.
-  CostBreakdown sum;
-  for (const TemporalPeriodRow& row : run.ledger) sum += row.cost;
-  EXPECT_EQ(sum.total(), run.total.total());
-}
-
-TEST(TemporalArchitecture, ReplicatedLedgerMatchesAnIndependentRebuild) {
-  // A replicated spot fleet on a growing dataset: every architecture
-  // column of every ledger row is rebuilt here from the row's own
-  // selection, the timeline and the price sheet, without the cost
-  // model's architecture lowering.
-  Fixture fixture;
-  Workload mix = MakePaperWorkload(*fixture.lattice).MoveValue().Prefix(6);
-  std::vector<std::unique_ptr<DriftModel>> drift;
-  drift.push_back(std::make_unique<QueryChurnDrift>(0.4));
-  drift.push_back(std::make_unique<DatasetGrowthDrift>(0.1));
-  TimelineOptions options;
-  options.num_periods = 4;
-  options.seed = 11;
-  WorkloadTimeline timeline =
-      WorkloadTimeline::Generate(*fixture.lattice, mix, std::move(drift),
-                                 options)
-          .MoveValue();
-
-  CandidateGenOptions candidate_options;
-  candidate_options.max_candidates = 8;
-  candidate_options.max_rows_fraction = 0.05;
-  ObjectiveSpec spec;
-  spec.scenario = Scenario::kMV3Tradeoff;
-  spec.alpha = 0.5;
-
-  ArchitectureModel arch = fixture.Lowered(3);  // spot-2az
-  ASSERT_GT(arch.cross_az_copies, 0);
-  ASSERT_GT(arch.interruption_num, 0);
-  ASSERT_NE(arch.storage_num, arch.storage_den);
-  const int64_t cycles = 2;
-  TemporalPlanner planner =
-      TemporalPlanner::Create(*fixture.lattice, *fixture.simulator,
-                              fixture.cluster, *fixture.cost_model,
-                              timeline, candidate_options, cycles, arch)
-          .MoveValue();
-  TemporalRunResult run =
-      planner.Run(spec, ReselectPolicy::EveryK(1)).MoveValue();
-  ASSERT_EQ(run.ledger.size(), timeline.num_periods());
-
-  // The horizon's storage timeline: base data, each period's growth
-  // stored from the next period's start, view builds and drops at the
-  // period that makes them.
-  const std::vector<ViewCandidate>& candidates = planner.candidates();
-  StorageTimeline horizon(fixture.lattice->fact_scan_size());
-  for (size_t p = 1; p < timeline.num_periods(); ++p) {
-    DataSize growth = timeline.period(p - 1).base_growth;
-    if (!growth.is_zero()) {
-      ASSERT_TRUE(horizon.AddDelta(timeline.PeriodStart(p), growth).ok());
-    }
-  }
-  std::vector<size_t> previous;
-  Money billed_storage;
-  bool transitioned = false;
-  for (const TemporalPeriodRow& row : run.ledger) {
-    SCOPED_TRACE(StrFormat("period %zu", row.period));
-    DataSize resident, added, dropped;
-    for (size_t c : row.selected) {
-      resident += candidates[c].size;
-      if (!std::binary_search(previous.begin(), previous.end(), c)) {
-        added += candidates[c].size;
-      }
-    }
-    for (size_t c : previous) {
-      if (!std::binary_search(row.selected.begin(), row.selected.end(),
-                              c)) {
-        dropped += candidates[c].size;
-      }
-    }
-    Months at = timeline.PeriodStart(row.period);
-    if (!added.is_zero()) ASSERT_TRUE(horizon.AddDelta(at, added).ok());
-    if (!dropped.is_zero()) {
-      ASSERT_TRUE(
-          horizon.AddDelta(at, DataSize::FromBytes(-dropped.bytes())).ok());
-    }
-
-    // Storage: the period's slice of the horizon bill, replica-scaled.
-    Money to_here =
-        fixture.cost_model->storage()
-            .Cost(horizon, timeline.PeriodStart(row.period + 1))
-            .MoveValue();
-    EXPECT_EQ(row.cost.storage, (to_here - billed_storage)
-                                    .ScaleBy(arch.storage_num,
-                                             arch.storage_den));
-    billed_storage = to_here;
-
-    // Inter-AZ: this period's writes — the initial upload (period 0),
-    // base growth, new builds and the resident set's maintenance
-    // rewrites — once per AZ crossing.
-    int64_t written = timeline.period(row.period).base_growth.bytes() +
-                      added.bytes() + resident.bytes() * cycles;
-    if (row.period == 0) {
-      written += fixture.lattice->fact_scan_size().bytes();
-    }
-    EXPECT_EQ(row.cost.inter_az,
-              fixture.pricing->InterAzCost(
-                  DataSize::FromBytes(written * arch.cross_az_copies)));
-    EXPECT_FALSE(row.cost.inter_az.is_zero());
-
-    // Interruption: the spot expectation of the period's build and
-    // maintenance work.
-    EXPECT_EQ(row.cost.interruption,
-              (row.cost.materialization + row.cost.maintenance)
-                  .ScaleBy(arch.interruption_num, arch.interruption_den));
-    transitioned |= !added.is_zero() || !dropped.is_zero();
-    previous = row.selected;
-  }
-  EXPECT_TRUE(transitioned);
 }
 
 }  // namespace

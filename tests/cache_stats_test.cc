@@ -1,7 +1,5 @@
 // EvaluationCache telemetry: lookups, hits, misses and epoch evictions
-// are counted, and AddCounts folds a private cache's counts into the
-// caller's (how arch-sweep's per-architecture probes reach a session's
-// meta.cache_* counters).
+// are counted (what a session reports as meta.cache_*).
 
 #include "core/optimizer/evaluator.h"
 
@@ -26,28 +24,6 @@ TEST(CacheStats, LocalCountersTrackFinds) {
   EXPECT_EQ(counts.lookups, 2u);
   EXPECT_EQ(counts.hits, 1u);
   EXPECT_EQ(counts.misses(), 1u);
-}
-
-TEST(CacheStats, AddCountsFoldsAnotherCachesCounters) {
-  EvaluationCache parent;
-  parent.Insert(1, MakeEntry(10));
-  ASSERT_NE(parent.Find(1), nullptr);  // 1 lookup, 1 hit.
-
-  EvaluationCache task(/*max_entries=*/1);
-  EXPECT_EQ(task.Find(2), nullptr);  // Miss.
-  task.Insert(2, MakeEntry(20));
-  task.Insert(3, MakeEntry(30));  // Full: one epoch eviction.
-  ASSERT_NE(task.Find(3), nullptr);  // Hit.
-  parent.AddCounts(task);
-
-  EvaluationCache::AggregateCounts counts = parent.aggregate();
-  EXPECT_EQ(counts.lookups, 3u);  // 1 parent + 2 task.
-  EXPECT_EQ(counts.hits, 2u);
-  EXPECT_EQ(counts.misses(), 1u);
-  EXPECT_EQ(counts.evictions, 1u);
-  // Only the counts move: the parent's entries never saw the task's keys.
-  EXPECT_EQ(parent.size(), 1u);
-  EXPECT_EQ(parent.Find(3), nullptr);
 }
 
 TEST(CacheStats, EpochEvictionIsCounted) {

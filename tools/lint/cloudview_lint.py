@@ -22,8 +22,9 @@ comments (DESIGN.md SS12):
   H1  no new / malloc / std::map / std::function, and no Result / Status
       (probes cannot fail), in the probe hot path: the SubsetState /
       SelectionEvaluator::FastTotalCost|FastTotalCostFloor|ComputeBill /
-      SolverContext::Probe*|HillClimb|ScoreState /
-      SearchNode::LowerBound definitions, signature and body
+      SolverContext::Probe*|HillClimb|ScoreState|CachedEntry /
+      EvaluationCache::Find|Insert / SearchNode::LowerBound definitions,
+      out of line or inside the class, signature and body
       (DESIGN.md SS11, SS12.2).
   S1  every `mutable` member must document its synchronization: either
       a CLOUDVIEW_GUARDED_BY annotation or a `thread-compat:` comment
@@ -76,16 +77,22 @@ D2_FILE_PATTERNS = [
     r"^timeline\.(h|cc)$",
 ]
 
-# Rule H1 scope: these method definitions wherever they are defined
-# (DESIGN.md SS11 hot path: the incremental probe layer, the monetary
-# fast path and the branch-and-bound node bound).
+# Rule H1 scope: these methods of these classes, defined out of line
+# (Class::Method) or inside their class body (DESIGN.md SS11 hot path:
+# the incremental probe layer, the monetary fast path, the evaluation
+# memo and the branch-and-bound node bound).
+H1_HOT_METHODS = {
+    "SubsetState": r"\w+",
+    "SelectionEvaluator": r"FastTotalCost(?:Floor)?|ComputeBill",
+    "SolverContext": r"Probe\w*|HillClimb|ScoreState|CachedEntry",
+    "EvaluationCache": r"Find|Insert",
+    "SearchNode": r"LowerBound",
+}
 H1_METHOD_RE = re.compile(
-    r"\b(?:SubsetState::\w+"
-    r"|SelectionEvaluator::(?:FastTotalCost(?:Floor)?|ComputeBill)"
-    r"|SolverContext::(?:Probe\w*|HillClimb|ScoreState)"
-    r"|SearchNode::LowerBound)"
-    r"\s*\("
-)
+    r"\b(?:%s)\s*\(" % "|".join(
+        "%s::(?:%s)" % kv for kv in H1_HOT_METHODS.items()))
+H1_CLASS_RE = re.compile(
+    r"\b(?:class|struct)\s+(%s)\b[^;{}()]*\{" % "|".join(H1_HOT_METHODS))
 
 # D1: seeding primitives that break bit-reproducibility.
 D1_TOKEN_RE = re.compile(
@@ -257,49 +264,75 @@ def matches_any(basename, patterns):
     return any(re.match(p, basename) for p in patterns)
 
 
-def method_body_lines(code_lines, method_re):
-    """Line numbers (1-based) of the definitions of methods matching
-    method_re -- the signature (return type included, also when it sits
-    alone on the line above the name) through the closing brace -- via
-    brace matching over comment-stripped code."""
+def definition_lines(text, name_start, paren):
+    """Line numbers (1-based) of the definition whose name starts at
+    `name_start` and whose parameter list opens at `paren` -- the
+    signature (return type included, also when it sits alone on the line
+    above the name) through the closing brace -- or an empty range for a
+    declaration (a ';' before the '{')."""
+    line_start = text.rfind("\n", 0, name_start) + 1
+    sig_line = text.count("\n", 0, name_start) + 1
+    if not text[line_start:name_start].strip() and sig_line > 1:
+        sig_line -= 1
+    i = paren
+    depth_paren = 0
+    body_start = None
+    while i < len(text):
+        ch = text[i]
+        if ch == "(":
+            depth_paren += 1
+        elif ch == ")":
+            depth_paren -= 1
+        elif ch == ";" and depth_paren == 0:
+            break
+        elif ch == "{" and depth_paren == 0:
+            body_start = i
+            break
+        i += 1
+    if body_start is None:
+        return range(0)
+    end = matching_brace(text, body_start)
+    return range(sig_line, text.count("\n", 0, end) + 2)
+
+
+def matching_brace(text, open_at):
+    """Index of the '}' closing the '{' at `open_at` (or len(text))."""
+    depth = 0
+    for j in range(open_at, len(text)):
+        if text[j] == "{":
+            depth += 1
+        elif text[j] == "}":
+            depth -= 1
+            if depth == 0:
+                return j
+    return len(text)
+
+
+def hot_definition_lines(code_lines):
+    """Line numbers (1-based) of every H1-scoped definition in
+    comment-stripped code: out-of-line Class::Method definitions, and
+    the hot methods a class body defines inline (members at the body's
+    top level, not calls inside other members' bodies)."""
     text = "\n".join(code_lines)
     hot = set()
-    for m in method_re.finditer(text):
-        line_start = text.rfind("\n", 0, m.start()) + 1
-        sig_line = text.count("\n", 0, m.start()) + 1
-        if not text[line_start:m.start()].strip() and sig_line > 1:
-            sig_line -= 1
-        # Find the opening brace of the definition (skip declarations:
-        # a ';' before '{' means no body here).
-        i = m.end() - 1
-        depth_paren = 0
-        body_start = None
-        while i < len(text):
-            ch = text[i]
-            if ch == "(":
-                depth_paren += 1
-            elif ch == ")":
-                depth_paren -= 1
-            elif ch == ";" and depth_paren == 0:
-                break
-            elif ch == "{" and depth_paren == 0:
-                body_start = i
-                break
-            i += 1
-        if body_start is None:
-            continue
+    for m in H1_METHOD_RE.finditer(text):
+        hot.update(definition_lines(text, m.start(), m.end() - 1))
+    for cm in H1_CLASS_RE.finditer(text):
+        body_start = cm.end() - 1
+        body_end = matching_brace(text, body_start)
+        name_re = re.compile(r"\b(?:%s)\s*\(" % H1_HOT_METHODS[cm.group(1)])
         depth = 0
-        j = body_start
-        while j < len(text):
-            if text[j] == "{":
+        depth_at = []
+        for ch in text[body_start:body_end]:
+            if ch == "{":
                 depth += 1
-            elif text[j] == "}":
+            depth_at.append(depth)
+            if ch == "}":
                 depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        end_line = text.count("\n", 0, j) + 1
-        hot.update(range(sig_line, end_line + 1))
+        for m in name_re.finditer(text, body_start, body_end):
+            if depth_at[m.start() - body_start] != 1:
+                continue
+            hot.update(definition_lines(text, m.start(), m.end() - 1))
     return hot
 
 
@@ -408,7 +441,7 @@ def lint_file(path, libclang_mode="auto", basename_override=None):
                 break  # one finding per line
 
     # --- H1 ---------------------------------------------------------
-    h1_lines = method_body_lines(code_lines, H1_METHOD_RE)
+    h1_lines = hot_definition_lines(code_lines)
     for idx in sorted(h1_lines):
         if idx > len(code_lines):
             continue
