@@ -31,10 +31,13 @@ A second, exact gate covers deterministic work: any row whose
 fresh cache did not answer), `fresh_solves` (re-selection solves a
 temporal policy comparison ran that its memo could not answer) or
 `fresh_tasks` (frontier-sweep tasks the cache's pick memo could not
-answer) exceeds the value stored for it under the baseline's "work_rows" fails,
-with no threshold and no derate — these counts are a pure function of
-the instance and the search, not of the machine, so they must never
-grow silently. A row that carries one of them in the baseline but
+answer) differs from the value stored for it under the baseline's
+"work_rows" fails, with no threshold and no derate. These counts are a
+pure function of the instance and the search, not of the machine, so
+they must never move silently in either direction: a count that falls
+can mean a search cut short or a solver that stopped probing. A change
+that moves one regenerates the baseline and explains the move in
+CHANGES.md. A row that carries one of them in the baseline but
 vanishes from the output fails like a missing throughput row.
 
 Rows are keyed by their string fields (bench/scenario/solver/sweep...),
@@ -124,17 +127,17 @@ def count_rounds(rows, metric):
     return counts
 
 
-def collect_work(rows):
+def collect_work(rows, merge=max):
     """Row key -> {work metric: count} for the WORK_METRICS each row
-    carries; repeated keys keep the largest observation (equal anyway:
-    the counts are deterministic)."""
+    carries; repeated keys keep the `merge` of their observations (equal
+    when the counts are deterministic)."""
     into = {}
     for row in rows:
         for metric in WORK_METRICS:
             value = row.get(metric)
             if isinstance(value, int) and not isinstance(value, bool):
                 counts = into.setdefault(row_key(row), {})
-                counts[metric] = max(counts.get(metric, value), value)
+                counts[metric] = merge(counts.get(metric, value), value)
     return into
 
 
@@ -325,16 +328,21 @@ def main():
               "failure below may be noise — rerun with more rounds "
               "before reading it as a regression")
     work_rows = baseline.get("work_rows", {})
-    work = collect_work(all_rows)
+    # Every round must read the baseline: gate the lowest and the highest
+    # observation of each count.
+    lowest, highest = collect_work(all_rows, min), collect_work(all_rows)
     for key, base_counts in sorted(work_rows.items()):
         for metric, base_value in sorted(base_counts.items()):
-            value = work.get(key, {}).get(metric)
+            low = lowest.get(key, {}).get(metric)
+            value = highest.get(key, {}).get(metric)
             if value is None:
                 missing.append(f"{key} ({metric})")
-            elif value > base_value:
+            elif low != base_value or value != base_value:
+                seen = low if low != base_value else value
                 failures.append(
-                    f"  {key}\n    {metric}: {value:,} > baseline "
-                    f"{base_value:,} (exact gate, no derate)")
+                    f"  {key}\n    {metric}: {seen:,} != baseline "
+                    f"{base_value:,} (exact gate: regenerate the baseline "
+                    "and explain the change in CHANGES.md)")
     # New rows are warned about in one consolidated block, not failed:
     # a fresh bench must be able to land before its baseline, but an
     # unlisted row is ungated, and a gate that silently ignores it
@@ -354,15 +362,15 @@ def main():
             print(f"  {key}")
     if failures:
         print(f"FAIL: {len(failures)} row(s) regressed more than "
-              f"{args.threshold:.0%} on {args.metric} or grew "
+              f"{args.threshold:.0%} on {args.metric} or moved "
               f"{' or '.join(WORK_METRICS)}:")
         for failure in failures:
             print(failure)
     if missing or failures:
         return 1
     print(f"OK: {len(rows)} baseline rows within {args.threshold:.0%} "
-          f"of {args.metric} baseline; {len(work_rows)} row(s) at or "
-          f"under their {' / '.join(WORK_METRICS)} baseline")
+          f"of {args.metric} baseline; {len(work_rows)} row(s) exactly "
+          f"at their {' / '.join(WORK_METRICS)} baseline")
     return 0
 
 

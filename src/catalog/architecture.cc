@@ -34,30 +34,6 @@ int64_t PlanRateMicros(PurchasePlan plan, const InstanceType& instance) {
 
 }  // namespace
 
-const char* ToString(PurchasePlan plan) {
-  switch (plan) {
-    case PurchasePlan::kOnDemand:
-      return "on-demand";
-    case PurchasePlan::kReserved:
-      return "reserved";
-    case PurchasePlan::kSpot:
-      return "spot";
-  }
-  return "?";
-}
-
-const char* ToString(DurabilityTier tier) {
-  switch (tier) {
-    case DurabilityTier::kLocal:
-      return "local";
-    case DurabilityTier::kZonal:
-      return "zonal";
-    case DurabilityTier::kRegional:
-      return "regional";
-  }
-  return "?";
-}
-
 Status ArchitectureSpec::Validate() const {
   if (name.empty()) {
     return Status::InvalidArgument("architecture needs a name");

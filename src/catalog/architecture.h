@@ -57,6 +57,8 @@ struct NodeGroupSpec {
   /// replicas).
   int64_t zones = 1;
   PurchasePlan plan = PurchasePlan::kOnDemand;
+
+  friend bool operator==(const NodeGroupSpec&, const NodeGroupSpec&) = default;
 };
 
 /// \brief A deployment architecture, before price resolution. Empty
@@ -74,6 +76,9 @@ struct ArchitectureSpec {
   /// multipliers the cost paths consume.
   Result<struct ArchitectureModel> Lower(const PricingModel& pricing,
                                          const InstanceType& instance) const;
+
+  friend bool operator==(const ArchitectureSpec&,
+                         const ArchitectureSpec&) = default;
 };
 
 /// \brief A lowered architecture: exact integer rationals applied to
@@ -138,8 +143,5 @@ inline DataSize ReplicatedWriteBytes(DataSize initial_dataset,
 /// on-demand (the identity), a 2-AZ replicated pair, single-AZ spot,
 /// 2-AZ spot, and a 3-AZ reserved HA tier.
 std::vector<ArchitectureSpec> DefaultArchitectureRoster();
-
-const char* ToString(PurchasePlan plan);
-const char* ToString(DurabilityTier tier);
 
 }  // namespace cloudview

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/str_format.h"
 #include "core/optimizer/candidate_generation.h"
 #include "core/scenario.h"
 #include "pricing/provider_registry.h"
@@ -44,7 +45,8 @@ uint64_t SolveFingerprint(const Workload& workload,
   return h;
 }
 
-Result<std::unique_ptr<DriftModel>> MakeDriftModel(const DriftSpec& spec) {
+Result<std::unique_ptr<DriftModel>> MakeDriftModel(
+    const DriftSpec& spec, const CubeLattice& lattice) {
   if (spec.kind == "frequency-decay") {
     if (spec.factor <= 0.0 || spec.factor > 1.0) {
       return Status::InvalidArgument(
@@ -75,9 +77,17 @@ Result<std::unique_ptr<DriftModel>> MakeDriftModel(const DriftSpec& spec) {
         std::make_unique<QueryChurnDrift>(spec.rate, spec.cuboid_skew));
   }
   if (spec.kind == "dataset-growth") {
-    if (spec.growth_per_period < 0.0) {
-      return Status::InvalidArgument(
-          "dataset-growth drift needs growth_per_period >= 0");
+    // See kMaxGrownFactBytes.
+    const double fact = static_cast<double>(lattice.fact_scan_size().bytes());
+    const double max_growth =
+        (static_cast<double>(kMaxGrownFactBytes) / fact - 1.0) /
+        static_cast<double>(kMaxTimelinePeriods);
+    if (!(spec.growth_per_period >= 0.0 &&
+          spec.growth_per_period <= max_growth)) {
+      return Status::InvalidArgument(StrFormat(
+          "dataset-growth drift needs growth_per_period in [0, %.17g] on "
+          "this lattice, got %g",
+          max_growth, spec.growth_per_period));
     }
     return std::unique_ptr<DriftModel>(
         std::make_unique<DatasetGrowthDrift>(spec.growth_per_period));
@@ -88,22 +98,25 @@ Result<std::unique_ptr<DriftModel>> MakeDriftModel(const DriftSpec& spec) {
       "dataset-growth");
 }
 
+/// Refuses a period mix that runs more than kMaxPeriodRuns queries.
+Status CheckPeriodRuns(const Workload& workload) {
+  uint64_t runs = 0;
+  for (const QuerySpec& q : workload.queries()) {
+    if (q.frequency > kMaxPeriodRuns - runs) {
+      return Status::InvalidArgument(
+          "a period may run at most " + std::to_string(kMaxPeriodRuns) +
+          " queries (the sum of their frequency)");
+    }
+    runs += q.frequency;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* AdvisorRequestKindName(AdvisorRequestKind kind) {
-  switch (kind) {
-    case AdvisorRequestKind::kSolve:
-      return "solve";
-    case AdvisorRequestKind::kFrontier:
-      return "frontier";
-    case AdvisorRequestKind::kTimeline:
-      return "timeline";
-    case AdvisorRequestKind::kCompareProviders:
-      return "compare-providers";
-    case AdvisorRequestKind::kComparePolicies:
-      return "compare-policies";
-    case AdvisorRequestKind::kSolveJoint:
-      return "solve-joint";
+  for (const auto& [value, name] : kAdvisorRequestKinds) {
+    if (value == kind) return name.data();
   }
   return "unknown";
 }
@@ -149,7 +162,9 @@ Result<Workload> CloudScenario::ResolveWorkload(
                                        "\" has zero frequency");
       }
     }
-    return Workload(spec.queries);
+    Workload workload(spec.queries);
+    CV_RETURN_IF_ERROR(CheckPeriodRuns(workload));
+    return workload;
   }
   return Status::InvalidArgument("unknown workload kind \"" + spec.kind +
                                  "\"; expected default or queries");
@@ -172,15 +187,20 @@ Result<WorkloadTimeline> CloudScenario::ResolveTimeline(
   drift.reserve(spec.drifts.size());
   for (const DriftSpec& d : spec.drifts) {
     CV_ASSIGN_OR_RETURN(std::unique_ptr<DriftModel> model,
-                        MakeDriftModel(d));
+                        MakeDriftModel(d, *lattice_));
     drift.push_back(std::move(model));
   }
   TimelineOptions options;
   options.num_periods = static_cast<size_t>(spec.num_periods);
   options.period_length = spec.period_length;
   options.seed = spec.seed;
-  return WorkloadTimeline::Generate(*lattice_, base, std::move(drift),
-                                    options);
+  CV_ASSIGN_OR_RETURN(
+      WorkloadTimeline timeline,
+      WorkloadTimeline::Generate(*lattice_, base, std::move(drift), options));
+  for (const TimelinePeriod& period : timeline.periods()) {
+    CV_RETURN_IF_ERROR(CheckPeriodRuns(period.workload));
+  }
+  return timeline;
 }
 
 Result<SolveRun> CloudScenario::SolveImpl(const Workload& workload,

@@ -15,6 +15,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/months.h"
@@ -38,6 +40,17 @@ enum class AdvisorRequestKind {
   kSolveJoint,
 };
 
+/// \brief Every request kind with its wire name.
+inline constexpr std::pair<AdvisorRequestKind, std::string_view>
+    kAdvisorRequestKinds[] = {
+        {AdvisorRequestKind::kSolve, "solve"},
+        {AdvisorRequestKind::kFrontier, "frontier"},
+        {AdvisorRequestKind::kTimeline, "timeline"},
+        {AdvisorRequestKind::kCompareProviders, "compare-providers"},
+        {AdvisorRequestKind::kComparePolicies, "compare-policies"},
+        {AdvisorRequestKind::kSolveJoint, "solve-joint"},
+};
+
 /// \brief Registry name of a request kind ("solve", "frontier", ...).
 const char* AdvisorRequestKindName(AdvisorRequestKind kind);
 
@@ -50,6 +63,8 @@ struct WorkloadSpec {
   /// "queries" runs `queries` verbatim.
   std::string kind = "default";
   std::vector<QuerySpec> queries;
+
+  friend bool operator==(const WorkloadSpec&, const WorkloadSpec&) = default;
 };
 
 /// \brief One drift model in a serializable timeline description.
@@ -72,12 +87,31 @@ struct DriftSpec {
   double cuboid_skew = 0.5;
   // dataset-growth: fraction of the base fact size ingested per period.
   double growth_per_period = 0.02;
+
+  friend bool operator==(const DriftSpec&, const DriftSpec&) = default;
 };
 
 /// \brief The most periods a timeline request may unroll: 100 years of
 /// monthly periods. A timeline is generated eagerly, so an unbounded
 /// count lets one request line exhaust memory or hold the server.
 inline constexpr int64_t kMaxTimelinePeriods = 1200;
+
+/// \brief Bounds on the request numbers that scale the int64 sums a
+/// request is billed by. A period sums frequency x (one query's ms or
+/// result bytes), and the temporal planner sums a query's frequency over
+/// up to kMaxTimelinePeriods < 2^11 periods. On the served lattices one
+/// query's ms and result bytes are below 2^32 (SSB's base cuboid holds
+/// 3.1e9 bytes), so at most 2^19 runs per period keep every such sum,
+/// summed over the horizon, below 2^19 x 2^11 x 2^32 = 2^62. A seasonal
+/// spike multiplies a period's frequencies by 1 + amplitude, so its
+/// amplitude may lift a one-run workload to the cap and no further.
+/// Dataset growth adds growth_per_period x the fact's bytes each period;
+/// over kMaxTimelinePeriods periods the grown fact stays below 2^50
+/// bytes, so base, view and ingress bytes and the micro-dollars they are
+/// billed stay below 2^62 too.
+inline constexpr uint64_t kMaxPeriodRuns = uint64_t{1} << 19;
+inline constexpr double kMaxSpikeAmplitude = kMaxPeriodRuns - 1;
+inline constexpr int64_t kMaxGrownFactBytes = int64_t{1} << 50;
 
 /// \brief Serializable WorkloadTimeline description: the base workload
 /// (WorkloadSpec) unrolled over `num_periods` (1..kMaxTimelinePeriods)
@@ -87,6 +121,8 @@ struct TimelineSpec {
   Months period_length = Months::FromMonths(1);
   uint64_t seed = 7;
   std::vector<DriftSpec> drifts;
+
+  friend bool operator==(const TimelineSpec&, const TimelineSpec&) = default;
 };
 
 /// \brief One advisor call: a tagged variant over the operations.
@@ -138,6 +174,9 @@ struct AdvisorRequest {
   /// kSolve only: replaces the scenario's configured cluster (instance
   /// tier sweeps).
   const ClusterSpec* cluster_override = nullptr;
+
+  friend bool operator==(const AdvisorRequest&,
+                         const AdvisorRequest&) = default;
 };
 
 /// \brief Telemetry shared by every response kind.

@@ -36,6 +36,9 @@ struct CandidateGenOptions {
   /// Restrict candidates to the workload's own cuboids when true
   /// (exact-match views only; no shared ancestors).
   bool queries_only = false;
+
+  friend bool operator==(const CandidateGenOptions&,
+                         const CandidateGenOptions&) = default;
 };
 
 /// \brief Generates Vcand for `workload` on `cluster`. Candidate

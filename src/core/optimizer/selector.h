@@ -100,11 +100,13 @@ struct ObjectiveSpec {
   /// poll the token (SolverContext::Cancelled) in their inner loops and
   /// truncate the search like a node-budget cutoff — the best incumbent
   /// found so far is still finalized and SelectionResult::cancelled is
-  /// set. Riding on the spec (not serialized, not compared) means every
+  /// set. Riding on the spec (not serialized, in no cache key) means every
   /// solver that runs others — pareto-sweep tasks, arch-sweep inner
   /// solves, provider rows — forwards it without new plumbing.
   /// Borrowed: the token must outlive the solve.
   const CancelToken* cancel = nullptr;
+
+  friend bool operator==(const ObjectiveSpec&, const ObjectiveSpec&) = default;
 };
 
 /// \brief The selected view set and how it scores.

@@ -94,6 +94,9 @@ struct ReselectPolicy {
 
   /// \brief "static", "every-3", "drift-0.20" — ledger/ comparison label.
   std::string Name() const;
+
+  friend bool operator==(const ReselectPolicy&,
+                         const ReselectPolicy&) = default;
 };
 
 /// \brief One period's line in the cost ledger.

@@ -1,515 +1,521 @@
 #include "serving/advisor_codec.h"
 
+#include <cmath>
+#include <concepts>
+#include <limits>
+#include <span>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 namespace cloudview {
 
 namespace {
 
-// --- Strict field readers ----------------------------------------------
-// Every reader takes the object's wire name for error text; a request
-// with a typo'd or mistyped field fails with the exact path and the
-// accepted form, never a silent default.
+// --- Paths ---------------------------------------------------------------
 
-Status CheckKeys(const JsonValue& obj, std::string_view where,
-                 std::initializer_list<std::string_view> allowed) {
-  for (const auto& [key, value] : obj.members()) {
-    bool known = false;
-    for (std::string_view a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string accepted;
-      for (std::string_view a : allowed) {
-        if (!accepted.empty()) accepted += ", ";
-        accepted += a;
-      }
-      return Status::InvalidArgument("unknown field \"" + key + "\" in " +
-                                     std::string(where) +
-                                     "; accepted fields: " + accepted);
-    }
+// Where a value sits in the document ("request.timeline.drifts[0].kind"),
+// rendered only when an error names it.
+struct Path {
+  const Path* parent = nullptr;
+  std::string_view key;  // empty for an array element
+  size_t index = 0;
+
+  std::string str() const {
+    if (parent == nullptr) return std::string(key);
+    if (key.empty()) return parent->str() + "[" + std::to_string(index) + "]";
+    return parent->str() + "." + std::string(key);
   }
-  return Status::OK();
+};
+
+Status Invalid(const Path& path, std::string_view problem) {
+  return Status::InvalidArgument(path.str() + " " + std::string(problem));
 }
 
-Status RequireObject(const JsonValue& v, std::string_view where) {
-  if (!v.is_object()) {
-    return Status::InvalidArgument(std::string(where) +
-                                   " must be a JSON object");
+// --- Wire enums: one {value, name} list each ---------------------------
+
+template <typename V>
+using Names = std::span<const std::pair<V, std::string_view>>;
+
+constexpr std::pair<Scenario, std::string_view> kScenarios[] = {
+    {Scenario::kMV1BudgetLimit, "mv1"},
+    {Scenario::kMV2TimeLimit, "mv2"},
+    {Scenario::kMV3Tradeoff, "mv3"},
+};
+constexpr std::pair<DurabilityTier, std::string_view> kDurabilities[] = {
+    {DurabilityTier::kLocal, "local"},
+    {DurabilityTier::kZonal, "zonal"},
+    {DurabilityTier::kRegional, "regional"},
+};
+constexpr std::pair<PurchasePlan, std::string_view> kPlans[] = {
+    {PurchasePlan::kOnDemand, "on-demand"},
+    {PurchasePlan::kReserved, "reserved"},
+    {PurchasePlan::kSpot, "spot"},
+};
+constexpr std::pair<ReselectPolicy::Kind, std::string_view> kPolicyKinds[] = {
+    {ReselectPolicy::Kind::kStatic, "static"},
+    {ReselectPolicy::Kind::kEveryK, "every-k"},
+    {ReselectPolicy::Kind::kOnDrift, "on-drift"},
+};
+// String-valued enums: the member holds the name itself.
+constexpr std::pair<std::string_view, std::string_view> kWorkloadKinds[] = {
+    {"default", "default"},
+    {"queries", "queries"},
+};
+constexpr std::pair<std::string_view, std::string_view> kDriftKinds[] = {
+    {"frequency-decay", "frequency-decay"},
+    {"seasonal-spike", "seasonal-spike"},
+    {"query-churn", "query-churn"},
+    {"dataset-growth", "dataset-growth"},
+};
+constexpr std::pair<std::string_view, std::string_view> kSchemas[] = {
+    {"sales", "sales"},
+    {"ssb", "ssb"},
+};
+
+template <typename V>
+std::string Accepted(Names<V> names) {
+  std::string accepted = "accepted: ";
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) accepted += ", ";
+    accepted += names[i].second;
   }
-  return Status::OK();
+  return accepted;
 }
 
-Status ReadString(const JsonValue& obj, std::string_view key,
-                  std::string_view where, std::string* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_string()) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) + " must be a string");
-  }
-  *out = v->string_value();
-  return Status::OK();
+// --- Validators: "" when the value is fine, else what is wrong ---------
+
+std::string Fraction(const double& v) {
+  return v >= 0.0 && v <= 1.0 ? "" : "must be in [0, 1]";
+}
+std::string NotNegative(const int64_t& v) {
+  return v >= 0 ? "" : "must be >= 0";
+}
+template <typename N>
+std::string Positive(const N& v) {
+  return v > 0 ? "" : "must be > 0";
+}
+std::string RunsPerPeriod(const uint64_t& v) {
+  return v <= kMaxPeriodRuns
+             ? ""
+             : "must be at most " + std::to_string(kMaxPeriodRuns);
+}
+std::string SpikeAmplitude(const double& v) {
+  return v >= 0.0 && v <= kMaxSpikeAmplitude
+             ? ""
+             : "must be in [0, " +
+                   std::to_string(static_cast<int64_t>(kMaxSpikeAmplitude)) +
+                   "]";
 }
 
-Status ReadInt(const JsonValue& obj, std::string_view key,
-               std::string_view where, int64_t* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_int()) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) +
-                                   " must be an integer");
-  }
-  *out = v->int_value();
-  return Status::OK();
+// --- Field tables --------------------------------------------------------
+// Each wire struct declares its fields once, in wire order. The key check
+// with its "accepted fields:" list, the typed reads, the validators and
+// the encoder are all derived from that one table.
+
+struct NoNames {};
+
+template <typename T, typename M, typename N = NoNames>
+struct Field {
+  std::string_view name;
+  M T::*member;
+  N names{};  // the wire enum's {value, name} list, for enum fields
+  std::string (*check)(const M&) = nullptr;
+  bool required = false;
+};
+
+template <typename T, typename M>
+constexpr Field<T, M> F(
+    std::string_view name, M T::*member,
+    std::type_identity_t<std::string (*)(const M&)> check = nullptr) {
+  return {name, member, NoNames{}, check};
 }
 
-Status ReadUint(const JsonValue& obj, std::string_view key,
-                std::string_view where, uint64_t* out) {
-  int64_t raw = static_cast<int64_t>(*out);
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &raw));
-  if (raw < 0) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) +
-                                   " must be non-negative");
-  }
-  *out = static_cast<uint64_t>(raw);
-  return Status::OK();
+template <typename T, typename M, typename V, size_t N>
+constexpr Field<T, M, Names<V>> Enum(
+    std::string_view name, M T::*member,
+    const std::pair<V, std::string_view> (&names)[N],
+    bool required = false) {
+  return {name, member, Names<V>(names), nullptr, required};
 }
 
-Status ReadDouble(const JsonValue& obj, std::string_view key,
-                  std::string_view where, double* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_number()) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) + " must be a number");
-  }
-  *out = v->AsDouble();
-  return Status::OK();
+constexpr auto FieldsOf(const NodeGroupSpec*) {
+  using S = NodeGroupSpec;
+  return std::tuple{F("name", &S::name), F("replicas", &S::replicas),
+                    F("zones", &S::zones), Enum("plan", &S::plan, kPlans)};
 }
 
-Status ReadBool(const JsonValue& obj, std::string_view key,
-                std::string_view where, bool* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_bool()) {
-    return Status::InvalidArgument(std::string(where) + "." +
-                                   std::string(key) +
-                                   " must be true or false");
-  }
-  *out = v->bool_value();
-  return Status::OK();
+constexpr auto FieldsOf(const ArchitectureSpec*) {
+  using S = ArchitectureSpec;
+  return std::tuple{F("name", &S::name),
+                    Enum("durability", &S::durability, kDurabilities),
+                    F("groups", &S::groups)};
 }
 
-Status ReadMoney(const JsonValue& obj, std::string_view key,
-                 std::string_view where, Money* out) {
-  int64_t micros = out->micros();
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &micros));
+constexpr auto FieldsOf(const ObjectiveSpec*) {
+  using S = ObjectiveSpec;
+  return std::tuple{
+      Enum("scenario", &S::scenario, kScenarios),
+      F("budget_limit_micros", &S::budget_limit),
+      F("time_limit_ms", &S::time_limit),
+      F("alpha", &S::alpha, Fraction),
+      F("time_includes_materialization", &S::time_includes_materialization),
+      F("mv3_reference_time_ms", &S::mv3_reference_time),
+      F("mv3_reference_cost_micros", &S::mv3_reference_cost),
+      F("max_monthly_cost_micros", &S::max_monthly_cost),
+      F("max_storage_bytes", &S::max_storage),
+      F("max_makespan_ms", &S::max_makespan),
+      F("frontier_epsilon", &S::frontier_epsilon),
+      F("architectures", &S::architectures),
+      F("architecture_inner_solver", &S::architecture_inner_solver)};
+}
+
+constexpr auto FieldsOf(const QuerySpec*) {
+  using S = QuerySpec;
+  return std::tuple{F("name", &S::name), F("target", &S::target),
+                    F("frequency", &S::frequency, RunsPerPeriod)};
+}
+
+constexpr auto FieldsOf(const WorkloadSpec*) {
+  using S = WorkloadSpec;
+  return std::tuple{Enum("kind", &S::kind, kWorkloadKinds),
+                    F("queries", &S::queries)};
+}
+
+constexpr auto FieldsOf(const DriftSpec*) {
+  using S = DriftSpec;
+  return std::tuple{Enum("kind", &S::kind, kDriftKinds, /*required=*/true),
+                    F("factor", &S::factor),
+                    F("floor", &S::floor),
+                    F("season_length", &S::season_length),
+                    F("phase", &S::phase),
+                    F("amplitude", &S::amplitude, SpikeAmplitude),
+                    F("rate", &S::rate),
+                    F("cuboid_skew", &S::cuboid_skew),
+                    F("growth_per_period", &S::growth_per_period)};
+}
+
+constexpr auto FieldsOf(const TimelineSpec*) {
+  using S = TimelineSpec;
+  return std::tuple{F("num_periods", &S::num_periods),
+                    F("period_length_milli_months", &S::period_length),
+                    F("seed", &S::seed), F("drifts", &S::drifts)};
+}
+
+constexpr auto FieldsOf(const ReselectPolicy*) {
+  using S = ReselectPolicy;
+  return std::tuple{Enum("kind", &S::kind, kPolicyKinds),
+                    F("k", &S::every_k, Positive),
+                    F("threshold", &S::drift_threshold, Fraction)};
+}
+
+constexpr auto FieldsOf(const AdvisorRequest*) {
+  using S = AdvisorRequest;
+  return std::tuple{
+      Enum("kind", &S::kind, kAdvisorRequestKinds, /*required=*/true),
+      F("session", &S::session),
+      F("solver", &S::solver),
+      F("objective", &S::objective),
+      F("workload", &S::workload),
+      F("timeline", &S::timeline),
+      F("policy", &S::policy),
+      F("policies", &S::policies),
+      F("deadline_ms", &S::deadline_ms, NotNegative)};
+}
+
+constexpr auto FieldsOf(const CandidateGenOptions*) {
+  using S = CandidateGenOptions;
+  return std::tuple{F("max_candidates", &S::max_candidates, Positive),
+                    F("max_size_fraction", &S::max_size_fraction),
+                    F("max_rows_fraction", &S::max_rows_fraction),
+                    F("maintenance_delta_bytes", &S::maintenance_delta),
+                    F("queries_only", &S::queries_only)};
+}
+
+constexpr auto FieldsOf(const ScenarioConfig*) {
+  using S = ScenarioConfig;
+  return std::tuple{
+      Enum("schema", &S::schema, kSchemas),
+      F("provider", &S::provider),
+      F("instance_name", &S::instance_name),
+      F("nb_instances", &S::nb_instances, Positive),
+      F("maintenance_cycles", &S::maintenance_cycles),
+      F("prorate_storage", &S::prorate_storage),
+      F("storage_period_milli_months", &S::storage_period),
+      F("single_compute_session", &S::single_compute_session),
+      F("frontier_solver", &S::frontier_solver),
+      F("candidates", &S::candidates)};
+}
+
+// --- Unit codecs ---------------------------------------------------------
+// One overload pair per member type. Exact unit types travel as int64
+// with the unit in the field name; doubles must be finite.
+
+template <typename T>
+Status ReadObject(const JsonValue& json, const Path& path, T* out);
+template <typename T>
+JsonValue WriteObject(const T& in);
+
+Status ReadUnit(const JsonValue& v, const Path& path, std::string* out) {
+  if (!v.is_string()) return Invalid(path, "must be a string");
+  *out = v.string_value();
+  return Status::OK();
+}
+JsonValue WriteUnit(const std::string& in) { return JsonValue::Str(in); }
+
+Status ReadUnit(const JsonValue& v, const Path& path, bool* out) {
+  if (!v.is_bool()) return Invalid(path, "must be true or false");
+  *out = v.bool_value();
+  return Status::OK();
+}
+JsonValue WriteUnit(const bool& in) { return JsonValue::Bool(in); }
+
+Status ReadUnit(const JsonValue& v, const Path& path, int64_t* out) {
+  if (!v.is_int()) return Invalid(path, "must be an integer");
+  *out = v.int_value();
+  return Status::OK();
+}
+JsonValue WriteUnit(const int64_t& in) { return JsonValue::Int(in); }
+
+// Unsigned fields travel in [0, min(2^63, max + 1)).
+template <std::unsigned_integral U>
+Status ReadUnit(const JsonValue& v, const Path& path, U* out) {
+  int64_t raw = 0;
+  CV_RETURN_IF_ERROR(ReadUnit(v, path, &raw));
+  if (raw < 0) return Invalid(path, "must be non-negative");
+  if (static_cast<uint64_t>(raw) > std::numeric_limits<U>::max()) {
+    return Invalid(path, "must be at most " +
+                             std::to_string(std::numeric_limits<U>::max()));
+  }
+  *out = static_cast<U>(raw);
+  return Status::OK();
+}
+template <std::unsigned_integral U>
+JsonValue WriteUnit(const U& in) {
+  return JsonValue::Int(static_cast<int64_t>(in));
+}
+
+Status ReadUnit(const JsonValue& v, const Path& path, double* out) {
+  if (!v.is_number() || !std::isfinite(v.AsDouble())) {
+    return Invalid(path, "must be a finite number");
+  }
+  *out = v.AsDouble();
+  return Status::OK();
+}
+// + 0.0 writes -0.0 as 0, the value it parses back to.
+JsonValue WriteUnit(const double& in) { return JsonValue::Double(in + 0.0); }
+
+Status ReadUnit(const JsonValue& v, const Path& path, Money* out) {
+  int64_t micros = 0;
+  CV_RETURN_IF_ERROR(ReadUnit(v, path, &micros));
   *out = Money::FromMicros(micros);
   return Status::OK();
 }
+JsonValue WriteUnit(const Money& in) { return JsonValue::Int(in.micros()); }
 
-Status ReadDuration(const JsonValue& obj, std::string_view key,
-                    std::string_view where, Duration* out) {
-  int64_t ms = out->millis();
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &ms));
-  *out = Duration::FromMillis(ms);
+Status ReadUnit(const JsonValue& v, const Path& path, Duration* out) {
+  int64_t millis = 0;
+  CV_RETURN_IF_ERROR(ReadUnit(v, path, &millis));
+  *out = Duration::FromMillis(millis);
   return Status::OK();
 }
+JsonValue WriteUnit(const Duration& in) { return JsonValue::Int(in.millis()); }
 
-Status ReadDataSize(const JsonValue& obj, std::string_view key,
-                    std::string_view where, DataSize* out) {
-  int64_t bytes = out->bytes();
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &bytes));
+Status ReadUnit(const JsonValue& v, const Path& path, DataSize* out) {
+  int64_t bytes = 0;
+  CV_RETURN_IF_ERROR(ReadUnit(v, path, &bytes));
   *out = DataSize::FromBytes(bytes);
   return Status::OK();
 }
+JsonValue WriteUnit(const DataSize& in) { return JsonValue::Int(in.bytes()); }
 
-Status ReadMonths(const JsonValue& obj, std::string_view key,
-                  std::string_view where, Months* out) {
-  int64_t milli = out->milli();
-  CV_RETURN_IF_ERROR(ReadInt(obj, key, where, &milli));
+Status ReadUnit(const JsonValue& v, const Path& path, Months* out) {
+  int64_t milli = 0;
+  CV_RETURN_IF_ERROR(ReadUnit(v, path, &milli));
   *out = Months::FromMilli(milli);
   return Status::OK();
 }
+JsonValue WriteUnit(const Months& in) { return JsonValue::Int(in.milli()); }
 
-// --- Architectures -----------------------------------------------------
+Status ReadUnit(const JsonValue& v, const Path& path, ArchitectureSpec* out) {
+  CV_RETURN_IF_ERROR(ReadObject(v, path, out));
+  return out->Validate();
+}
 
-Result<ArchitectureSpec> ParseArchitecture(const JsonValue& json) {
-  constexpr std::string_view kWhere = "objective.architectures[i]";
-  CV_RETURN_IF_ERROR(RequireObject(json, kWhere));
-  CV_RETURN_IF_ERROR(
-      CheckKeys(json, kWhere, {"name", "durability", "groups"}));
-  ArchitectureSpec spec;
-  CV_RETURN_IF_ERROR(ReadString(json, "name", kWhere, &spec.name));
-  std::string durability = "local";
-  CV_RETURN_IF_ERROR(ReadString(json, "durability", kWhere, &durability));
-  if (durability == "local") {
-    spec.durability = DurabilityTier::kLocal;
-  } else if (durability == "zonal") {
-    spec.durability = DurabilityTier::kZonal;
-  } else if (durability == "regional") {
-    spec.durability = DurabilityTier::kRegional;
+Status ReadUnit(const JsonValue& v, const Path& path, ReselectPolicy* out);
+
+template <typename E>
+Status ReadValue(const JsonValue& v, const Path& path, Names<E> names,
+                 auto* out) {
+  if (!v.is_string()) return Invalid(path, "must be a string");
+  for (const auto& [value, name] : names) {
+    if (name == v.string_value()) {
+      *out = value;
+      return Status::OK();
+    }
+  }
+  return Invalid(path, "has no value \"" + v.string_value() + "\"; " +
+                           Accepted(names));
+}
+
+template <typename E, typename M>
+JsonValue WriteValue(Names<E> names, const M& in) {
+  if constexpr (std::is_same_v<M, std::string>) {
+    return JsonValue::Str(in);
   } else {
-    return Status::InvalidArgument(
-        std::string(kWhere) + ".durability \"" + durability +
-        "\" is not a durability tier; accepted: local, zonal, regional");
-  }
-  const JsonValue* groups = json.Find("groups");
-  if (groups != nullptr) {
-    if (!groups->is_array()) {
-      return Status::InvalidArgument(std::string(kWhere) +
-                                     ".groups must be an array");
+    for (const auto& [value, name] : names) {
+      if (value == in) return JsonValue::Str(std::string(name));
     }
-    for (const JsonValue& g : groups->items()) {
-      constexpr std::string_view kGroupWhere =
-          "objective.architectures[i].groups[j]";
-      CV_RETURN_IF_ERROR(RequireObject(g, kGroupWhere));
-      CV_RETURN_IF_ERROR(CheckKeys(g, kGroupWhere,
-                                   {"name", "replicas", "zones", "plan"}));
-      NodeGroupSpec group;
-      CV_RETURN_IF_ERROR(ReadString(g, "name", kGroupWhere, &group.name));
-      CV_RETURN_IF_ERROR(
-          ReadInt(g, "replicas", kGroupWhere, &group.replicas));
-      CV_RETURN_IF_ERROR(ReadInt(g, "zones", kGroupWhere, &group.zones));
-      std::string plan = "on-demand";
-      CV_RETURN_IF_ERROR(ReadString(g, "plan", kGroupWhere, &plan));
-      if (plan == "on-demand") {
-        group.plan = PurchasePlan::kOnDemand;
-      } else if (plan == "reserved") {
-        group.plan = PurchasePlan::kReserved;
-      } else if (plan == "spot") {
-        group.plan = PurchasePlan::kSpot;
-      } else {
-        return Status::InvalidArgument(
-            std::string(kGroupWhere) + ".plan \"" + plan +
-            "\" is not a purchase plan; accepted: on-demand, reserved, "
-            "spot");
-      }
-      spec.groups.push_back(std::move(group));
-    }
+    return JsonValue::Str("");
   }
-  CV_RETURN_IF_ERROR(spec.Validate());
-  return spec;
 }
 
-JsonValue ArchitectureToJson(const ArchitectureSpec& spec) {
-  JsonValue json = JsonValue::Object();
-  json.Set("name", JsonValue::Str(spec.name));
-  json.Set("durability", JsonValue::Str(ToString(spec.durability)));
-  if (!spec.groups.empty()) {
-    JsonValue groups = JsonValue::Array();
-    for (const NodeGroupSpec& g : spec.groups) {
-      JsonValue group = JsonValue::Object();
-      group.Set("name", JsonValue::Str(g.name));
-      group.Set("replicas", JsonValue::Int(g.replicas));
-      group.Set("zones", JsonValue::Int(g.zones));
-      group.Set("plan", JsonValue::Str(ToString(g.plan)));
-      groups.Push(std::move(group));
-    }
-    json.Set("groups", std::move(groups));
+template <typename T>
+Status ReadUnit(const JsonValue& v, const Path& path, T* out) {
+  return ReadObject(v, path, out);
+}
+template <typename T>
+JsonValue WriteUnit(const T& in) {
+  return WriteObject(in);
+}
+
+template <typename T>
+Status ReadUnit(const JsonValue& v, const Path& path, std::vector<T>* out) {
+  if (!v.is_array()) return Invalid(path, "must be an array");
+  out->assign(v.items().size(), T{});
+  for (size_t i = 0; i < out->size(); ++i) {
+    CV_RETURN_IF_ERROR(
+        ReadUnit(v.items()[i], Path{&path, {}, i}, &(*out)[i]));
   }
+  return Status::OK();
+}
+template <typename T>
+JsonValue WriteUnit(const std::vector<T>& in) {
+  JsonValue json = JsonValue::Array();
+  for (const T& item : in) json.Push(WriteUnit(item));
   return json;
 }
 
-// --- Objective ---------------------------------------------------------
-
-Result<ObjectiveSpec> ParseObjective(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "objective"));
-  CV_RETURN_IF_ERROR(CheckKeys(
-      json, "objective",
-      {"scenario", "budget_limit_micros", "time_limit_ms", "alpha",
-       "time_includes_materialization", "mv3_reference_time_ms",
-       "mv3_reference_cost_micros", "max_monthly_cost_micros",
-       "max_storage_bytes", "max_makespan_ms", "frontier_epsilon",
-       "architectures", "architecture_inner_solver"}));
-  ObjectiveSpec spec;
-  std::string scenario = "mv3";
-  CV_RETURN_IF_ERROR(ReadString(json, "scenario", "objective", &scenario));
-  if (scenario == "mv1") {
-    spec.scenario = Scenario::kMV1BudgetLimit;
-  } else if (scenario == "mv2") {
-    spec.scenario = Scenario::kMV2TimeLimit;
-  } else if (scenario == "mv3") {
-    spec.scenario = Scenario::kMV3Tradeoff;
-  } else {
-    return Status::InvalidArgument(
-        "objective.scenario \"" + scenario +
-        "\" is not a scenario; accepted: mv1, mv2, mv3");
+// A policy's fields its kind does not use keep that kind's factory
+// values, so {"kind":"every-k","k":3} parses to ReselectPolicy::EveryK(3).
+Status ReadUnit(const JsonValue& v, const Path& path, ReselectPolicy* out) {
+  ReselectPolicy::Kind kind = ReselectPolicy::Kind::kStatic;
+  if (const JsonValue* name = v.is_object() ? v.Find("kind") : nullptr) {
+    CV_RETURN_IF_ERROR(ReadValue(*name, Path{&path, "kind"},
+                                 Names<ReselectPolicy::Kind>(kPolicyKinds),
+                                 &kind));
   }
-  CV_RETURN_IF_ERROR(ReadMoney(json, "budget_limit_micros", "objective",
-                               &spec.budget_limit));
-  CV_RETURN_IF_ERROR(
-      ReadDuration(json, "time_limit_ms", "objective", &spec.time_limit));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "alpha", "objective", &spec.alpha));
-  if (spec.alpha < 0.0 || spec.alpha > 1.0) {
-    return Status::InvalidArgument("objective.alpha must be in [0, 1]");
-  }
-  CV_RETURN_IF_ERROR(ReadBool(json, "time_includes_materialization",
-                              "objective",
-                              &spec.time_includes_materialization));
-  CV_RETURN_IF_ERROR(ReadDuration(json, "mv3_reference_time_ms",
-                                  "objective", &spec.mv3_reference_time));
-  CV_RETURN_IF_ERROR(ReadMoney(json, "mv3_reference_cost_micros",
-                               "objective", &spec.mv3_reference_cost));
-  CV_RETURN_IF_ERROR(ReadMoney(json, "max_monthly_cost_micros",
-                               "objective", &spec.max_monthly_cost));
-  CV_RETURN_IF_ERROR(ReadDataSize(json, "max_storage_bytes", "objective",
-                                  &spec.max_storage));
-  CV_RETURN_IF_ERROR(ReadDuration(json, "max_makespan_ms", "objective",
-                                  &spec.max_makespan));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "frontier_epsilon", "objective",
-                                &spec.frontier_epsilon));
-  if (const JsonValue* architectures = json.Find("architectures")) {
-    if (!architectures->is_array()) {
-      return Status::InvalidArgument(
-          "objective.architectures must be an array");
-    }
-    for (const JsonValue& a : architectures->items()) {
-      CV_ASSIGN_OR_RETURN(ArchitectureSpec arch, ParseArchitecture(a));
-      spec.architectures.push_back(std::move(arch));
-    }
-  }
-  CV_RETURN_IF_ERROR(ReadString(json, "architecture_inner_solver",
-                                "objective",
-                                &spec.architecture_inner_solver));
-  return spec;
-}
-
-JsonValue ObjectiveToJson(const ObjectiveSpec& spec) {
-  JsonValue json = JsonValue::Object();
-  const char* scenario = spec.scenario == Scenario::kMV1BudgetLimit ? "mv1"
-                         : spec.scenario == Scenario::kMV2TimeLimit
-                             ? "mv2"
-                             : "mv3";
-  json.Set("scenario", JsonValue::Str(scenario));
-  json.Set("budget_limit_micros",
-           JsonValue::Int(spec.budget_limit.micros()));
-  json.Set("time_limit_ms", JsonValue::Int(spec.time_limit.millis()));
-  json.Set("alpha", JsonValue::Double(spec.alpha));
-  json.Set("time_includes_materialization",
-           JsonValue::Bool(spec.time_includes_materialization));
-  json.Set("mv3_reference_time_ms",
-           JsonValue::Int(spec.mv3_reference_time.millis()));
-  json.Set("mv3_reference_cost_micros",
-           JsonValue::Int(spec.mv3_reference_cost.micros()));
-  json.Set("max_monthly_cost_micros",
-           JsonValue::Int(spec.max_monthly_cost.micros()));
-  json.Set("max_storage_bytes", JsonValue::Int(spec.max_storage.bytes()));
-  json.Set("max_makespan_ms", JsonValue::Int(spec.max_makespan.millis()));
-  json.Set("frontier_epsilon", JsonValue::Double(spec.frontier_epsilon));
-  if (!spec.architectures.empty()) {
-    JsonValue architectures = JsonValue::Array();
-    for (const ArchitectureSpec& a : spec.architectures) {
-      architectures.Push(ArchitectureToJson(a));
-    }
-    json.Set("architectures", std::move(architectures));
-  }
-  if (!spec.architecture_inner_solver.empty()) {
-    json.Set("architecture_inner_solver",
-             JsonValue::Str(spec.architecture_inner_solver));
-  }
-  return json;
-}
-
-// --- Workload / timeline / policy --------------------------------------
-
-Result<WorkloadSpec> ParseWorkloadSpec(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "workload"));
-  CV_RETURN_IF_ERROR(CheckKeys(json, "workload", {"kind", "queries"}));
-  WorkloadSpec spec;
-  CV_RETURN_IF_ERROR(ReadString(json, "kind", "workload", &spec.kind));
-  if (spec.kind != "default" && spec.kind != "queries") {
-    return Status::InvalidArgument("workload.kind \"" + spec.kind +
-                                   "\" is not a workload kind; accepted: "
-                                   "default, queries");
-  }
-  const JsonValue* queries = json.Find("queries");
-  if (queries != nullptr) {
-    if (!queries->is_array()) {
-      return Status::InvalidArgument("workload.queries must be an array");
-    }
-    for (const JsonValue& q : queries->items()) {
-      CV_RETURN_IF_ERROR(RequireObject(q, "workload.queries[i]"));
-      CV_RETURN_IF_ERROR(CheckKeys(q, "workload.queries[i]",
-                                   {"name", "target", "frequency"}));
-      QuerySpec query;
-      CV_RETURN_IF_ERROR(
-          ReadString(q, "name", "workload.queries[i]", &query.name));
-      int64_t target = 0;
-      CV_RETURN_IF_ERROR(
-          ReadInt(q, "target", "workload.queries[i]", &target));
-      if (target < 0) {
-        return Status::InvalidArgument(
-            "workload.queries[i].target must be non-negative");
-      }
-      query.target = static_cast<CuboidId>(target);
-      CV_RETURN_IF_ERROR(ReadUint(q, "frequency", "workload.queries[i]",
-                                  &query.frequency));
-      spec.queries.push_back(std::move(query));
-    }
-  }
-  return spec;
-}
-
-JsonValue WorkloadSpecToJson(const WorkloadSpec& spec) {
-  JsonValue json = JsonValue::Object();
-  json.Set("kind", JsonValue::Str(spec.kind));
-  if (!spec.queries.empty()) {
-    JsonValue queries = JsonValue::Array();
-    for (const QuerySpec& q : spec.queries) {
-      JsonValue query = JsonValue::Object();
-      query.Set("name", JsonValue::Str(q.name));
-      query.Set("target", JsonValue::Int(static_cast<int64_t>(q.target)));
-      query.Set("frequency",
-                JsonValue::Int(static_cast<int64_t>(q.frequency)));
-      queries.Push(std::move(query));
-    }
-    json.Set("queries", std::move(queries));
-  }
-  return json;
-}
-
-Result<DriftSpec> ParseDriftSpec(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "timeline.drifts[i]"));
-  CV_RETURN_IF_ERROR(CheckKeys(
-      json, "timeline.drifts[i]",
-      {"kind", "factor", "floor", "season_length", "phase", "amplitude",
-       "rate", "cuboid_skew", "growth_per_period"}));
-  DriftSpec spec;
-  CV_RETURN_IF_ERROR(
-      ReadString(json, "kind", "timeline.drifts[i]", &spec.kind));
-  if (spec.kind.empty()) {
-    return Status::InvalidArgument(
-        "timeline.drifts[i].kind is required; accepted: frequency-decay, "
-        "seasonal-spike, query-churn, dataset-growth");
-  }
-  CV_RETURN_IF_ERROR(
-      ReadDouble(json, "factor", "timeline.drifts[i]", &spec.factor));
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "floor", "timeline.drifts[i]", &spec.floor));
-  CV_RETURN_IF_ERROR(ReadInt(json, "season_length", "timeline.drifts[i]",
-                             &spec.season_length));
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "phase", "timeline.drifts[i]", &spec.phase));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "amplitude", "timeline.drifts[i]",
-                                &spec.amplitude));
-  CV_RETURN_IF_ERROR(
-      ReadDouble(json, "rate", "timeline.drifts[i]", &spec.rate));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "cuboid_skew", "timeline.drifts[i]",
-                                &spec.cuboid_skew));
-  CV_RETURN_IF_ERROR(ReadDouble(json, "growth_per_period",
-                                "timeline.drifts[i]",
-                                &spec.growth_per_period));
-  return spec;
-}
-
-JsonValue DriftSpecToJson(const DriftSpec& spec) {
-  JsonValue json = JsonValue::Object();
-  json.Set("kind", JsonValue::Str(spec.kind));
-  json.Set("factor", JsonValue::Double(spec.factor));
-  json.Set("floor", JsonValue::Int(spec.floor));
-  json.Set("season_length", JsonValue::Int(spec.season_length));
-  json.Set("phase", JsonValue::Int(spec.phase));
-  json.Set("amplitude", JsonValue::Double(spec.amplitude));
-  json.Set("rate", JsonValue::Double(spec.rate));
-  json.Set("cuboid_skew", JsonValue::Double(spec.cuboid_skew));
-  json.Set("growth_per_period", JsonValue::Double(spec.growth_per_period));
-  return json;
-}
-
-Result<TimelineSpec> ParseTimelineSpec(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "timeline"));
-  CV_RETURN_IF_ERROR(CheckKeys(json, "timeline",
-                               {"num_periods", "period_length_milli_months",
-                                "seed", "drifts"}));
-  TimelineSpec spec;
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "num_periods", "timeline", &spec.num_periods));
-  CV_RETURN_IF_ERROR(ReadMonths(json, "period_length_milli_months",
-                                "timeline", &spec.period_length));
-  CV_RETURN_IF_ERROR(ReadUint(json, "seed", "timeline", &spec.seed));
-  const JsonValue* drifts = json.Find("drifts");
-  if (drifts != nullptr) {
-    if (!drifts->is_array()) {
-      return Status::InvalidArgument("timeline.drifts must be an array");
-    }
-    for (const JsonValue& d : drifts->items()) {
-      CV_ASSIGN_OR_RETURN(DriftSpec drift, ParseDriftSpec(d));
-      spec.drifts.push_back(std::move(drift));
-    }
-  }
-  return spec;
-}
-
-JsonValue TimelineSpecToJson(const TimelineSpec& spec) {
-  JsonValue json = JsonValue::Object();
-  json.Set("num_periods", JsonValue::Int(spec.num_periods));
-  json.Set("period_length_milli_months",
-           JsonValue::Int(spec.period_length.milli()));
-  json.Set("seed", JsonValue::Int(static_cast<int64_t>(spec.seed)));
-  if (!spec.drifts.empty()) {
-    JsonValue drifts = JsonValue::Array();
-    for (const DriftSpec& d : spec.drifts) drifts.Push(DriftSpecToJson(d));
-    json.Set("drifts", std::move(drifts));
-  }
-  return json;
-}
-
-Result<ReselectPolicy> ParsePolicy(const JsonValue& json,
-                                   std::string_view where) {
-  CV_RETURN_IF_ERROR(RequireObject(json, where));
-  CV_RETURN_IF_ERROR(CheckKeys(json, where, {"kind", "k", "threshold"}));
-  std::string kind = "static";
-  CV_RETURN_IF_ERROR(ReadString(json, "kind", where, &kind));
-  if (kind == "static") return ReselectPolicy::Static();
-  if (kind == "every-k") {
-    int64_t k = 1;
-    CV_RETURN_IF_ERROR(ReadInt(json, "k", where, &k));
-    if (k <= 0) {
-      return Status::InvalidArgument(std::string(where) +
-                                     ".k must be positive");
-    }
-    return ReselectPolicy::EveryK(k);
-  }
-  if (kind == "on-drift") {
-    double threshold = 0.2;
-    CV_RETURN_IF_ERROR(ReadDouble(json, "threshold", where, &threshold));
-    if (threshold < 0.0 || threshold > 1.0) {
-      return Status::InvalidArgument(std::string(where) +
-                                     ".threshold must be in [0, 1]");
-    }
-    return ReselectPolicy::OnDrift(threshold);
-  }
-  return Status::InvalidArgument(
-      std::string(where) + ".kind \"" + kind +
-      "\" is not a policy; accepted: static, every-k, on-drift");
-}
-
-JsonValue PolicyToJson(const ReselectPolicy& policy) {
-  JsonValue json = JsonValue::Object();
-  switch (policy.kind) {
+  switch (kind) {
     case ReselectPolicy::Kind::kStatic:
-      json.Set("kind", JsonValue::Str("static"));
+      *out = ReselectPolicy::Static();
       break;
     case ReselectPolicy::Kind::kEveryK:
-      json.Set("kind", JsonValue::Str("every-k"));
-      json.Set("k", JsonValue::Int(policy.every_k));
+      *out = ReselectPolicy::EveryK(ReselectPolicy{}.every_k);
       break;
     case ReselectPolicy::Kind::kOnDrift:
-      json.Set("kind", JsonValue::Str("on-drift"));
-      json.Set("threshold", JsonValue::Double(policy.drift_threshold));
+      *out = ReselectPolicy::OnDrift(ReselectPolicy{}.drift_threshold);
       break;
   }
+  return ReadObject(v, path, out);
+}
+
+// --- Table-driven objects ----------------------------------------------
+
+// A field reads and writes through its enum list when it has one, else
+// through its member type's unit codec.
+Status ReadValue(const JsonValue& v, const Path& path, NoNames, auto* out) {
+  return ReadUnit(v, path, out);
+}
+JsonValue WriteValue(NoNames, const auto& in) { return WriteUnit(in); }
+
+template <typename T, typename M, typename N>
+Status ReadField(const JsonValue& json, const Path& parent,
+                 const Field<T, M, N>& field, T* out) {
+  const Path path{&parent, field.name};
+  const JsonValue* value = json.Find(field.name);
+  if (value == nullptr) {
+    if constexpr (std::is_same_v<N, NoNames>) {
+      return Status::OK();
+    } else {
+      return field.required ? Invalid(path, "is required; " +
+                                                Accepted(field.names))
+                            : Status::OK();
+    }
+  }
+  M* member = &(out->*field.member);
+  CV_RETURN_IF_ERROR(ReadValue(*value, path, field.names, member));
+  if (field.check != nullptr) {
+    std::string problem = field.check(*member);
+    if (!problem.empty()) return Invalid(path, problem);
+  }
+  return Status::OK();
+}
+
+template <typename T>
+Status ReadObject(const JsonValue& json, const Path& path, T* out) {
+  if (!json.is_object()) return Invalid(path, "must be a JSON object");
+  constexpr auto kFields = FieldsOf(static_cast<const T*>(nullptr));
+  for (const auto& [key, value] : json.members()) {
+    const bool known = std::apply(
+        [&](const auto&... field) { return ((field.name == key) || ...); },
+        kFields);
+    if (!known) {
+      std::string accepted;
+      std::apply(
+          [&](const auto&... field) {
+            ((accepted += accepted.empty() ? "" : ", ",
+              accepted += field.name),
+             ...);
+          },
+          kFields);
+      return Status::InvalidArgument("unknown field \"" + key + "\" in " +
+                                     path.str() +
+                                     "; accepted fields: " + accepted);
+    }
+  }
+  Status status;
+  std::apply(
+      [&](const auto&... field) {
+        ((status = ReadField(json, path, field, out)).ok() && ...);
+      },
+      kFields);
+  return status;
+}
+
+template <typename T>
+JsonValue WriteObject(const T& in) {
+  JsonValue json = JsonValue::Object();
+  std::apply(
+      [&](const auto&... field) {
+        (json.Set(std::string(field.name),
+                  WriteValue(field.names, in.*field.member)),
+         ...);
+      },
+      FieldsOf(static_cast<const T*>(nullptr)));
   return json;
+}
+
+template <typename T>
+Result<T> ParseRoot(const JsonValue& json, std::string_view root) {
+  T out;
+  CV_RETURN_IF_ERROR(ReadUnit(json, Path{nullptr, root}, &out));
+  return out;
 }
 
 // --- Response payloads -------------------------------------------------
+
+// Replies echo a policy with only the fields its kind uses.
+JsonValue PolicyToJson(const ReselectPolicy& policy) {
+  JsonValue json = JsonValue::Object();
+  json.Set("kind", WriteValue(Names<ReselectPolicy::Kind>(kPolicyKinds),
+                              policy.kind));
+  if (policy.kind == ReselectPolicy::Kind::kEveryK) {
+    json.Set("k", JsonValue::Int(policy.every_k));
+  } else if (policy.kind == ReselectPolicy::Kind::kOnDrift) {
+    json.Set("threshold", JsonValue::Double(policy.drift_threshold));
+  }
+  return json;
+}
 
 JsonValue CostToJson(const CostBreakdown& cost) {
   JsonValue json = JsonValue::Object();
@@ -694,136 +700,15 @@ JsonValue MetaToJson(const ResponseMeta& meta) {
 }  // namespace
 
 Result<ScenarioConfig> ParseScenarioConfig(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "config"));
-  CV_RETURN_IF_ERROR(CheckKeys(
-      json, "config",
-      {"schema", "provider", "instance_name", "nb_instances",
-       "maintenance_cycles", "prorate_storage",
-       "storage_period_milli_months", "single_compute_session",
-       "frontier_solver", "candidates"}));
-  ScenarioConfig config;
-  CV_RETURN_IF_ERROR(ReadString(json, "schema", "config", &config.schema));
-  if (config.schema != "sales" && config.schema != "ssb") {
-    return Status::InvalidArgument(
-        "config.schema must be \"sales\" or \"ssb\", got \"" +
-        config.schema + "\"");
-  }
-  CV_RETURN_IF_ERROR(
-      ReadString(json, "provider", "config", &config.provider));
-  CV_RETURN_IF_ERROR(
-      ReadString(json, "instance_name", "config", &config.instance_name));
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "nb_instances", "config", &config.nb_instances));
-  if (config.nb_instances <= 0) {
-    return Status::InvalidArgument("config.nb_instances must be > 0");
-  }
-  CV_RETURN_IF_ERROR(ReadInt(json, "maintenance_cycles", "config",
-                             &config.maintenance_cycles));
-  CV_RETURN_IF_ERROR(ReadBool(json, "prorate_storage", "config",
-                              &config.prorate_storage));
-  CV_RETURN_IF_ERROR(ReadMonths(json, "storage_period_milli_months",
-                                "config", &config.storage_period));
-  CV_RETURN_IF_ERROR(ReadBool(json, "single_compute_session", "config",
-                              &config.single_compute_session));
-  CV_RETURN_IF_ERROR(ReadString(json, "frontier_solver", "config",
-                                &config.frontier_solver));
-  if (const JsonValue* candidates = json.Find("candidates")) {
-    CV_RETURN_IF_ERROR(RequireObject(*candidates, "config.candidates"));
-    CV_RETURN_IF_ERROR(CheckKeys(*candidates, "config.candidates",
-                                 {"max_candidates", "max_size_fraction",
-                                  "max_rows_fraction",
-                                  "maintenance_delta_bytes",
-                                  "queries_only"}));
-    uint64_t max_candidates = config.candidates.max_candidates;
-    CV_RETURN_IF_ERROR(ReadUint(*candidates, "max_candidates",
-                                "config.candidates", &max_candidates));
-    if (max_candidates == 0) {
-      return Status::InvalidArgument(
-          "config.candidates.max_candidates must be > 0");
-    }
-    config.candidates.max_candidates =
-        static_cast<size_t>(max_candidates);
-    CV_RETURN_IF_ERROR(ReadDouble(*candidates, "max_size_fraction",
-                                  "config.candidates",
-                                  &config.candidates.max_size_fraction));
-    CV_RETURN_IF_ERROR(ReadDouble(*candidates, "max_rows_fraction",
-                                  "config.candidates",
-                                  &config.candidates.max_rows_fraction));
-    CV_RETURN_IF_ERROR(
-        ReadDataSize(*candidates, "maintenance_delta_bytes",
-                     "config.candidates",
-                     &config.candidates.maintenance_delta));
-    CV_RETURN_IF_ERROR(ReadBool(*candidates, "queries_only",
-                                "config.candidates",
-                                &config.candidates.queries_only));
-  }
-  return config;
+  return ParseRoot<ScenarioConfig>(json, "config");
 }
 
-Result<AdvisorRequestKind> ParseAdvisorRequestKind(std::string_view name) {
-  if (name == "solve") return AdvisorRequestKind::kSolve;
-  if (name == "frontier") return AdvisorRequestKind::kFrontier;
-  if (name == "timeline") return AdvisorRequestKind::kTimeline;
-  if (name == "compare-providers") {
-    return AdvisorRequestKind::kCompareProviders;
-  }
-  if (name == "compare-policies") {
-    return AdvisorRequestKind::kComparePolicies;
-  }
-  if (name == "solve-joint") return AdvisorRequestKind::kSolveJoint;
-  return Status::InvalidArgument(
-      "\"" + std::string(name) +
-      "\" is not a request kind; accepted: solve, frontier, timeline, "
-      "compare-providers, compare-policies, solve-joint");
+JsonValue ScenarioConfigToJson(const ScenarioConfig& config) {
+  return WriteObject(config);
 }
 
 Result<AdvisorRequest> ParseAdvisorRequest(const JsonValue& json) {
-  CV_RETURN_IF_ERROR(RequireObject(json, "request"));
-  CV_RETURN_IF_ERROR(CheckKeys(json, "request",
-                               {"kind", "session", "solver", "objective",
-                                "workload", "timeline", "policy",
-                                "policies", "deadline_ms"}));
-  AdvisorRequest request;
-  std::string kind;
-  CV_RETURN_IF_ERROR(ReadString(json, "kind", "request", &kind));
-  if (kind.empty()) {
-    return Status::InvalidArgument(
-        "request.kind is required; accepted: solve, frontier, timeline, "
-        "compare-providers, compare-policies, solve-joint");
-  }
-  CV_ASSIGN_OR_RETURN(request.kind, ParseAdvisorRequestKind(kind));
-  CV_RETURN_IF_ERROR(
-      ReadString(json, "session", "request", &request.session));
-  CV_RETURN_IF_ERROR(ReadString(json, "solver", "request", &request.solver));
-  CV_RETURN_IF_ERROR(
-      ReadInt(json, "deadline_ms", "request", &request.deadline_ms));
-  if (request.deadline_ms < 0) {
-    return Status::InvalidArgument("request.deadline_ms must be >= 0");
-  }
-  if (const JsonValue* objective = json.Find("objective")) {
-    CV_ASSIGN_OR_RETURN(request.objective, ParseObjective(*objective));
-  }
-  if (const JsonValue* workload = json.Find("workload")) {
-    CV_ASSIGN_OR_RETURN(request.workload, ParseWorkloadSpec(*workload));
-  }
-  if (const JsonValue* timeline = json.Find("timeline")) {
-    CV_ASSIGN_OR_RETURN(request.timeline, ParseTimelineSpec(*timeline));
-  }
-  if (const JsonValue* policy = json.Find("policy")) {
-    CV_ASSIGN_OR_RETURN(request.policy,
-                        ParsePolicy(*policy, "request.policy"));
-  }
-  if (const JsonValue* policies = json.Find("policies")) {
-    if (!policies->is_array()) {
-      return Status::InvalidArgument("request.policies must be an array");
-    }
-    for (const JsonValue& p : policies->items()) {
-      CV_ASSIGN_OR_RETURN(ReselectPolicy policy,
-                          ParsePolicy(p, "request.policies[i]"));
-      request.policies.push_back(policy);
-    }
-  }
-  return request;
+  return ParseRoot<AdvisorRequest>(json, "request");
 }
 
 Result<AdvisorRequest> ParseAdvisorRequestText(std::string_view text) {
@@ -832,34 +717,7 @@ Result<AdvisorRequest> ParseAdvisorRequestText(std::string_view text) {
 }
 
 JsonValue AdvisorRequestToJson(const AdvisorRequest& request) {
-  JsonValue json = JsonValue::Object();
-  json.Set("kind", JsonValue::Str(AdvisorRequestKindName(request.kind)));
-  if (!request.session.empty()) {
-    json.Set("session", JsonValue::Str(request.session));
-  }
-  if (!request.solver.empty()) {
-    json.Set("solver", JsonValue::Str(request.solver));
-  }
-  json.Set("objective", ObjectiveToJson(request.objective));
-  json.Set("workload", WorkloadSpecToJson(request.workload));
-  if (request.kind == AdvisorRequestKind::kTimeline ||
-      request.kind == AdvisorRequestKind::kComparePolicies) {
-    json.Set("timeline", TimelineSpecToJson(request.timeline));
-  }
-  if (request.kind == AdvisorRequestKind::kTimeline) {
-    json.Set("policy", PolicyToJson(request.policy));
-  }
-  if (request.kind == AdvisorRequestKind::kComparePolicies) {
-    JsonValue policies = JsonValue::Array();
-    for (const ReselectPolicy& p : request.policies) {
-      policies.Push(PolicyToJson(p));
-    }
-    json.Set("policies", std::move(policies));
-  }
-  if (request.deadline_ms > 0) {
-    json.Set("deadline_ms", JsonValue::Int(request.deadline_ms));
-  }
-  return json;
+  return WriteObject(request);
 }
 
 JsonValue AdvisorResponseToJson(const AdvisorResponse& response) {

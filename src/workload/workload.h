@@ -23,6 +23,8 @@ struct QuerySpec {
   std::string name;
   CuboidId target = 0;
   uint64_t frequency = 1;
+
+  friend bool operator==(const QuerySpec&, const QuerySpec&) = default;
 };
 
 /// \brief An immutable list of QuerySpecs.

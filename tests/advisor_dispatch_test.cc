@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -237,6 +239,90 @@ TEST_F(DispatchEntryTest, TimelinePeriodsAreBounded) {
       ASSERT_FALSE(response.ok());
       EXPECT_TRUE(response.status().IsInvalidArgument());
     }
+  }
+}
+
+// Numbers that used to overflow the int64 bills and abort the server
+// come back InvalidArgument naming their field, and a request exactly at
+// each bound (kMaxPeriodRuns, kMaxSpikeAmplitude, kMaxGrownFactBytes) is
+// served, at kMaxTimelinePeriods and on the largest-result cuboid.
+TEST(HostileNumbers, OverflowingNumbersAreRefusedAndBoundsServed) {
+  CloudScenario scenario = CloudScenario::Create(ScenarioConfig{}).MoveValue();
+  auto serve = [&](const std::string& line) -> Result<AdvisorResponse> {
+    CV_ASSIGN_OR_RETURN(AdvisorRequest request,
+                        ParseAdvisorRequestText(line));
+    return scenario.Dispatch(request);
+  };
+  const std::string growth =
+      R"({"kind":"timeline","timeline":{"num_periods":2,"drifts":[)"
+      R"({"kind":"dataset-growth","growth_per_period":)";
+  const std::string spike =
+      R"({"kind":"timeline","timeline":{"num_periods":2,"drifts":[)"
+      R"({"kind":"seasonal-spike","season_length":2,"amplitude":)";
+  const std::string frequency =
+      R"({"kind":"solve","workload":{"kind":"queries","queries":[)"
+      R"({"name":"q","target":1,"frequency":)";
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {growth + "1e9}]}}", "growth_per_period"},
+      {growth + "1e300}]}}", "growth_per_period"},
+      {growth + "1e999}]}}", "growth_per_period"},
+      {spike + "1e999}]}}", "amplitude"},
+      {spike + "1e12}]}}", "amplitude"},
+      {frequency + "9223372036854775807}]}}", "frequency"},
+      {frequency + "1000000000000000}]}}", "frequency"},
+      {frequency + "1e15}]}}", "frequency"}};
+  for (const auto& [line, field] : refused) {
+    Result<AdvisorResponse> response = serve(line);
+    ASSERT_FALSE(response.ok()) << line;
+    EXPECT_TRUE(response.status().IsInvalidArgument()) << response.status();
+    EXPECT_NE(response.status().message().find(field), std::string::npos)
+        << response.status();
+  }
+
+  // At each bound, and one step past it. The largest result is the base
+  // cuboid's.
+  const CuboidId base = scenario.lattice().base_id();
+  const double max_growth =
+      (static_cast<double>(kMaxGrownFactBytes) /
+           static_cast<double>(scenario.lattice().fact_scan_size().bytes()) -
+       1.0) /
+      static_cast<double>(kMaxTimelinePeriods);
+  auto request_at = [&](uint64_t runs, double amplitude, double growth_rate) {
+    AdvisorRequest request{.kind = AdvisorRequestKind::kComparePolicies};
+    request.workload = {.kind = "queries",
+                        .queries = {QuerySpec{"q", base, runs}}};
+    request.timeline.num_periods = kMaxTimelinePeriods;
+    request.timeline.drifts = {
+        DriftSpec{.kind = "seasonal-spike", .season_length = 1,
+                  .amplitude = amplitude},
+        DriftSpec{.kind = "dataset-growth",
+                  .growth_per_period = growth_rate}};
+    request.policies = {ReselectPolicy::Static(), ReselectPolicy::EveryK(1)};
+    return WriteJson(AdvisorRequestToJson(request));
+  };
+  for (const std::string& line :
+       {request_at(kMaxPeriodRuns, 0.0, max_growth),
+        request_at(1, kMaxSpikeAmplitude, max_growth)}) {
+    Result<AdvisorResponse> response = serve(line);
+    ASSERT_TRUE(response.ok()) << response.status() << "\n" << line;
+    for (const TemporalRunResult& run : response.value().policies) {
+      EXPECT_GT(run.total.total(), Money::Zero());
+      for (const TemporalPeriodRow& row : run.ledger) {
+        EXPECT_GE(row.cost.storage, Money::Zero());
+        EXPECT_GE(row.cost.processing, Money::Zero());
+        EXPECT_GE(row.cost.transfer, Money::Zero());
+      }
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::string& line :
+       {request_at(kMaxPeriodRuns + 1, 0.0, 0.0),
+        request_at(2, kMaxSpikeAmplitude, 0.0),
+        request_at(1, std::nextafter(kMaxSpikeAmplitude, inf), 0.0),
+        request_at(1, 0.0, std::nextafter(max_growth, inf))}) {
+    Result<AdvisorResponse> response = serve(line);
+    ASSERT_FALSE(response.ok()) << line;
+    EXPECT_TRUE(response.status().IsInvalidArgument()) << response.status();
   }
 }
 

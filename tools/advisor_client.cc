@@ -172,13 +172,11 @@ int Main(int argc, char** argv) {
   JsonValue create = JsonValue::Object();
   create.Set("op", JsonValue::Str("create_session"));
   create.Set("name", JsonValue::Str(kSession));
-  JsonValue config = JsonValue::Object();
-  config.Set("schema", JsonValue::Str("ssb"));
-  JsonValue candidates = JsonValue::Object();
-  candidates.Set("max_candidates", JsonValue::Int(20));
-  candidates.Set("max_rows_fraction", JsonValue::Double(0.05));
-  config.Set("candidates", std::move(candidates));
-  create.Set("config", std::move(config));
+  ScenarioConfig config;
+  config.schema = "ssb";
+  config.candidates.max_candidates = 20;
+  config.candidates.max_rows_fraction = 0.05;
+  create.Set("config", ScenarioConfigToJson(config));
   std::string code = RoundTrip(channel, WriteJson(create), nullptr);
   if (code != "OK" && code != "AlreadyExists") {
     std::fprintf(stderr, "create_session failed: %s\n", code.c_str());
