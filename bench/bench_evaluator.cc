@@ -1,7 +1,7 @@
 // Evaluator hot-path microbench: the per-op costs underneath every
 // solver row in bench_solvers — single read-only probes, committed
-// toggles, memo-backed context probes, and the from-scratch Evaluate()
-// they all shortcut (DESIGN.md §11).
+// toggles, context probes with and without a memo, and the from-scratch
+// Evaluate() they all shortcut (DESIGN.md §11).
 // Rows are emitted in the bench_util.h BENCH_JSON format with the same
 // gated metric (subsets_per_sec) as the solver rows, so the CI
 // regression gate covers the evaluation layer directly: a solver row
@@ -230,6 +230,24 @@ std::vector<Row> RunOps(const Instance& inst) {
     EvaluationCache cache;
     SolverContext context(evaluator, spec, &cache);
     rows.push_back({"context_probe_cached", MeasureOp([&](uint64_t) {
+      int64_t sum = 0;
+      for (size_t c = 0; c < n; ++c) {
+        sum += context.ProbeToggle(state, c).cost.micros();
+      }
+      return std::pair<uint64_t, int64_t>(n, sum);
+    })});
+  }
+
+  // The same context probe with no cache: every probe re-scores the
+  // toggled subset and bills it, the path sessionless solves, period
+  // clones and arch-sweep's architectures run.
+  {
+    SubsetState state = MakeRoster(evaluator);
+    ObjectiveSpec spec;
+    spec.scenario = Scenario::kMV3Tradeoff;
+    spec.alpha = 0.5;
+    SolverContext context(evaluator, spec);
+    rows.push_back({"context_probe_uncached", MeasureOp([&](uint64_t) {
       int64_t sum = 0;
       for (size_t c = 0; c < n; ++c) {
         sum += context.ProbeToggle(state, c).cost.micros();

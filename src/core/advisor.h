@@ -113,6 +113,24 @@ inline constexpr uint64_t kMaxPeriodRuns = uint64_t{1} << 19;
 inline constexpr double kMaxSpikeAmplitude = kMaxPeriodRuns - 1;
 inline constexpr int64_t kMaxGrownFactBytes = int64_t{1} << 50;
 
+/// \brief Bounds on the session config numbers that multiply those sums,
+/// derived the same way. A run's wall time on n instances is the job
+/// startup (45 s < 2^16 ms) plus data phases that shrink as 1/n, and its
+/// compute bill is n x that wall time: at most 2^10 instances keep the
+/// startup share below 2^26 instance-ms per run, under the 2^32 its data
+/// phases may already bill. A maintenance cycle scans each view plus the
+/// delta at 3 MB/s per compute unit; a delta of at most 2^40 bytes (the
+/// served facts are below 2^34) keeps one view's cycle below 2^29 ms, so
+/// at most 2^12 cycles per period over the at most 2^8 views of a served
+/// lattice and kMaxTimelinePeriods < 2^11 periods stay below 2^60, and
+/// the view bytes replicated once per cycle below 2^62. The storage
+/// period spans at most the longest timeline, kMaxTimelinePeriods months.
+inline constexpr int64_t kMaxInstances = int64_t{1} << 10;
+inline constexpr int64_t kMaxMaintenanceCycles = int64_t{1} << 12;
+inline constexpr int64_t kMaxMaintenanceDeltaBytes = int64_t{1} << 40;
+inline constexpr int64_t kMaxStoragePeriodMilliMonths =
+    kMaxTimelinePeriods * Months::kMilliPerMonth;
+
 /// \brief Serializable WorkloadTimeline description: the base workload
 /// (WorkloadSpec) unrolled over `num_periods` (1..kMaxTimelinePeriods)
 /// under `drifts`.

@@ -70,8 +70,8 @@ SelectionEvaluator::SelectionEvaluator(
   }
   timing_ = std::move(timing);
 
-  // Flatten the base storage timeline once so a storage-memo miss in
-  // FastTotalCost never copies a std::map (see base_storage_events_).
+  // Flatten the base storage timeline once so a FastTotalCost probe
+  // never copies a std::map (see base_storage_events_).
   for (const auto& [at, delta] : deployment_.base_storage.CoalescedEvents(
            deployment_.storage_period)) {
     base_storage_events_.push_back(StorageEvent{at, delta});
@@ -110,7 +110,7 @@ SelectionEvaluator::SelectionEvaluator(
 
 Result<SelectionEvaluator> SelectionEvaluator::CloneWithSunkBuilds(
     const std::vector<size_t>& sunk) const {
-  SelectionEvaluator clone(*this, CloneTag{});
+  SelectionEvaluator clone = *this;
   for (size_t c : sunk) {
     if (c >= clone.candidates_.size()) {
       return Status::InvalidArgument("sunk candidate index out of range");
@@ -122,7 +122,7 @@ Result<SelectionEvaluator> SelectionEvaluator::CloneWithSunkBuilds(
 
 Result<SelectionEvaluator> SelectionEvaluator::CloneWithArchitecture(
     const ArchitectureModel& architecture) const {
-  SelectionEvaluator clone(*this, CloneTag{});
+  SelectionEvaluator clone = *this;
   clone.deployment_.architecture = architecture;
   // Re-bill the baseline under the new architecture; this also rejects
   // the single_compute_session conflict (CloudCostModel does).
@@ -196,29 +196,8 @@ Result<SubsetEvaluation> SelectionEvaluator::Evaluate(
 }
 
 Money SelectionEvaluator::ComputeBill(Duration busy) const {
-  const PricingModel& pricing = cost_model_->pricing();
-  // Granularity rounding collapses the ~2^n distinct raw busy spans a
-  // search explores onto a handful of billed durations, so the memo hit
-  // rate is near 1 after warm-up and the exact-rational ScaleBy division
-  // leaves the probe hot path.
-  int64_t key =
-      RoundUpToGranularity(busy, pricing.compute_granularity()).millis();
-  // One-slot front cache: neighborhood scans and Gray-code walks probe
-  // long runs of subsets whose busy span rounds to the same bill.
-  if (key == compute_last_key_) {
-    return Money::FromMicros(compute_last_micros_);
-  }
-  int64_t micros;
-  if (!compute_cost_memo_.Lookup(key, &micros)) {
-    micros = pricing
-                 .ComputeCost(deployment_.instance, busy,
-                              deployment_.nb_instances)
-                 .micros();
-    compute_cost_memo_.Insert(key, micros);
-  }
-  compute_last_key_ = key;
-  compute_last_micros_ = micros;
-  return Money::FromMicros(micros);
+  return cost_model_->pricing().ComputeCost(deployment_.instance, busy,
+                                            deployment_.nb_instances);
 }
 
 Money SelectionEvaluator::FastTotalCost(const SubsetTotals& totals) const {
@@ -247,10 +226,10 @@ Money SelectionEvaluator::FastTotalCost(const SubsetTotals& totals) const {
     }
   } else {
     // The ApplyArchitecture mirror (cloud_cost_model.cc): identical
-    // ScaleBy chains on the memoized per-activity bills, cycles
-    // multiplied in BEFORE the fanout scaling — the order the exact
-    // path uses, and rational ScaleBy floors, so order matters for the
-    // bit-equality the property suite pins. ComputeBill(0) == 0
+    // ScaleBy chains on the per-activity bills, cycles multiplied in
+    // BEFORE the fanout scaling — the order the exact path uses, and
+    // rational ScaleBy floors, so order matters for the bit-equality
+    // the property suite pins. ComputeBill(0) == 0
     // exactly, so the zero-total skips below change nothing.
     Money processing = ComputeBill(totals.processing)
                            .ScaleBy(arch.compute_num, arch.compute_den);
@@ -273,60 +252,46 @@ Money SelectionEvaluator::FastTotalCost(const SubsetTotals& totals) const {
   }
 
   // Storage (Formula 5): base timeline plus the duplicated bytes from
-  // month 0, memoized per distinct byte total.
-  Money storage;
-  int64_t key = totals.view_bytes.bytes();
-  int64_t micros;
-  if (storage_cost_memo_.Lookup(key, &micros)) {
-    storage = Money::FromMicros(micros);
-  } else {
-    // Replay StorageTimeline::Intervals() over the pre-flattened base
-    // events with the subset's bytes folded in at month 0: identical
-    // walk, identical StorageCost calls in the same order, but no
-    // per-probe timeline copy or interval vector.
-    // Neither check below can fire on a built evaluator: Create() and
-    // CloneWithArchitecture() bill the baseline through
-    // StorageTimeline::Intervals(), which rejects a negative period and
-    // a timeline that dips below zero; a probe only adds non-negative
-    // view bytes at month 0, and CloneWithSunkBuilds() changes build
-    // times only.
-    Months end = deployment_.storage_period;
-    CV_DCHECK(!end.is_negative()) << "storage period end before month 0";
-    Money sum = Money::Zero();
-    DataSize size = totals.view_bytes;
-    Months cursor = Months::Zero();
-    for (const StorageEvent& event : base_storage_events_) {
-      if (event.at > cursor) {
-        if (!size.is_zero()) {
-          sum += cost_model_->storage().ConstantCost(size,
-                                                     event.at - cursor);
-        }
-        cursor = event.at;
+  // month 0. Replay StorageTimeline::Intervals() over the pre-flattened
+  // base events with the subset's bytes folded in at month 0: identical
+  // walk, identical StorageCost calls in the same order, but no
+  // per-probe timeline copy or interval vector.
+  // Neither check below can fire on a built evaluator: Create() and
+  // CloneWithArchitecture() bill the baseline through
+  // StorageTimeline::Intervals(), which rejects a negative period and a
+  // timeline that dips below zero; a probe only adds non-negative view
+  // bytes at month 0, and CloneWithSunkBuilds() changes build times only.
+  Months end = deployment_.storage_period;
+  CV_DCHECK(!end.is_negative()) << "storage period end before month 0";
+  Money storage = Money::Zero();
+  DataSize size = totals.view_bytes;
+  Months cursor = Months::Zero();
+  for (const StorageEvent& event : base_storage_events_) {
+    if (event.at > cursor) {
+      if (!size.is_zero()) {
+        storage += cost_model_->storage().ConstantCost(size,
+                                                       event.at - cursor);
       }
-      size += event.delta;
-      CV_DCHECK(!size.is_negative())
-          << "storage timeline deletes more data than it holds";
+      cursor = event.at;
     }
-    if (cursor < end && !size.is_zero()) {
-      sum += cost_model_->storage().ConstantCost(size, end - cursor);
+    size += event.delta;
+    CV_DCHECK(!size.is_negative())
+        << "storage timeline deletes more data than it holds";
+  }
+  if (cursor < end && !size.is_zero()) {
+    storage += cost_model_->storage().ConstantCost(size, end - cursor);
+  }
+  if (!arch.is_identity()) {
+    // Replica/durability storage scaling and the inter-AZ egress on
+    // replicated writes: the same chains as ApplyArchitecture.
+    storage = storage.ScaleBy(arch.storage_num, arch.storage_den);
+    if (arch.cross_az_copies > 0) {
+      DataSize written = ReplicatedWriteBytes(
+          deployment_.ingress.initial_dataset, totals.view_bytes,
+          deployment_.maintenance_cycles);
+      storage += cost_model_->pricing().InterAzCost(DataSize::FromBytes(
+          written.bytes() * arch.cross_az_copies));
     }
-    storage = sum;
-    if (!arch.is_identity()) {
-      // Architecture terms that are pure functions of the byte total —
-      // replica/durability storage scaling and the inter-AZ egress on
-      // replicated writes — fold into the memoized value, so the probe
-      // hot path stays allocation-free after warm-up. Same chains as
-      // ApplyArchitecture.
-      storage = storage.ScaleBy(arch.storage_num, arch.storage_den);
-      if (arch.cross_az_copies > 0) {
-        DataSize written = ReplicatedWriteBytes(
-            deployment_.ingress.initial_dataset, totals.view_bytes,
-            deployment_.maintenance_cycles);
-        storage += cost_model_->pricing().InterAzCost(DataSize::FromBytes(
-            written.bytes() * arch.cross_az_copies));
-      }
-    }
-    storage_cost_memo_.Insert(key, storage.micros());
   }
 
   // Transfer (Section 4.1) and request charges: views never leave the

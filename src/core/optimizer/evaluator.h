@@ -91,15 +91,13 @@ struct SubsetEvaluation {
 /// The workload and deployment are copied in (both are small); the
 /// lattice and cost model are borrowed and must outlive the evaluator.
 ///
-/// Concurrency contract (DESIGN.md §9): one instance per task. The
-/// const methods are deterministic but *memoizing* — FastTotalCost()
-/// caches storage and compute bills in per-instance memos — so two
-/// threads must not share one instance. The two variants
-/// (CloneWithSunkBuilds, CloneWithArchitecture) share the immutable
-/// query-x-candidate timing tables by reference and start with empty
-/// memos, so deriving one is O(queries + candidates), not
-/// O(queries x candidates). Memo contents only affect speed, never
-/// values: a variant computes exactly what a fresh build would.
+/// Concurrency contract (DESIGN.md §9): safe to share. An evaluator is
+/// read-only after construction — FastTotalCost() bills every probe
+/// directly, with no memo — so any number of threads may probe one
+/// instance. The two variants (CloneWithSunkBuilds,
+/// CloneWithArchitecture) share the immutable query-x-candidate timing
+/// tables by reference, so deriving one is O(queries + candidates), not
+/// O(queries x candidates).
 class SelectionEvaluator {
  public:
   /// \brief Builds the evaluator. `lattice` and `cost_model` must
@@ -163,11 +161,11 @@ class SelectionEvaluator {
 
   /// \brief A copy re-billed under `architecture` — what the arch-sweep
   /// solver scores each architecture on. Timing tables are shared (an
-  /// architecture rescales money, never query times); the baseline and
-  /// the cold memos are rebuilt under the new bill. InvalidArgument
-  /// when the deployment bills compute as a single session and the
-  /// architecture is not the identity (a replicated or spot fleet is
-  /// not one rental session).
+  /// architecture rescales money, never query times); the baseline is
+  /// re-billed under the new architecture. InvalidArgument when the
+  /// deployment bills compute as a single session and the architecture
+  /// is not the identity (a replicated or spot fleet is not one rental
+  /// session).
   Result<SelectionEvaluator> CloneWithArchitecture(
       const ArchitectureModel& architecture) const;
 
@@ -182,9 +180,9 @@ class SelectionEvaluator {
   /// no per-query rebuild. Matches Evaluate(...).cost.total() exactly:
   /// compute charges are functions of the three time totals, transfer is
   /// subset-independent (Section 4.1), and storage depends only on the
-  /// duplicated view bytes (memoized per distinct total). Cannot fail:
-  /// Create() and the clones already billed the baseline, which
-  /// validates everything a probe's totals can reach.
+  /// duplicated view bytes. Cannot fail: Create() and the clones already
+  /// billed the baseline, which validates everything a probe's totals
+  /// can reach.
   Money FastTotalCost(const SubsetTotals& totals) const;
   Money FastTotalCost(const SubsetState& state) const;
 
@@ -245,107 +243,12 @@ class SelectionEvaluator {
     std::vector<DataSize> result_bytes;
   };
 
-  /// Open-addressing int64 -> int64 memo for the monetary fast path
-  /// (storage cost by duplicated-byte total, compute cost by billed
-  /// duration). Replaces std::unordered_map on the probe hot path: a
-  /// lookup is a Mix64 and a handful of contiguous loads. Bounded:
-  /// reaching kMaxEntries drops the epoch and re-memoizes, so long
-  /// solves keep their working set cached instead of silently
-  /// degrading to recompute-everything.
-  class CostMemo {
-   public:
-    bool Lookup(int64_t key, int64_t* value) const {
-      if (slots_.empty()) return false;
-      size_t mask = slots_.size() - 1;
-      for (size_t i = Mix64(static_cast<uint64_t>(key)) & mask;;
-           i = (i + 1) & mask) {
-        if (slots_[i].key == kEmptyKey) return false;
-        if (slots_[i].key == key) {
-          *value = slots_[i].value;
-          return true;
-        }
-      }
-    }
-
-    void Insert(int64_t key, int64_t value) {
-      if (size_ >= kMaxEntries) {
-        // Epoch reset instead of the old silent `return`: refusing new
-        // keys forever degraded long solves to recompute-everything
-        // with no signal. Dropping the epoch keeps memory bounded while
-        // the working set re-memoizes within a few probes.
-        slots_.assign(slots_.size(), Slot{});
-        size_ = 0;
-        ++epoch_resets_;
-      }
-      if (slots_.empty()) slots_.assign(kInitialSlots, Slot{});
-      if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
-      size_t mask = slots_.size() - 1;
-      for (size_t i = Mix64(static_cast<uint64_t>(key)) & mask;;
-           i = (i + 1) & mask) {
-        if (slots_[i].key == key) return;
-        if (slots_[i].key == kEmptyKey) {
-          slots_[i] = Slot{key, value};
-          ++size_;
-          return;
-        }
-      }
-    }
-
-   private:
-    // Byte totals and billed millis are never negative, so INT64_MIN is
-    // a safe empty marker (key 0 — the empty subset — stays valid).
-    static constexpr int64_t kEmptyKey =
-        std::numeric_limits<int64_t>::min();
-    static constexpr size_t kInitialSlots = 1u << 6;
-    static constexpr size_t kMaxEntries = 1u << 16;
-
-    struct Slot {
-      int64_t key = kEmptyKey;
-      int64_t value = 0;
-    };
-
-    void Grow() {
-      std::vector<Slot> old = std::move(slots_);
-      slots_.assign(old.size() * 2, Slot{});
-      size_t mask = slots_.size() - 1;
-      for (const Slot& slot : old) {
-        if (slot.key == kEmptyKey) continue;
-        for (size_t i = Mix64(static_cast<uint64_t>(slot.key)) & mask;;
-             i = (i + 1) & mask) {
-          if (slots_[i].key == kEmptyKey) {
-            slots_[i] = slot;
-            break;
-          }
-        }
-      }
-    }
-
-    std::vector<Slot> slots_;
-    size_t size_ = 0;
-    uint64_t epoch_resets_ = 0;
-  };
-
   SelectionEvaluator(const CubeLattice& lattice, const Workload& workload,
                      const MapReduceSimulator& simulator,
                      const ClusterSpec& cluster,
                      const CloudCostModel& cost_model,
                      const DeploymentSpec& deployment,
                      std::vector<ViewCandidate> candidates);
-
-  /// The variants' shared copy step: copies everything except the
-  /// memos (the copy starts cold), so deriving a variant never pays
-  /// for — or even reads — a source memo that may have grown large.
-  struct CloneTag {};
-  SelectionEvaluator(const SelectionEvaluator& other, CloneTag)
-      : lattice_(other.lattice_),
-        workload_(other.workload_),
-        cost_model_(other.cost_model_),
-        deployment_(other.deployment_),
-        candidates_(other.candidates_),
-        timing_(other.timing_),
-        baseline_(other.baseline_),
-        base_storage_events_(other.base_storage_events_),
-        storage_drops_(other.storage_drops_) {}
 
   const CubeLattice* lattice_;
   Workload workload_;
@@ -366,8 +269,8 @@ class SelectionEvaluator {
   };
   /// deployment_.base_storage flattened once at construction: the
   /// coalesced (month, delta) events below storage_period, time-ordered.
-  /// A storage-memo miss replays StorageTimeline::Intervals() over this
-  /// tiny flat vector with the subset's duplicated bytes folded in at
+  /// Every probe replays StorageTimeline::Intervals() over this tiny
+  /// flat vector with the subset's duplicated bytes folded in at
   /// month 0 — the identical interval walk and StorageCost calls, minus
   /// the per-probe std::map copy and interval-vector allocation.
   std::vector<StorageEvent> base_storage_events_;
@@ -380,25 +283,8 @@ class SelectionEvaluator {
   /// fall anywhere). What FastTotalCostFloor minimizes over.
   std::vector<int64_t> storage_drops_;
 
-  /// Compute bill for `busy` time, memoized by the billed (granularity-
-  /// rounded) duration — rounding collapses the ~2^n distinct raw time
-  /// totals onto few distinct billed spans, so the exact-rational
-  /// ScaleBy division leaves the probe hot path after warm-up.
+  /// Formula 6 compute bill for `busy` time on the deployment's fleet.
   Money ComputeBill(Duration busy) const;
-
-  // Fast-path memos, keyed by duplicated-byte total (storage: the
-  // tiered Formula 5 walk) and billed millis (compute: the __int128
-  // rational scaling). Per-instance (never shared with a variant):
-  // these memos are why one instance must not be probed from two
-  // threads. Contents only affect speed, never values.
-  // thread-compat: unsynchronized memo — one instance per task, per
-  // DESIGN.md §9.2.
-  mutable CostMemo storage_cost_memo_;
-  mutable CostMemo compute_cost_memo_;
-  // One-slot front cache over compute_cost_memo_ (see ComputeBill).
-  // thread-compat: unsynchronized memo — one instance per task.
-  mutable int64_t compute_last_key_ = std::numeric_limits<int64_t>::min();
-  mutable int64_t compute_last_micros_ = 0;
 };
 
 /// \brief Incrementally maintained evaluation of one evolving subset.
@@ -624,9 +510,8 @@ class EvaluationCache {
       return;
     }
     if (size_ >= max_entries_) {
-      // Epoch eviction (was: unbounded growth; and the sibling CostMemo
-      // silently stopped caching when full): drop every entry, keep the
-      // slot array, count the eviction. Entries are pure functions of
+      // Epoch eviction (was: unbounded growth): drop every entry, keep
+      // the slot array, count the eviction. Entries are pure functions of
       // their key, so re-misses just recompute — results never change,
       // only speed (DESIGN.md §13.4).
       slots_.assign(slots_.size(), Slot{});

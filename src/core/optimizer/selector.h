@@ -156,9 +156,9 @@ struct SelectionResult {
 ///
 /// Concurrency contract (DESIGN.md §9): one selector per task. The
 /// selector holds no state of its own; Solve() memoizes only into the
-/// cache it was given, so two threads must not share that cache (or
-/// the evaluator). The "arch-sweep" solver scores each architecture on
-/// its own uncached SolverContext over a
+/// cache it was given, so two threads must not share that cache. The
+/// evaluator is read-only and may be shared. The "arch-sweep" solver
+/// scores each architecture on its own uncached SolverContext over a
 /// SelectionEvaluator::CloneWithArchitecture(), which shares only the
 /// immutable timing tables. Memoization never changes results, only
 /// speed.

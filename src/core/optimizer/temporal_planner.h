@@ -150,8 +150,7 @@ struct TemporalRunResult {
 /// from several threads at once. Each call keeps all mutable state
 /// (SubsetStates, evaluator clones, ComparePolicies' winner memo) on
 /// its own stack and runs sequentially on the calling thread; the
-/// shared pre-built per-period evaluators are only ever cloned, never
-/// probed directly.
+/// shared pre-built per-period evaluators are read-only.
 class TemporalPlanner {
  public:
   /// \brief Builds the planner: generates the shared candidate set from
@@ -232,9 +231,9 @@ class TemporalPlanner {
   /// accumulated growth); index num_periods() holds the end state.
   std::vector<DataSize> base_at_period_;
   /// One pre-built evaluator per period (full, un-zeroed candidate
-  /// pool), built by Create(). Never probed: the walk probes
-  /// CloneWithSunkBuilds snapshots, which share these timing tables but
-  /// carry their own memos, so every Run starts from the same state.
+  /// pool), built by Create(). Read-only: the walk probes
+  /// CloneWithSunkBuilds snapshots, which share these timing tables and
+  /// zero the carried views' builds.
   std::vector<std::unique_ptr<const SelectionEvaluator>> period_evaluators_;
 };
 

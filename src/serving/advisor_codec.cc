@@ -100,6 +100,19 @@ std::string RunsPerPeriod(const uint64_t& v) {
              ? ""
              : "must be at most " + std::to_string(kMaxPeriodRuns);
 }
+// The config bounds of core/advisor.h, on counts and on exact units.
+template <int64_t kMin, int64_t kMax>
+std::string InRange(const int64_t& v) {
+  return v >= kMin && v <= kMax ? ""
+                                : "must be in [" + std::to_string(kMin) +
+                                      ", " + std::to_string(kMax) + "]";
+}
+std::string DeltaBytes(const DataSize& v) {
+  return InRange<0, kMaxMaintenanceDeltaBytes>(v.bytes());
+}
+std::string StoragePeriod(const Months& v) {
+  return InRange<0, kMaxStoragePeriodMilliMonths>(v.milli());
+}
 std::string SpikeAmplitude(const double& v) {
   return v >= 0.0 && v <= kMaxSpikeAmplitude
              ? ""
@@ -228,7 +241,8 @@ constexpr auto FieldsOf(const CandidateGenOptions*) {
   return std::tuple{F("max_candidates", &S::max_candidates, Positive),
                     F("max_size_fraction", &S::max_size_fraction),
                     F("max_rows_fraction", &S::max_rows_fraction),
-                    F("maintenance_delta_bytes", &S::maintenance_delta),
+                    F("maintenance_delta_bytes", &S::maintenance_delta,
+                      DeltaBytes),
                     F("queries_only", &S::queries_only)};
 }
 
@@ -238,10 +252,11 @@ constexpr auto FieldsOf(const ScenarioConfig*) {
       Enum("schema", &S::schema, kSchemas),
       F("provider", &S::provider),
       F("instance_name", &S::instance_name),
-      F("nb_instances", &S::nb_instances, Positive),
-      F("maintenance_cycles", &S::maintenance_cycles),
+      F("nb_instances", &S::nb_instances, InRange<1, kMaxInstances>),
+      F("maintenance_cycles", &S::maintenance_cycles,
+        InRange<0, kMaxMaintenanceCycles>),
       F("prorate_storage", &S::prorate_storage),
-      F("storage_period_milli_months", &S::storage_period),
+      F("storage_period_milli_months", &S::storage_period, StoragePeriod),
       F("single_compute_session", &S::single_compute_session),
       F("frontier_solver", &S::frontier_solver),
       F("candidates", &S::candidates)};

@@ -184,17 +184,19 @@ ScenarioConfig RandomConfig(Rng& rng) {
   config.schema = Pick(rng, {"sales", "ssb"});
   config.provider = RandomString(rng);
   config.instance_name = RandomString(rng);
-  config.nb_instances = RandomPositive(rng);
-  config.maintenance_cycles = RandomInt(rng);
+  config.nb_instances = rng.UniformInt(1, kMaxInstances);
+  config.maintenance_cycles = rng.UniformInt(0, kMaxMaintenanceCycles);
   config.prorate_storage = rng.Bernoulli(0.5);
-  config.storage_period = Months::FromMilli(RandomInt(rng));
+  config.storage_period =
+      Months::FromMilli(rng.UniformInt(0, kMaxStoragePeriodMilliMonths));
   config.single_compute_session = rng.Bernoulli(0.5);
   config.frontier_solver = RandomString(rng);
   config.candidates.max_candidates =
       static_cast<size_t>(RandomPositive(rng));
   config.candidates.max_size_fraction = RandomDouble(rng);
   config.candidates.max_rows_fraction = RandomDouble(rng);
-  config.candidates.maintenance_delta = DataSize::FromBytes(RandomInt(rng));
+  config.candidates.maintenance_delta =
+      DataSize::FromBytes(rng.UniformInt(0, kMaxMaintenanceDeltaBytes));
   config.candidates.queries_only = rng.Bernoulli(0.5);
   return config;
 }

@@ -326,6 +326,54 @@ TEST(HostileNumbers, OverflowingNumbersAreRefusedAndBoundsServed) {
   }
 }
 
+// The session config numbers that scale the bills: each at 2^63 - 1, or
+// one step past its bound, comes back InvalidArgument naming its full
+// path; each at its bound builds a session that solves.
+TEST(HostileNumbers, ConfigNumbersAreBoundedAndBoundsServed) {
+  struct Bounded {
+    std::string path;
+    std::string before;  // the config text around the field's value
+    std::string after;
+    int64_t bound;
+  };
+  const std::vector<Bounded> fields = {
+      {"config.nb_instances", R"({"nb_instances":)", "}", kMaxInstances},
+      {"config.maintenance_cycles", R"({"maintenance_cycles":)", "}",
+       kMaxMaintenanceCycles},
+      {"config.storage_period_milli_months",
+       R"({"prorate_storage":false,"storage_period_milli_months":)", "}",
+       kMaxStoragePeriodMilliMonths},
+      {"config.candidates.maintenance_delta_bytes",
+       R"({"maintenance_cycles":1,"candidates":{"maintenance_delta_bytes":)",
+       "}}", kMaxMaintenanceDeltaBytes}};
+  auto parse = [](const Bounded& field, int64_t value) {
+    return ParseScenarioConfig(
+        ParseJson(field.before + std::to_string(value) + field.after)
+            .MoveValue());
+  };
+  for (const Bounded& field : fields) {
+    for (int64_t refused :
+         {std::numeric_limits<int64_t>::max(), field.bound + 1, int64_t{-1}}) {
+      Result<ScenarioConfig> config = parse(field, refused);
+      ASSERT_FALSE(config.ok()) << field.path << " = " << refused;
+      EXPECT_TRUE(config.status().IsInvalidArgument()) << config.status();
+      EXPECT_EQ(config.status().message().rfind(field.path + " must be in", 0),
+                0u)
+          << config.status();
+    }
+    Result<ScenarioConfig> config = parse(field, field.bound);
+    ASSERT_TRUE(config.ok()) << config.status();
+    CloudScenario scenario =
+        CloudScenario::Create(config.MoveValue()).MoveValue();
+    Result<AdvisorResponse> response =
+        scenario.Dispatch(AdvisorRequest{.kind = AdvisorRequestKind::kSolve});
+    ASSERT_TRUE(response.ok()) << field.path << ": " << response.status();
+    EXPECT_GT(response.value().solve.selection.evaluation.cost.total(),
+              Money::Zero())
+        << field.path;
+  }
+}
+
 // Replies on the session perfbench serves (SSB, 100 candidates, primed
 // with a default solve), recorded while arch-sweep and compare-providers
 // still fanned out on the thread pool. The payloads must not move. The

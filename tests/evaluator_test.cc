@@ -219,8 +219,7 @@ TEST_F(EvaluatorTest, CloneWithArchitectureRejectsASingleSessionFleet) {
 
 TEST_F(EvaluatorTest, CloneMatchesOriginalBitForBit) {
   // With nothing sunk, a variant is a plain copy: it shares the
-  // immutable timing tables and reproduces every evaluation exactly,
-  // with its own storage memo.
+  // immutable timing tables and reproduces every evaluation exactly.
   SelectionEvaluator clone = evaluator_->CloneWithSunkBuilds({}).MoveValue();
   ASSERT_EQ(clone.num_candidates(), evaluator_->num_candidates());
   for (size_t q = 0; q < evaluator_->num_queries(); ++q) {
@@ -278,9 +277,8 @@ TEST_F(EvaluatorTest, CloneWithSunkBuildsZeroesMaterialization) {
 // --- EvaluationCache: bounded with epoch eviction (DESIGN.md §13.4) ---------
 //
 // Regression for the silent-degradation family of bugs: the cache used
-// to grow without bound (and its CostMemo sibling stopped caching
-// forever once full). Now reaching the cap drops the epoch, counts it,
-// and keeps caching.
+// to grow without bound. Now reaching the cap drops the epoch, counts
+// it, and keeps caching.
 
 EvaluationCache::Entry CacheEntry(uint64_t i) {
   return EvaluationCache::Entry{

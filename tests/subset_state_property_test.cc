@@ -3,17 +3,20 @@
 // FastTotalCost() must equal the from-scratch Evaluate() ground truth
 // *exactly* (everything is integer arithmetic), across every billing
 // variant the cost fast path mirrors (per-second vs hourly granularity,
-// single-session vs per-activity compute, maintenance on/off), on a
-// short mix (the paper's 10 sales queries) and a wide one (39 SSB
-// queries).
+// single-session vs per-activity compute, maintenance on/off), on every
+// registered price sheet (marginal and flat-bracket storage, reserved
+// rates, free tiers), on a short mix (the paper's 10 sales queries) and
+// a wide one (39 SSB queries).
 
 #include "core/optimizer/evaluator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "core/optimizer/candidate_generation.h"
 #include "core/optimizer/solver.h"
 #include "engine/sales_generator.h"
+#include "pricing/provider_registry.h"
 #include "pricing/providers.h"
 #include "workload/generator.h"
 #include "workload/ssb.h"
@@ -47,11 +51,12 @@ struct BillingVariant {
   int64_t maintenance_cycles;
 };
 
-class SubsetStatePropertyTest
-    : public ::testing::TestWithParam<std::tuple<Mix, BillingVariant>> {
+using Param = std::tuple<Mix, BillingVariant, std::string>;
+
+class SubsetStatePropertyTest : public ::testing::TestWithParam<Param> {
  protected:
   void SetUp() override {
-    const auto& [mix, variant] = GetParam();
+    const auto& [mix, variant, sheet] = GetParam();
     CandidateGenOptions options;
     if (mix == Mix::kSales10) {
       SalesConfig config;
@@ -85,10 +90,13 @@ class SubsetStatePropertyTest
       options.max_rows_fraction = 0.10;
     }
     pricing_ = std::make_unique<PricingModel>(
-        ProviderRegistry::Global().Model("aws-2012")->WithComputeGranularity(
+        ProviderRegistry::Global().Model(sheet)->WithComputeGranularity(
             variant.granularity));
     cost_model_ = std::make_unique<CloudCostModel>(*pricing_);
-    cluster_ = ClusterSpec{pricing_->instances().Find("small").value(), 5};
+    // Each sheet's cheapest one-unit machine: aws-2012's "small",
+    // nimbus's reserved-rate "n1".
+    cluster_ =
+        ClusterSpec{pricing_->instances().CheapestWithUnits(1.0).value(), 5};
 
     deployment_.instance = cluster_.instance;
     deployment_.nb_instances = cluster_.nodes;
@@ -371,6 +379,36 @@ TEST_P(SubsetStatePropertyTest, ContextProbeMatchesExactPath) {
   EXPECT_GT(cached.counters().cache_hits, 0u);
 }
 
+TEST_P(SubsetStatePropertyTest, ThreadsShareOneEvaluator) {
+  // The evaluator is read-only after construction: two threads probing
+  // one instance at once get the bills that sequential probes give.
+  size_t n = evaluator_->num_candidates();
+  ObjectiveSpec spec;
+  auto walk = [&](uint64_t seed) {
+    std::vector<Money> bills;
+    Rng rng(seed);
+    SolverContext context(*evaluator_, spec);
+    SubsetState state(*evaluator_);
+    for (int move = 0; move < 100; ++move) {
+      size_t flip = static_cast<size_t>(rng.Uniform(n));
+      bills.push_back(context.ProbeToggle(state, flip).cost);
+      state.Toggle(flip);
+      bills.push_back(evaluator_->FastTotalCost(state));
+    }
+    return bills;
+  };
+  const std::vector<Money> first = walk(1);
+  const std::vector<Money> second = walk(2);
+  std::vector<Money> first_threaded;
+  std::vector<Money> second_threaded;
+  std::thread a([&] { first_threaded = walk(1); });
+  std::thread b([&] { second_threaded = walk(2); });
+  a.join();
+  b.join();
+  EXPECT_EQ(first_threaded, first);
+  EXPECT_EQ(second_threaded, second);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BillingVariants, SubsetStatePropertyTest,
     ::testing::Combine(
@@ -383,15 +421,17 @@ INSTANTIATE_TEST_SUITE_P(
             BillingVariant{"hour_per_activity", BillingGranularity::kHour,
                            false, 3},
             BillingVariant{"hour_session_maint", BillingGranularity::kHour,
-                           true, 2})),
-    [](const ::testing::TestParamInfo<std::tuple<Mix, BillingVariant>>&
-           info) {
+                           true, 2}),
+        ::testing::ValuesIn(ProviderRegistry::Global().Names())),
+    [](const ::testing::TestParamInfo<Param>& info) {
       // std::get, not a structured binding: its comma would split the
       // macro argument.
+      std::string sheet = std::get<2>(info.param);
+      std::replace(sheet.begin(), sheet.end(), '-', '_');
       return std::string(std::get<0>(info.param) == Mix::kSales10
                              ? "sales10_"
                              : "ssb39_") +
-             std::get<1>(info.param).label;
+             std::get<1>(info.param).label + "_" + sheet;
     });
 
 }  // namespace
